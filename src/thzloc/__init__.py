@@ -28,6 +28,7 @@ from .crb import (
     constrained_crb,
     constraint_basis,
     error_bounds,
+    evaluate_batch,
     evaluate_bounds,
     path_fim,
     state_fim,
@@ -95,6 +96,7 @@ __all__ = [
     "element_grid",
     "error_bounds",
     "euler_to_rotation",
+    "evaluate_batch",
     "evaluate_bounds",
     "evaluate_pose",
     "load_config",

@@ -62,21 +62,37 @@ def path_gain(distance_m: float, wavelength_m: float) -> float:
     return wavelength_m / (4.0 * np.pi * distance_m)
 
 
-def direction_vector(az: float, el: float) -> np.ndarray:
-    """Unit vector for azimuth/elevation in the panel frame."""
-    return np.array(
-        [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)]
-    )
-
-
 def steering_vector(elements_m: np.ndarray, az: float, el: float, wavelength_m: float):
     """Narrowband steering vector of a panel toward (az, el).
 
     Entry i is exp(j * 2 pi / lambda * <offset_i, u(az, el)>) with unit
     magnitude; no amplitude taper.
     """
-    phase = (2.0 * np.pi / wavelength_m) * (elements_m @ direction_vector(az, el))
-    return np.exp(1j * phase)
+    return steering_stack(elements_m, [az], [el], wavelength_m)[0, :, 0]
+
+
+def steering_stack(elements_m: np.ndarray, az, el, wavelength_m: float) -> np.ndarray:
+    """Steering vectors of a panel and their angle derivatives, many at once.
+
+    Args:
+        elements_m: panel element offsets, (N, 3).
+        az, el: directions, each of shape (P,).
+
+    Returns:
+        (P, N, 3) complex array whose columns are a, da/daz and da/del.
+        Each direction's result does not depend on the others.
+    """
+    az = np.asarray(az, dtype=float)[:, None]
+    el = np.asarray(el, dtype=float)[:, None]
+    ca, sa, ce, se = np.cos(az), np.sin(az), np.cos(el), np.sin(el)
+    x, y, z = elements_m[:, 0], elements_m[:, 1], elements_m[:, 2]
+    wavenumber = 2.0 * np.pi / wavelength_m
+    out = np.empty((az.shape[0], elements_m.shape[0], 3), dtype=complex)
+    a = np.exp(1j * (wavenumber * (x * (ce * ca) + y * (ce * sa) + z * se)))
+    out[..., 0] = a
+    out[..., 1] = (1j * wavenumber) * (x * (-ce * sa) + y * (ce * ca)) * a
+    out[..., 2] = (1j * wavenumber) * (x * (-se * ca) + y * (-se * sa) + z * ce) * a
+    return out
 
 
 def steering_gradients(elements_m: np.ndarray, az: float, el: float, wavelength_m: float):
@@ -85,14 +101,8 @@ def steering_gradients(elements_m: np.ndarray, az: float, el: float, wavelength_
     Returns:
         (a, da_daz, da_del), each of shape (N,).
     """
-    u = direction_vector(az, el)
-    du_daz = np.array([-np.cos(el) * np.sin(az), np.cos(el) * np.cos(az), 0.0])
-    du_del = np.array([-np.sin(el) * np.cos(az), -np.sin(el) * np.sin(az), np.cos(el)])
-    wavenumber = 2.0 * np.pi / wavelength_m
-    a = np.exp(1j * wavenumber * (elements_m @ u))
-    da_daz = 1j * wavenumber * (elements_m @ du_daz) * a
-    da_del = 1j * wavenumber * (elements_m @ du_del) * a
-    return a, da_daz, da_del
+    stack = steering_stack(elements_m, [az], [el], wavelength_m)[0]
+    return stack[:, 0], stack[:, 1], stack[:, 2]
 
 
 @dataclass(frozen=True)
@@ -133,6 +143,16 @@ def draw_beamformers(
     ue = np.exp(1j * phases[:, :n_ue]) / np.sqrt(n_ue)
     bs = np.exp(1j * phases[:, n_ue:])  # unit modulus, one PA per element
     return BeamformerSet(ue=ue, bs=bs)
+
+
+def beam_couplings(beams: BeamformerSet, steer_ue: np.ndarray, steer_bs: np.ndarray):
+    """Per-transmission couplings of the beams with steering stacks.
+
+    steer_ue and steer_bs are (N, 3) slices of steering_stack.  Returns
+    (ue, bs), each (G, 3): the combiner (precoder) times a, da/daz and
+    da/del of the arrival (departure) direction.
+    """
+    return beams.ue @ steer_ue, beams.bs @ steer_bs
 
 
 def mean_signal(

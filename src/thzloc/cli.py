@@ -51,7 +51,17 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
 def _load_scenario(args) -> ScenarioConfig:
+    _require(args.threads >= 1, f"--threads must be at least 1, got {args.threads}")
+    _require(
+        args.seed is None or args.seed >= 0,
+        f"--seed must be a non-negative integer, got {args.seed}",
+    )
     if args.config is not None:
         try:
             config = load_config(args.config)
@@ -163,6 +173,7 @@ def cmd_map(args) -> int:
     config = _load_scenario(args)
     orientation = EulerAngles(*_parse_floats(args.orientation, 3, "--orientation"))
     grid_spec = _parse_floats(args.grid, 3, "--grid")
+    _require(grid_spec[2] > 0, f"--grid step must be positive, got {_fmt(grid_spec[2])}")
     started = time.monotonic()
     grid = position_field(
         config, orientation, z_m=args.z, grid=grid_spec, threads=args.threads
@@ -186,6 +197,7 @@ def cmd_map(args) -> int:
 def cmd_orient_sweep(args) -> int:
     config = _load_scenario(args)
     position = _parse_floats(args.position, 3, "--position")
+    _require(args.step > 0, f"--step must be positive, got {_fmt(args.step)}")
     started = time.monotonic()
     grid = orientation_field(
         config, position, step_deg=args.step, alpha_deg=args.alpha, threads=args.threads
@@ -208,6 +220,7 @@ def cmd_orient_sweep(args) -> int:
 
 def cmd_coverage(args) -> int:
     config = _load_scenario(args)
+    _require(args.trials >= 1, f"--trials must be at least 1, got {args.trials}")
     started = time.monotonic()
     curve = coverage_ccdf(
         config,
@@ -244,6 +257,7 @@ def cmd_coverage(args) -> int:
 
 def cmd_validate(args) -> int:
     config = _load_scenario(args)
+    _require(args.trials >= 1, f"--trials must be at least 1, got {args.trials}")
     failures = 0
     for name, passed, detail in run_validation(config, trials=args.trials):
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")

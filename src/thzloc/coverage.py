@@ -21,12 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crb import BoundResult, evaluate_bounds
+from .crb import BoundResult, evaluate_batch, evaluate_bounds
 from .geometry import EulerAngles, Pose, euler_to_rotation
 from .scenario import Scenario, ScenarioConfig
 
 PEB_THRESHOLDS_M = np.logspace(-3.0, 3.0, 60)
 OEB_THRESHOLDS_DEG = np.logspace(-3.0, 2.0, 60)
+
+# Poses per evaluate_batch call; bounds the kernel's per-path arrays.
+_POSE_CHUNK = 64
+# Contiguous index ranges per worker process, for load balance.
+_RANGES_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -91,18 +96,43 @@ class CcdfCurve:
             raise AssertionError("curve floor cannot undercut the outage fraction")
 
 
-def _trial_value(config: ScenarioConfig, distribution: PoseDistribution,
-                 seed: int, metric: str, trial: int) -> float:
-    pose = sample_pose(distribution, seed, trial)
-    return evaluate_pose(config, pose, seed=seed, trial=trial).metric(metric)
+def _evaluate_range(config: ScenarioConfig, poses_of, seed: int, start: int, stop: int):
+    """Results of poses_of(i) for i in [start, stop), trial i each, fed to
+    the kernel _POSE_CHUNK poses at a time."""
+    scn = _realized(config)
+    results = []
+    for first in range(start, stop, _POSE_CHUNK):
+        trials = range(first, min(first + _POSE_CHUNK, stop))
+        results += evaluate_batch(
+            scn.bs_poses,
+            scn.bs_elements,
+            scn.subarrays,
+            scn.signal,
+            [poses_of(t) for t in trials],
+            trials,
+            clock_bias_s=scn.clock_bias_s,
+            seed=seed,
+        )
+    return results
 
 
-def _run_indexed(worker, count: int, threads: int) -> list:
-    if threads <= 1:
-        return [worker(i) for i in range(count)]
-    chunk = max(1, count // (threads * 8))
+def _run_ranges(worker, count: int, threads: int) -> list:
+    """worker(start, stop) over contiguous ranges covering [0, count),
+    concatenated in index order; with threads > 1 in worker processes."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if threads == 1:
+        return worker(0, count)
+    size = max(1, -(-count // (threads * _RANGES_PER_WORKER)))
+    starts = range(0, count, size)
+    stops = [min(start + size, count) for start in starts]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(count), chunksize=chunk))
+        return [item for part in pool.map(worker, starts, stops) for item in part]
+
+
+def _trial_values(config, distribution, seed, metric, start, stop) -> list[float]:
+    poses_of = functools.partial(sample_pose, distribution, seed)
+    return [r.metric(metric) for r in _evaluate_range(config, poses_of, seed, start, stop)]
 
 
 def coverage_ccdf(
@@ -131,8 +161,8 @@ def coverage_ccdf(
         raise ValueError(f"unknown metric {metric!r}")
     distribution = distribution or PoseDistribution()
     run_seed = config.seed if seed is None else seed
-    worker = functools.partial(_trial_value, config, distribution, run_seed, metric)
-    values = np.array(_run_indexed(worker, trials, threads))
+    worker = functools.partial(_trial_values, config, distribution, run_seed, metric)
+    values = np.array(_run_ranges(worker, trials, threads))
     exceedance = np.array([np.count_nonzero(values > t) for t in thresholds]) / trials
     outage = float(np.count_nonzero(np.isinf(values))) / trials
     return CcdfCurve(
@@ -166,21 +196,23 @@ def _axis(start: float, stop: float, step: float) -> np.ndarray:
     return start + step * np.arange(int(round((stop - start) / step)) + 1)
 
 
-def _field_cell(config: ScenarioConfig, poses_of, index: int):
+def _field_cells(config: ScenarioConfig, poses_of, start: int, stop: int) -> list[tuple]:
     # Each cell gets its own beamformer draw, like one Monte-Carlo trial.
-    result = evaluate_pose(config, poses_of(index), trial=index)
-    good = result.localizable
-    return (
-        result.peb_m if good else np.nan,
-        result.oeb_deg if good else np.nan,
-        result.classification,
-        result.num_paths,
-    )
+    cells = []
+    for result in _evaluate_range(config, poses_of, config.seed, start, stop):
+        good = result.localizable
+        cells.append((
+            result.peb_m if good else np.nan,
+            result.oeb_deg if good else np.nan,
+            result.classification,
+            result.num_paths,
+        ))
+    return cells
 
 
 def _assemble_grid(config, axis_names, first, second, poses_of, threads) -> FieldGrid:
-    worker = functools.partial(_field_cell, config, poses_of)
-    cells = _run_indexed(worker, len(first) * len(second), threads)
+    worker = functools.partial(_field_cells, config, poses_of)
+    cells = _run_ranges(worker, len(first) * len(second), threads)
     shape = (len(first), len(second))
     peb = np.array([c[0] for c in cells]).reshape(shape)
     oeb = np.array([c[1] for c in cells]).reshape(shape)
@@ -189,7 +221,7 @@ def _assemble_grid(config, axis_names, first, second, poses_of, threads) -> Fiel
     return FieldGrid(axis_names, (first, second), peb, oeb, classification, num_paths)
 
 
-def _position_pose(config, xs, ys, orientation, z_m, index):
+def _position_pose(xs, ys, orientation, z_m, index):
     rotation = euler_to_rotation(orientation)
     x = xs[index // len(ys)]
     y = ys[index % len(ys)]
@@ -206,11 +238,11 @@ def position_field(
     """Bounds over an x-y grid at fixed height and orientation."""
     xs = _axis(*grid)
     ys = xs.copy()
-    poses_of = functools.partial(_position_pose, config, xs, ys, orientation, z_m)
+    poses_of = functools.partial(_position_pose, xs, ys, orientation, z_m)
     return _assemble_grid(config, ("x_m", "y_m"), xs, ys, poses_of, threads)
 
 
-def _orientation_pose(config, betas, gammas, position, alpha_deg, index):
+def _orientation_pose(betas, gammas, position, alpha_deg, index):
     beta = betas[index // len(gammas)]
     gamma = gammas[index % len(gammas)]
     return Pose(
@@ -229,9 +261,7 @@ def orientation_field(
     """Bounds over a beta-gamma orientation grid at a fixed position."""
     betas = _axis(0.0, 360.0, step_deg)
     gammas = betas.copy()
-    poses_of = functools.partial(
-        _orientation_pose, config, betas, gammas, position, alpha_deg
-    )
+    poses_of = functools.partial(_orientation_pose, betas, gammas, position, alpha_deg)
     return _assemble_grid(
         config, ("beta_deg", "gamma_deg"), betas, gammas, poses_of, threads
     )

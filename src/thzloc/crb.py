@@ -12,6 +12,12 @@ where the columns of M span the null space of the constraint Jacobian.
 PEB is the root-trace of the position block; OEB is the root-trace of the
 rotation block, converted to degrees through the small-angle relation
 |dR|_F = sqrt(2) * angle.
+
+evaluate_batch is the one evaluation kernel: it runs each layer once over
+all paths of a batch of poses (visibility, angles, state Jacobians, beam
+draws and per-path FIMs, state FIMs, constrained CRBs).  The per-path
+public functions are batches of one through the same layers, and a pose's
+result does not depend on the batch it is evaluated in.
 """
 
 from __future__ import annotations
@@ -23,19 +29,23 @@ import numpy as np
 from .channel import (
     BeamformerSet,
     SignalConfig,
+    beam_couplings,
     draw_beamformers,
     path_gain,
-    signal_gradient,
+    steering_stack,
 )
 from .errors import GeometryError
 from .geometry import (
     SPEED_OF_LIGHT,
+    PathGeometry,
     PathParams,
     Pose,
     Subarray,
-    path_params,
-    subarray_global_pose,
-    visible_paths,
+    path_angles,
+    path_geometry,
+    stack_mounts,
+    stack_poses,
+    visibility,
 )
 
 STATE_DIM = 13
@@ -50,6 +60,53 @@ COMM_ONLY = "comm_only"
 NO_LOS = "no_los"
 
 _ELEVATION_TOL = 1e-12
+
+
+def _transpose(stack: np.ndarray) -> np.ndarray:
+    return stack.swapaxes(-1, -2)
+
+
+def _symmetric(stack: np.ndarray) -> np.ndarray:
+    return 0.5 * (stack + _transpose(stack))
+
+
+def _tone_gram(config: SignalConfig, columns: int) -> np.ndarray:
+    # T^H T for the subcarrier factors of the signal derivatives: 1 for the
+    # four angles (and the two gain parts), -2j pi f_k for the delay.  The
+    # common tone exp(-2j pi f_k tau) has unit modulus and cancels.
+    f_k = config.subcarrier_offsets_hz()
+    tones = np.ones((f_k.size, columns), dtype=complex)
+    tones[:, 4] = -2j * np.pi * f_k
+    return tones.conj().T @ tones
+
+
+def path_fims(
+    ue_couplings: np.ndarray,
+    bs_couplings: np.ndarray,
+    gains: np.ndarray,
+    config: SignalConfig,
+    unknown_gain: bool = False,
+) -> np.ndarray:
+    """5x5 Fisher information of many paths, shape (P, 5, 5).
+
+    The derivative of the mean signal in parameter i is separable,
+    dmu[g, k, i] = c_i[g] t_i[k], so the information is
+    (2 / sigma^2) Re[(C^H C) o (T^H T)] with C the (G, 5) couplings of the
+    beams (beam_couplings) and T the (K, 5) subcarrier factors.
+    """
+    g_ue, du_az, du_el = (ue_couplings[..., j] for j in range(3))
+    g_bs, db_az, db_el = (bs_couplings[..., j] for j in range(3))
+    both = g_ue * g_bs
+    c = np.stack([g_ue * db_az, g_ue * db_el, du_az * g_bs, du_el * g_bs, both], axis=-1)
+    c = c * np.asarray(gains)[:, None, None]
+    if unknown_gain:
+        c = np.concatenate([c, np.stack([both, 1j * both], axis=-1)], axis=-1)
+    gram = (_transpose(c.conj()) @ c) * _tone_gram(config, c.shape[-1])
+    fim = _symmetric((2.0 * config.power_w / config.noise_variance_w) * np.real(gram))
+    if not unknown_gain:
+        return fim
+    head, cross, nuisance = fim[:, :5, :5], fim[:, :5, 5:], fim[:, 5:, 5:]
+    return _symmetric(head - cross @ np.linalg.pinv(nuisance) @ _transpose(cross))
 
 
 def path_fim(
@@ -68,20 +125,11 @@ def path_fim(
     the result is the equivalent information of the five geometric
     parameters alone.
     """
-    mu, dmu = signal_gradient(params, gain, beams, bs_elements_m, sub_elements_m, config)
-    jac = dmu.reshape(-1, 5)
-    scale = 2.0 / config.noise_variance_w
-    if not unknown_gain:
-        fim = scale * np.real(jac.conj().T @ jac)
-        return 0.5 * (fim + fim.T)
-    dg = np.stack([(mu / gain).ravel(), (1j * mu / gain).ravel()], axis=1)
-    full = np.hstack([jac, dg])
-    fim7 = scale * np.real(full.conj().T @ full)
-    fim7 = 0.5 * (fim7 + fim7.T)
-    head, cross = fim7[:5, :5], fim7[:5, 5:]
-    nuisance = fim7[5:, 5:]
-    fim = head - cross @ np.linalg.pinv(nuisance) @ cross.T
-    return 0.5 * (fim + fim.T)
+    lam = config.wavelength_m
+    steer_bs = steering_stack(bs_elements_m, [params.aod_az], [params.aod_el], lam)
+    steer_ue = steering_stack(sub_elements_m, [params.aoa_az], [params.aoa_el], lam)
+    ue, bs = beam_couplings(beams, steer_ue[0], steer_bs[0])
+    return path_fims(ue[None], bs[None], np.array([gain]), config, unknown_gain)[0]
 
 
 def stacked_fim(path_fims: list[np.ndarray]) -> np.ndarray:
@@ -93,9 +141,57 @@ def stacked_fim(path_fims: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _vec(matrix: np.ndarray) -> np.ndarray:
-    # Column-major stacking, matching the vec(R) part of the state.
-    return matrix.reshape(9, order="F")
+def _vec_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # vec(x y^T) with column-major stacking, matching the vec(R) part of
+    # the state, over the leading axes.
+    return (y[..., :, None] * x[..., None, :]).reshape(x.shape[:-1] + (9,))
+
+
+def state_jacobians(geo: PathGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jacobians of many paths' channel parameters in the 13-entry state.
+
+    Returns:
+        (jacobians (P, 5, 13), departure (P,), arrival (P,)), the last two
+        flagging paths whose departure or arrival elevation sits at the
+        arcsin branch point, where the Jacobian is undefined.
+    """
+    v, d = geo.v, geo.offset
+    dist = geo.distance[:, None]
+    b1, b2, b3 = (geo.bs_rotation[..., j] for j in range(3))
+    n1, n2, n3 = (geo.mount_rotation[..., j] for j in range(3))
+    a1, a2, a3 = (geo.axes[..., j] for j in range(3))
+    x1, y1, z1 = (geo.v_bs[:, j, None] for j in range(3))
+    big_a, big_b, big_c = (geo.v_sub[:, j, None] for j in range(3))
+    departure = 1.0 - np.abs(z1[:, 0] / dist[:, 0]) < _ELEVATION_TOL
+    arrival = 1.0 - np.abs(big_c[:, 0] / dist[:, 0]) < _ELEVATION_TOL
+    dist3 = dist * dist * dist
+    jac = np.zeros((v.shape[0], 5, STATE_DIM))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Departure side: v resolved on the BS axes.
+        daz_dv = (x1 * b2 - y1 * b1) / (x1 * x1 + y1 * y1)
+        q1 = z1 / dist
+        del_dv = (1.0 / np.sqrt(1.0 - q1 * q1)) * (b3 / dist - z1 * v / dist3)
+        jac[:, 0, 0:3], jac[:, 0, 4:] = daz_dv, _vec_outer(daz_dv, d)
+        jac[:, 1, 0:3], jac[:, 1, 4:] = del_dv, _vec_outer(del_dv, d)
+
+        # Arrival side: -v resolved on the subarray axes, which move with R.
+        d_a = _vec_outer(v, n1) + _vec_outer(a1, d)
+        d_b = _vec_outer(v, n2) + _vec_outer(a2, d)
+        d_c = _vec_outer(v, n3) + _vec_outer(a3, d)
+        den = big_a * big_a + big_b * big_b
+        jac[:, 2, 0:3] = (big_a * a2 - big_b * a1) / den
+        jac[:, 2, 4:] = (big_a * d_b - big_b * d_a) / den
+        q2 = big_c / dist
+        s2 = 1.0 / np.sqrt(1.0 - q2 * q2)
+        outer_vd = _vec_outer(v, d)
+        jac[:, 3, 0:3] = -s2 * (a3 / dist - big_c * v / dist3)
+        jac[:, 3, 4:] = -s2 * (d_c / dist - big_c * (outer_vd / dist) / (dist * dist))
+
+    # Delay.
+    jac[:, 4, 0:3] = v / (SPEED_OF_LIGHT * dist)
+    jac[:, 4, 3] = 1.0
+    jac[:, 4, 4:] = outer_vd / (SPEED_OF_LIGHT * dist)
+    return jac, departure, arrival
 
 
 def state_jacobian(bs_pose: Pose, ue_pose: Pose, subarray: Subarray) -> np.ndarray:
@@ -108,63 +204,54 @@ def state_jacobian(bs_pose: Pose, ue_pose: Pose, subarray: Subarray) -> np.ndarr
     Raises:
         GeometryError: at |elevation| = 90 deg where azimuth is undefined.
     """
-    d = subarray.offset
-    r_ue = ue_pose.rotation
-    sub_pose = subarray_global_pose(ue_pose, subarray)
-    v = sub_pose.position - bs_pose.position
-    dist = float(np.linalg.norm(v))
-    if dist < 1e-9:
-        raise GeometryError("BS and subarray positions coincide")
-
-    jac = np.zeros((5, STATE_DIM))
-
-    def fill(row: int, d_dp: np.ndarray, d_dvec: np.ndarray) -> None:
-        jac[row, 0:3] = d_dp
-        jac[row, 4:13] = d_dvec
-
-    # Departure side: v resolved on the BS axes.
-    b1, b2, b3 = bs_pose.rotation.T
-    x1, y1, z1 = b1 @ v, b2 @ v, b3 @ v
-    if 1.0 - abs(z1 / dist) < _ELEVATION_TOL:
-        raise GeometryError("departure elevation at the arcsin branch point")
-    daz_dv = (x1 * b2 - y1 * b1) / (x1 * x1 + y1 * y1)
-    s1 = 1.0 / np.sqrt(1.0 - (z1 / dist) ** 2)
-    del_dv = s1 * (b3 / dist - z1 * v / dist**3)
-    fill(0, daz_dv, np.kron(d, daz_dv))
-    fill(1, del_dv, np.kron(d, del_dv))
-
-    # Arrival side: -v resolved on the subarray axes, which move with R.
-    n1, n2, n3 = subarray.rotation.T  # subarray axes in the UE frame
-    a1, a2, a3 = (r_ue @ n1, r_ue @ n2, r_ue @ n3)
-    big_a, big_b, big_c = a1 @ v, a2 @ v, a3 @ v
-    if 1.0 - abs(big_c / dist) < _ELEVATION_TOL:
-        raise GeometryError("arrival elevation at the arcsin branch point")
-    den = big_a * big_a + big_b * big_b
-    d_a = np.outer(v, n1) + np.outer(a1, d)
-    d_b = np.outer(v, n2) + np.outer(a2, d)
-    d_c = np.outer(v, n3) + np.outer(a3, d)
-    fill(2, (big_a * a2 - big_b * a1) / den, (big_a * _vec(d_b) - big_b * _vec(d_a)) / den)
-    s2 = 1.0 / np.sqrt(1.0 - (big_c / dist) ** 2)
-    dist_dvec = _vec(np.outer(v, d)) / dist
-    fill(
-        3,
-        -s2 * (a3 / dist - big_c * v / dist**3),
-        -s2 * (_vec(d_c) / dist - big_c * dist_dvec / dist**2),
+    geo = path_geometry(
+        stack_poses([bs_pose]), stack_poses([ue_pose]), stack_mounts([subarray])
     )
+    jac, departure, arrival = state_jacobians(geo)
+    if departure[0]:
+        raise GeometryError("departure elevation at the arcsin branch point")
+    if arrival[0]:
+        raise GeometryError("arrival elevation at the arcsin branch point")
+    return jac[0]
 
-    # Delay.
-    jac[4, 0:3] = v / (SPEED_OF_LIGHT * dist)
-    jac[4, 3] = 1.0
-    jac[4, 4:13] = _vec(np.outer(v, d)) / (SPEED_OF_LIGHT * dist)
-    return jac
+
+def state_fims(
+    path_fims: np.ndarray, jacobians: np.ndarray, owners: np.ndarray, poses: int
+) -> np.ndarray:
+    """(poses, 13, 13) information in the state.
+
+    Path p adds J_p^T F_p J_p to pose owners[p]; each pose sums its paths
+    in the order given, starting from zero.
+    """
+    fim = np.zeros((poses, STATE_DIM, STATE_DIM))
+    np.add.at(fim, owners, _transpose(jacobians) @ path_fims @ jacobians)
+    return _symmetric(fim)
 
 
 def state_fim(path_fims: list[np.ndarray], jacobians: list[np.ndarray]) -> np.ndarray:
     """13x13 information in the state, summed over paths."""
-    fim = np.zeros((STATE_DIM, STATE_DIM))
-    for block, jac in zip(path_fims, jacobians, strict=True):
-        fim += jac.T @ block @ jac
-    return 0.5 * (fim + fim.T)
+    if len(path_fims) != len(jacobians):
+        raise ValueError(f"{len(path_fims)} path FIMs for {len(jacobians)} Jacobians")
+    return state_fims(
+        np.array(path_fims, dtype=float).reshape(-1, 5, 5),
+        np.array(jacobians, dtype=float).reshape(-1, 5, STATE_DIM),
+        np.zeros(len(path_fims), dtype=int),
+        1,
+    )[0]
+
+
+def constraint_bases(rotations: np.ndarray) -> np.ndarray:
+    """constraint_basis of each rotation in a (B, 3, 3) stack."""
+    c1, c2, c3 = (rotations[..., j] * (1.0 / np.sqrt(2.0)) for j in range(3))
+    basis = np.zeros((rotations.shape[0], STATE_DIM, CONSTRAINED_DIM))
+    basis[:, :4, :4] = np.eye(4)
+    basis[:, 4:7, 4] = -c3
+    basis[:, 10:13, 4] = c1
+    basis[:, 7:10, 5] = -c3
+    basis[:, 10:13, 5] = c2
+    basis[:, 4:7, 6] = c2
+    basis[:, 7:10, 6] = -c1
+    return basis
 
 
 def constraint_basis(rotation: np.ndarray) -> np.ndarray:
@@ -175,17 +262,40 @@ def constraint_basis(rotation: np.ndarray) -> np.ndarray:
     M satisfies M^T M = I_7 and J_h M = 0 for the Jacobian J_h of the
     orthonormality constraints on R.
     """
-    c1, c2, c3 = rotation[:, 0], rotation[:, 1], rotation[:, 2]
-    basis = np.zeros((STATE_DIM, CONSTRAINED_DIM))
-    basis[:4, :4] = np.eye(4)
-    inv_rt2 = 1.0 / np.sqrt(2.0)
-    basis[4:7, 4] = -c3 * inv_rt2
-    basis[10:13, 4] = c1 * inv_rt2
-    basis[7:10, 5] = -c3 * inv_rt2
-    basis[10:13, 5] = c2 * inv_rt2
-    basis[4:7, 6] = c2 * inv_rt2
-    basis[7:10, 6] = -c1 * inv_rt2
-    return basis
+    return constraint_bases(np.asarray(rotation, dtype=float)[None])[0]
+
+
+def constrained_crbs(
+    fims: np.ndarray, bases: np.ndarray, condition_limit: float = CONDITION_LIMIT
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """constrained_crb over a stack of B information matrices.
+
+    Returns:
+        (crbs (B, 13, 13), invertible (B,), conditions (B,)); crbs holds
+        NaN where invertible is False.
+    """
+    count = fims.shape[0]
+    reduced = _symmetric(_transpose(bases) @ fims @ bases)
+    diag = np.diagonal(reduced, axis1=1, axis2=2)
+    conditions = np.full(count, np.inf)
+    crbs = np.full((count, STATE_DIM, STATE_DIM), np.nan)
+    usable = np.flatnonzero(np.all(np.isfinite(diag) & (diag > 0.0), axis=1))
+    scale = 1.0 / np.sqrt(diag[usable])
+    balanced = _symmetric(scale[:, :, None] * reduced[usable] * scale[:, None, :])
+    eigvals, eigvecs = np.linalg.eigh(balanced)
+    positive = (eigvals[:, 0] > 0.0) & np.all(np.isfinite(eigvals), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = eigvals[:, -1] / eigvals[:, 0]
+    conditions[usable[positive]] = ratio[positive]
+    keep = positive & (ratio <= condition_limit)
+    vals, vecs, scale = eigvals[keep], eigvecs[keep], scale[keep]
+    inv_balanced = (vecs / vals[:, None, :]) @ _transpose(vecs)
+    inv_reduced = scale[:, :, None] * inv_balanced * scale[:, None, :]
+    basis = bases[usable[keep]]
+    crbs[usable[keep]] = _symmetric(basis @ inv_reduced @ _transpose(basis))
+    invertible = np.zeros(count, dtype=bool)
+    invertible[usable[keep]] = True
+    return crbs, invertible, conditions
 
 
 def constrained_crb(
@@ -201,32 +311,27 @@ def constrained_crb(
     Returns:
         (crb, condition) with crb None when the information is singular.
     """
-    reduced = basis.T @ fim @ basis
-    reduced = 0.5 * (reduced + reduced.T)
-    diag = np.diag(reduced).copy()
-    if not np.all(np.isfinite(diag)) or np.any(diag <= 0.0):
-        return None, np.inf
-    scale = 1.0 / np.sqrt(diag)
-    balanced = scale[:, None] * reduced * scale[None, :]
-    balanced = 0.5 * (balanced + balanced.T)
-    eigvals, eigvecs = np.linalg.eigh(balanced)
-    if eigvals[0] <= 0.0 or not np.all(np.isfinite(eigvals)):
-        return None, np.inf
-    condition = float(eigvals[-1] / eigvals[0])
-    if condition > condition_limit:
-        return None, condition
-    inv_balanced = (eigvecs / eigvals) @ eigvecs.T
-    inv_reduced = scale[:, None] * inv_balanced * scale[None, :]
-    crb = basis @ inv_reduced @ basis.T
-    return 0.5 * (crb + crb.T), condition
+    crbs, invertible, conditions = constrained_crbs(
+        np.asarray(fim, dtype=float)[None], np.asarray(basis, dtype=float)[None], condition_limit
+    )
+    return (crbs[0] if invertible[0] else None), float(conditions[0])
+
+
+def error_bounds_stack(crbs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(peb_m, oeb_raw, oeb_deg) arrays from a (B, 13, 13) stack of CRBs."""
+    diag = np.diagonal(crbs, axis1=1, axis2=2)
+    position = diag[:, 0] + diag[:, 1] + diag[:, 2]
+    rotation = diag[:, 4]
+    for i in range(5, STATE_DIM):
+        rotation = rotation + diag[:, i]
+    oeb_raw = np.sqrt(rotation)
+    return np.sqrt(position), oeb_raw, np.rad2deg(oeb_raw / np.sqrt(2.0))
 
 
 def error_bounds(crb: np.ndarray) -> tuple[float, float, float]:
     """(peb_m, oeb_raw, oeb_deg) from a 13x13 constrained CRB."""
-    peb = float(np.sqrt(np.trace(crb[0:3, 0:3])))
-    oeb_raw = float(np.sqrt(np.trace(crb[4:13, 4:13])))
-    oeb_deg = float(np.rad2deg(oeb_raw / np.sqrt(2.0)))
-    return peb, oeb_raw, oeb_deg
+    peb, oeb_raw, oeb_deg = error_bounds_stack(np.asarray(crb, dtype=float)[None])
+    return float(peb[0]), float(oeb_raw[0]), float(oeb_deg[0])
 
 
 def classify_localizability(num_visible_bs: int, invertible: bool) -> str:
@@ -279,6 +384,128 @@ class BoundResult:
         raise ValueError(f"unknown metric {name!r}, expected 'peb' or 'oeb'")
 
 
+# Paths whose steering stacks, couplings and FIM terms are held at once.
+_PATH_BLOCK = 16
+
+
+def _panel_steering(panel_of: list[int], elements, az, el, lam):
+    """Steering stack of each panel for the paths on it, and each path's
+    row in its panel's stack."""
+    stacks, rows = {}, np.empty(len(panel_of), dtype=int)
+    for panel in set(panel_of):
+        members = np.flatnonzero(np.equal(panel_of, panel))
+        stacks[panel] = steering_stack(elements[panel], az[members], el[members], lam)
+        rows[members] = np.arange(members.size)
+    return stacks, rows
+
+
+def _beam_fims(signal, bs_elements, subarrays, params, paths, trials, seed, unknown_gain):
+    """path_fims of the paths (owners, bs_index, sub_index), each with its
+    own keyed beam draw.
+
+    Paths go _PATH_BLOCK at a time: steering stacks are built per panel for
+    the block's paths, and each draw is reduced to its (G, 3) couplings
+    right away, so memory does not grow with the batch.
+    """
+    lam = signal.wavelength_m
+    g = signal.num_transmissions
+    ue_elements = [s.elements for s in subarrays]
+    fims = [np.zeros((0, 5, 5))]
+    for first in range(0, params.shape[0], _PATH_BLOCK):
+        block = slice(first, first + _PATH_BLOCK)
+        owners, bs_index, sub_index = (index[block].tolist() for index in paths)
+        angles = params[block]
+        steer_bs, row_bs = _panel_steering(bs_index, bs_elements, angles[:, 0], angles[:, 1], lam)
+        steer_ue, row_ue = _panel_steering(sub_index, ue_elements, angles[:, 2], angles[:, 3], lam)
+        ue_c = np.empty((len(owners), g, 3), dtype=complex)
+        bs_c = np.empty((len(owners), g, 3), dtype=complex)
+        for p, (owner, m, n) in enumerate(zip(owners, bs_index, sub_index)):
+            beams = draw_beamformers(
+                seed, m, n, g, ue_elements[n].shape[0], bs_elements[m].shape[0],
+                trial=trials[owner],
+            )
+            ue_c[p], bs_c[p] = beam_couplings(beams, steer_ue[n][row_ue[p]], steer_bs[m][row_bs[p]])
+        fims.append(path_fims(ue_c, bs_c, path_gain(angles[:, 5], lam), signal, unknown_gain))
+    return np.concatenate(fims)
+
+
+def evaluate_batch(
+    bs_poses: list[Pose],
+    bs_elements: list[np.ndarray],
+    subarrays: list[Subarray],
+    signal: SignalConfig,
+    ue_poses: list[Pose],
+    trials: list[int],
+    clock_bias_s: float = 0.0,
+    seed: int = 0,
+    unknown_gain: bool = False,
+) -> list[BoundResult]:
+    """Bounds for a batch of UE poses against a set of BSs.
+
+    Pose i draws its beamformers per (seed, trials[i], bs, subarray), so
+    results are reproducible and nested BS sets share their common paths'
+    draws.  Each pose's result is the same bits as evaluate_bounds of that
+    pose alone.  Memory grows with the number of paths in the batch, so
+    callers with many poses feed them in chunks.
+    """
+    trials = [int(t) for t in trials]
+    ue = stack_poses(ue_poses)
+    bs = stack_poses(bs_poses)
+    mounts = stack_mounts(subarrays)
+    count = ue[0].shape[0]
+    mask = visibility(bs, ue, mounts)
+    owners, bs_index, sub_index = np.nonzero(mask)  # visible_paths order per pose
+    geo = path_geometry(
+        (bs[0][bs_index], bs[1][bs_index]),
+        (ue[0][owners], ue[1][owners]),
+        (mounts[0][sub_index], mounts[1][sub_index]),
+    )
+    params = path_angles(geo, clock_bias_s)
+    jacobians, departure, arrival = state_jacobians(geo)
+
+    # A path at the arcsin branch point has no Jacobian, so its pose gets
+    # no finite bound.
+    solvable = mask.any(axis=(1, 2))
+    solvable[owners[departure | arrival]] = False
+    live = solvable[owners]
+    fims = _beam_fims(
+        signal, bs_elements, subarrays, params[live],
+        (owners[live], bs_index[live], sub_index[live]), trials, seed, unknown_gain,
+    )
+    fim = state_fims(fims, jacobians[live], owners[live], count)
+
+    poses = np.flatnonzero(solvable)
+    crbs, invertible, conditions = constrained_crbs(fim[poses], constraint_bases(ue[1][poses]))
+    peb, oeb_raw, oeb_deg = np.full((3, count), np.inf)
+    condition = np.full(count, np.inf)
+    condition[poses] = conditions
+    solved = poses[invertible]
+    peb[solved], oeb_raw[solved], oeb_deg[solved] = error_bounds_stack(crbs[invertible])
+
+    has_bound = np.zeros(count, dtype=bool)
+    has_bound[solved] = True
+    num_visible_bs = mask.any(axis=2).sum(axis=1).tolist()
+    ends = np.cumsum(np.bincount(owners, minlength=count)).tolist()
+    starts = [0] + ends[:-1]
+    observations = [
+        PathObservation(m, n, PathParams(*row))
+        for m, n, row in zip(bs_index.tolist(), sub_index.tolist(), params.tolist())
+    ]
+    return [
+        BoundResult(
+            classification=classify_localizability(num_visible_bs[i], bool(has_bound[i])),
+            peb_m=float(peb[i]),
+            oeb_deg=float(oeb_deg[i]),
+            oeb_raw=float(oeb_raw[i]),
+            num_paths=ends[i] - starts[i],
+            num_visible_bs=num_visible_bs[i],
+            condition_number=float(condition[i]),
+            paths=tuple(observations[starts[i] : ends[i]]),
+        )
+        for i in range(count)
+    ]
+
+
 def evaluate_bounds(
     bs_poses: list[Pose],
     bs_elements_m: list[np.ndarray],
@@ -292,55 +519,11 @@ def evaluate_bounds(
 ) -> BoundResult:
     """Bound computation for one UE pose against a set of BSs.
 
-    Beamformers are drawn per (seed, trial, bs, subarray), so results are
-    reproducible and nested BS sets share their common paths' draws.
+    A batch of one through evaluate_batch: beamformers are drawn per
+    (seed, trial, bs, subarray), so results are reproducible and nested BS
+    sets share their common paths' draws.
     """
-    pairs = visible_paths(bs_poses, ue_pose, subarrays)
-    num_visible_bs = len({m for m, _ in pairs})
-    observations = []
-    fims, jacobians = [], []
-    degenerate = False
-    for m, n in pairs:
-        sub = subarrays[n]
-        params = path_params(bs_poses[m], ue_pose, sub, clock_bias_s)
-        observations.append(PathObservation(m, n, params))
-        gain = path_gain(params.distance, signal.wavelength_m)
-        beams = draw_beamformers(
-            seed,
-            m,
-            n,
-            signal.num_transmissions,
-            sub.elements.shape[0],
-            bs_elements_m[m].shape[0],
-            trial=trial,
-        )
-        try:
-            jacobians.append(state_jacobian(bs_poses[m], ue_pose, sub))
-        except GeometryError:
-            # Elevation at the arcsin branch point: the angle Jacobian is
-            # undefined, so no finite bound is reported for this pose.
-            degenerate = True
-            break
-        fims.append(
-            path_fim(params, gain, beams, bs_elements_m[m], sub.elements, signal, unknown_gain)
-        )
-
-    crb_matrix, condition = None, np.inf
-    if pairs and not degenerate:
-        fim = state_fim(fims, jacobians)
-        crb_matrix, condition = constrained_crb(fim, constraint_basis(ue_pose.rotation))
-
-    if crb_matrix is None:
-        peb = oeb_raw = oeb_deg = np.inf
-    else:
-        peb, oeb_raw, oeb_deg = error_bounds(crb_matrix)
-    return BoundResult(
-        classification=classify_localizability(num_visible_bs, crb_matrix is not None),
-        peb_m=peb,
-        oeb_deg=oeb_deg,
-        oeb_raw=oeb_raw,
-        num_paths=len(pairs),
-        num_visible_bs=num_visible_bs,
-        condition_number=condition,
-        paths=tuple(observations),
-    )
+    return evaluate_batch(
+        bs_poses, bs_elements_m, subarrays, signal, [ue_pose], [trial],
+        clock_bias_s=clock_bias_s, seed=seed, unknown_gain=unknown_gain,
+    )[0]

@@ -22,9 +22,6 @@ from .errors import GeometryError
 
 SPEED_OF_LIGHT = 299792458.0
 
-# Boresight of every panel in its own frame.
-BORESIGHT = np.array([1.0, 0.0, 0.0])
-
 _ORTHONORMALITY_TOL = 1e-6
 _GIMBAL_TOL = 1e-12
 
@@ -171,6 +168,67 @@ def subarray_global_pose(ue_pose: Pose, subarray: Subarray) -> Pose:
     )
 
 
+# Batched layers.  Every function below works on stacks of vectors and
+# matrices along leading axes and sums the three coordinates in one fixed
+# order, so a path's result is the same bits whatever batch it is
+# evaluated in; the per-path public functions are batches of one.
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _rotate(rotation: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    # rotation @ vector over the leading axes.
+    return (
+        rotation[..., 0] * vector[..., 0, None]
+        + rotation[..., 1] * vector[..., 1, None]
+        + rotation[..., 2] * vector[..., 2, None]
+    )
+
+
+def _compose(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    # first @ second over the leading axes.
+    return (
+        first[..., :, 0, None] * second[..., None, 0, :]
+        + first[..., :, 1, None] * second[..., None, 1, :]
+        + first[..., :, 2, None] * second[..., None, 2, :]
+    )
+
+
+def stack_poses(poses) -> tuple[np.ndarray, np.ndarray]:
+    """(positions (K, 3), rotations (K, 3, 3)) of a sequence of poses."""
+    return (
+        np.array([p.position for p in poses], dtype=float).reshape(-1, 3),
+        np.array([p.rotation for p in poses], dtype=float).reshape(-1, 3, 3),
+    )
+
+
+def stack_mounts(subarrays) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets (S, 3), mounting rotations (S, 3, 3)) of the subarrays."""
+    return (
+        np.array([s.offset for s in subarrays], dtype=float).reshape(-1, 3),
+        np.array([s.rotation for s in subarrays], dtype=float).reshape(-1, 3, 3),
+    )
+
+
+def visibility(bs, ue, mounts) -> np.ndarray:
+    """Line-of-sight mask of shape (poses, BSs, subarrays).
+
+    bs, ue and mounts are (positions, rotations) stacks from stack_poses
+    and stack_mounts.  The test is the one visible_paths documents.
+    """
+    bs_pos, bs_rot = bs
+    ue_pos, ue_rot = ue
+    offsets, mount_rot = mounts
+    centers = ue_pos[:, None] + _rotate(ue_rot[:, None], offsets)
+    normals = _rotate(ue_rot[:, None], mount_rot[..., 0])
+    los = bs_pos[None, :, None] - centers[:, None]
+    facing_bs = _dot(los, normals[:, None]) > 0.0
+    facing_ue = _dot(-los, bs_rot[None, :, None, :, 0]) > 0.0
+    return facing_bs & facing_ue
+
+
 def visible_paths(
     bs_poses: list[Pose], ue_pose: Pose, subarrays: list[Subarray]
 ) -> list[tuple[int, int]]:
@@ -183,16 +241,8 @@ def visible_paths(
     Returns:
         Pairs sorted by BS index then subarray index.
     """
-    pairs = []
-    for m, bs in enumerate(bs_poses):
-        bs_normal = bs.rotation @ BORESIGHT
-        for n, sub in enumerate(subarrays):
-            sub_pose = subarray_global_pose(ue_pose, sub)
-            sub_normal = sub_pose.rotation @ BORESIGHT
-            los = bs.position - sub_pose.position
-            if los @ sub_normal > 0.0 and (-los) @ bs_normal > 0.0:
-                pairs.append((m, n))
-    return pairs
+    mask = visibility(stack_poses(bs_poses), stack_poses([ue_pose]), stack_mounts(subarrays))
+    return [(int(m), int(n)) for m, n in zip(*np.nonzero(mask[0]))]
 
 
 @dataclass(frozen=True)
@@ -217,11 +267,76 @@ class PathParams:
         )
 
 
-def _safe_asin(x: float) -> float:
+@dataclass(frozen=True)
+class PathGeometry:
+    """Per-path vectors shared by the angle and Jacobian layers.
+
+    Every array has one leading entry per path: the BS rotation, the
+    subarray's mounting rotation R_n and offset d_n in the UE frame, its
+    global axes R_ue R_n as columns, v = p_ue + R_ue d_n - p_bs, |v|, and v
+    resolved on the BS axes and on the subarray axes.
+    """
+
+    bs_rotation: np.ndarray
+    mount_rotation: np.ndarray
+    offset: np.ndarray
+    axes: np.ndarray
+    v: np.ndarray
+    distance: np.ndarray
+    v_bs: np.ndarray
+    v_sub: np.ndarray
+
+
+def _resolve(rotation: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    # rotation^T @ vector over the leading axes.
+    return (
+        rotation[..., 0, :] * vector[..., 0, None]
+        + rotation[..., 1, :] * vector[..., 1, None]
+        + rotation[..., 2, :] * vector[..., 2, None]
+    )
+
+
+def path_geometry(bs, ue, mounts) -> PathGeometry:
+    """PathGeometry of paths whose BS, UE and mount stacks are aligned.
+
+    Raises:
+        GeometryError: if a subarray center coincides with its BS.
+    """
+    bs_pos, bs_rot = bs
+    ue_pos, ue_rot = ue
+    offsets, mount_rot = mounts
+    v = ue_pos + _rotate(ue_rot, offsets) - bs_pos
+    distance = np.sqrt(_dot(v, v))
+    if np.any(distance < 1e-9):
+        raise GeometryError("BS and subarray positions coincide")
+    axes = _compose(ue_rot, mount_rot)
+    return PathGeometry(
+        bs_rot, mount_rot, offsets, axes, v, distance, _resolve(bs_rot, v), _resolve(axes, v)
+    )
+
+
+def _safe_asin(x: np.ndarray) -> np.ndarray:
     # Clamp only roundoff-scale excursions beyond +/-1.
-    if abs(x) > 1.0 + 1e-12:
-        raise GeometryError(f"arcsin argument {x!r} out of range")
-    return float(np.arcsin(np.clip(x, -1.0, 1.0)))
+    if np.any(np.abs(x) > 1.0 + 1e-12):
+        raise GeometryError(f"arcsin argument {np.max(np.abs(x))!r} out of range")
+    return np.arcsin(np.clip(x, -1.0, 1.0))
+
+
+def path_angles(geo: PathGeometry, clock_bias_s: float = 0.0) -> np.ndarray:
+    """(paths, 6) rows of PathParams fields, in their declaration order."""
+    (x, y, z), (a, b, c) = geo.v_bs.T, geo.v_sub.T
+    dist = geo.distance
+    return np.stack(
+        [
+            np.arctan2(y, x),
+            _safe_asin(z / dist),
+            np.arctan2(-b, -a),
+            _safe_asin(-c / dist),
+            dist / SPEED_OF_LIGHT + clock_bias_s,
+            dist,
+        ],
+        axis=-1,
+    )
 
 
 def path_params(
@@ -236,19 +351,7 @@ def path_params(
     Raises:
         GeometryError: if the subarray center coincides with the BS.
     """
-    sub_pose = subarray_global_pose(ue_pose, subarray)
-    v = sub_pose.position - bs_pose.position
-    distance = float(np.linalg.norm(v))
-    if distance < 1e-9:
-        raise GeometryError("BS and subarray positions coincide")
-
-    v_bs = bs_pose.rotation.T @ v
-    aod_az = float(np.arctan2(v_bs[1], v_bs[0]))
-    aod_el = _safe_asin(v_bs[2] / distance)
-
-    v_sub = sub_pose.rotation.T @ v
-    aoa_az = float(np.arctan2(-v_sub[1], -v_sub[0]))
-    aoa_el = _safe_asin(-v_sub[2] / distance)
-
-    delay = distance / SPEED_OF_LIGHT + clock_bias_s
-    return PathParams(aod_az, aod_el, aoa_az, aoa_el, delay, distance)
+    geo = path_geometry(
+        stack_poses([bs_pose]), stack_poses([ue_pose]), stack_mounts([subarray])
+    )
+    return PathParams(*path_angles(geo, clock_bias_s)[0].tolist())

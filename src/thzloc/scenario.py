@@ -302,11 +302,14 @@ def parse_config(text_or_mapping) -> ScenarioConfig:
 
     sim_section = doc.get("sim", {})
     _require_keys(sim_section, {"seed", "clock_bias_s"}, "sim")
+    seed = int(sim_section.get("seed", 1))
+    if seed < 0:
+        raise ConfigError(f"sim.seed must be a non-negative integer, got {seed}")
     return ScenarioConfig(
         bs=tuple(stations),
         subarrays=tuple(subs),
         signal=signal,
-        seed=int(sim_section.get("seed", 1)),
+        seed=seed,
         clock_bias_s=float(sim_section.get("clock_bias_s", 0.0)),
     )
 

@@ -1,7 +1,7 @@
 """Acceptance checks, one test per numbered criterion.
 
-Each test prints one PASS/FAIL line.  The default sizes keep the whole
-module within about a minute; set THZLOC_ACCEPTANCE_FULL=1 for the
+Each test prints one PASS/FAIL line.  With the default sizes the module
+takes about 65 s on a 2-core machine; set THZLOC_ACCEPTANCE_FULL=1 for the
 full-scale Monte-Carlo runs (10^4 trials where sampling is involved).
 """
 

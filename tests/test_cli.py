@@ -177,3 +177,27 @@ def test_config_and_preset_are_mutually_exclusive(capsys):
             "--position", "0,0,0", "--orientation", "0,0,0",
         ])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["coverage", "--preset", "planar-2bs", "--trials", "5", "--threads", "0"], "--threads"),
+        (["coverage", "--preset", "planar-2bs", "--trials", "5", "--threads", "-2"], "--threads"),
+        (["coverage", "--preset", "planar-2bs", "--trials", "0"], "--trials"),
+        (["orient-sweep", "--preset", "planar-2bs", "--step", "0"], "--step"),
+        (["map", "--preset", "planar-2bs", "--grid", "0,1,0"], "--grid"),
+        (["validate", "--preset", "planar-2bs", "--trials", "0"], "--trials"),
+        (
+            ["bounds", "--preset", "planar-2bs", "--seed", "-1",
+             "--position", "1,1,1", "--orientation", "0,0,0"],
+            "--seed",
+        ),
+    ],
+)
+def test_bad_counts_and_steps_are_config_errors(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG_ERROR
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("thzloc: error:")
+    assert flag in err and "Traceback" not in err

@@ -89,6 +89,17 @@ def test_coverage_rejects_bad_arguments():
         coverage_ccdf(preset("planar-2bs"), trials=10, metric="sinr")
 
 
+@pytest.mark.parametrize("threads", [0, -2])
+def test_worker_count_must_be_positive(threads):
+    cfg = preset("planar-2bs")
+    with pytest.raises(ValueError, match="threads"):
+        coverage_ccdf(cfg, trials=5, threads=threads)
+    with pytest.raises(ValueError, match="threads"):
+        position_field(cfg, EulerAngles(0, 0, 0), grid=(0.0, 1.0, 1.0), threads=threads)
+    with pytest.raises(ValueError, match="threads"):
+        orientation_field(cfg, (0.0, 0.0, 0.0), step_deg=180.0, threads=threads)
+
+
 def test_oeb_metric_uses_degree_thresholds():
     curve = coverage_ccdf(preset("cuboidal-2bs"), trials=20, metric="oeb")
     np.testing.assert_array_equal(curve.thresholds, OEB_THRESHOLDS_DEG)

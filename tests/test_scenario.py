@@ -132,6 +132,13 @@ def test_parse_rejects_bad_waveform():
         parse_config(doc)
 
 
+def test_parse_rejects_negative_seed():
+    doc = config_to_mapping(preset("planar-2bs"))
+    doc["sim"]["seed"] = -1
+    with pytest.raises(ConfigError, match="sim.seed"):
+        parse_config(doc)
+
+
 def test_parse_rejects_invalid_yaml_text():
     with pytest.raises(ConfigError, match="YAML"):
         parse_config("bs: [unclosed")
