@@ -8,10 +8,8 @@ the UE orientation treated as a constrained unknown on the rotation manifold,
 and estimates localizability coverage over random poses by Monte Carlo.
 """
 
-from .channel import ETA_NAMES, BeamformerSet, SignalConfig, draw_beamformers
+from .channel import ETA_NAMES, SignalConfig, draw_beamformers
 from .coverage import (
-    CcdfCurve,
-    FieldGrid,
     PoseDistribution,
     coverage_ccdf,
     evaluate_pose,
@@ -36,7 +34,6 @@ from .crb import (
 )
 from .errors import ConfigError, GeometryError
 from .geometry import (
-    SPEED_OF_LIGHT,
     EulerAngles,
     PathParams,
     Pose,
@@ -44,17 +41,11 @@ from .geometry import (
     element_grid,
     euler_to_rotation,
     path_params,
-    rotation_to_euler,
-    subarray_global_pose,
     visible_paths,
 )
 from .scenario import (
     PRESET_NAMES,
-    BaseStationConfig,
     PanelConfig,
-    Scenario,
-    ScenarioConfig,
-    SubarrayConfig,
     load_config,
     parse_config,
     preset,
@@ -65,15 +56,11 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseStationConfig",
-    "BeamformerSet",
     "BoundResult",
-    "CcdfCurve",
     "COMM_ONLY",
     "ConfigError",
     "ETA_NAMES",
     "EulerAngles",
-    "FieldGrid",
     "GeometryError",
     "LOCALIZABLE",
     "NO_LOS",
@@ -83,12 +70,8 @@ __all__ = [
     "Pose",
     "PoseDistribution",
     "PRESET_NAMES",
-    "Scenario",
-    "ScenarioConfig",
     "SignalConfig",
-    "SPEED_OF_LIGHT",
     "Subarray",
-    "SubarrayConfig",
     "constrained_crb",
     "constraint_basis",
     "coverage_ccdf",
@@ -106,13 +89,11 @@ __all__ = [
     "path_params",
     "position_field",
     "preset",
-    "rotation_to_euler",
     "sample_pose",
     "scenario_hash",
     "serialize_config",
     "state_fim",
     "state_jacobian",
-    "subarray_global_pose",
     "visible_paths",
     "__version__",
 ]

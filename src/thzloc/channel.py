@@ -62,17 +62,12 @@ def path_gain(distance_m: float, wavelength_m: float) -> float:
     return wavelength_m / (4.0 * np.pi * distance_m)
 
 
-def steering_vector(elements_m: np.ndarray, az: float, el: float, wavelength_m: float):
-    """Narrowband steering vector of a panel toward (az, el).
-
-    Entry i is exp(j * 2 pi / lambda * <offset_i, u(az, el)>) with unit
-    magnitude; no amplitude taper.
-    """
-    return steering_stack(elements_m, [az], [el], wavelength_m)[0, :, 0]
-
-
 def steering_stack(elements_m: np.ndarray, az, el, wavelength_m: float) -> np.ndarray:
     """Steering vectors of a panel and their angle derivatives, many at once.
+
+    The steering vector toward (az, el) has entries
+    exp(j * 2 pi / lambda * <offset_i, u(az, el)>), unit magnitude and no
+    amplitude taper.
 
     Args:
         elements_m: panel element offsets, (N, 3).
@@ -93,16 +88,6 @@ def steering_stack(elements_m: np.ndarray, az, el, wavelength_m: float) -> np.nd
     out[..., 1] = (1j * wavenumber) * (x * (-ce * sa) + y * (ce * ca)) * a
     out[..., 2] = (1j * wavenumber) * (x * (-se * ca) + y * (-se * sa) + z * ce) * a
     return out
-
-
-def steering_gradients(elements_m: np.ndarray, az: float, el: float, wavelength_m: float):
-    """Steering vector and its derivatives with respect to az and el.
-
-    Returns:
-        (a, da_daz, da_del), each of shape (N,).
-    """
-    stack = steering_stack(elements_m, [az], [el], wavelength_m)[0]
-    return stack[:, 0], stack[:, 1], stack[:, 2]
 
 
 @dataclass(frozen=True)
@@ -155,21 +140,6 @@ def beam_couplings(beams: BeamformerSet, steer_ue: np.ndarray, steer_bs: np.ndar
     return beams.ue @ steer_ue, beams.bs @ steer_bs
 
 
-def mean_signal(
-    params: PathParams,
-    gain: complex,
-    beams: BeamformerSet,
-    bs_elements_m: np.ndarray,
-    sub_elements_m: np.ndarray,
-    config: SignalConfig,
-) -> np.ndarray:
-    """Noise-free received pilot, shape (G, K)."""
-    mu, _ = signal_gradient(
-        params, gain, beams, bs_elements_m, sub_elements_m, config, with_gradient=False
-    )
-    return mu
-
-
 def signal_gradient(
     params: PathParams,
     gain: complex,
@@ -177,7 +147,6 @@ def signal_gradient(
     bs_elements_m: np.ndarray,
     sub_elements_m: np.ndarray,
     config: SignalConfig,
-    with_gradient: bool = True,
 ):
     """Mean signal and its gradient in the five path parameters.
 
@@ -188,19 +157,16 @@ def signal_gradient(
         bs_elements_m: BS panel element offsets, (N_bs, 3).
         sub_elements_m: subarray element offsets, (N_ue, 3).
         config: waveform parameters.
-        with_gradient: skip the gradient when False.
 
     Returns:
-        (mu, dmu) with mu of shape (G, K) and dmu of shape (G, K, 5)
-        ordered as ETA_NAMES; dmu is None when with_gradient is False.
+        (mu, dmu) with mu the noise-free pilots, shape (G, K), and dmu of
+        shape (G, K, 5) ordered as ETA_NAMES.
     """
     lam = config.wavelength_m
-    a_bs, da_bs_az, da_bs_el = steering_gradients(
-        bs_elements_m, params.aod_az, params.aod_el, lam
-    )
-    a_ue, da_ue_az, da_ue_el = steering_gradients(
-        sub_elements_m, params.aoa_az, params.aoa_el, lam
-    )
+    steer_bs = steering_stack(bs_elements_m, [params.aod_az], [params.aod_el], lam)[0]
+    steer_ue = steering_stack(sub_elements_m, [params.aoa_az], [params.aoa_el], lam)[0]
+    a_bs, da_bs_az, da_bs_el = steer_bs.T
+    a_ue, da_ue_az, da_ue_el = steer_ue.T
 
     # Per-transmission scalar couplings, shape (G,).
     g_bs = beams.bs @ a_bs
@@ -211,9 +177,6 @@ def signal_gradient(
     amp = np.sqrt(config.power_w) * gain
 
     mu = amp * (g_ue * g_bs)[:, None] * tone[None, :]
-    if not with_gradient:
-        return mu, None
-
     dmu = np.empty(mu.shape + (5,), dtype=complex)
     dmu[:, :, 0] = amp * (g_ue * (beams.bs @ da_bs_az))[:, None] * tone[None, :]
     dmu[:, :, 1] = amp * (g_ue * (beams.bs @ da_bs_el))[:, None] * tone[None, :]

@@ -14,8 +14,10 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import math
 import re
 import sys
 import time
@@ -46,9 +48,11 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
     if len(parts) != count:
         raise ConfigError(f"{what} needs {count} comma-separated values, got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+    _require(all(map(math.isfinite, values)), f"{what} must be finite, got {text!r}")
+    return values
 
 
 def _require(ok: bool, message: str) -> None:
@@ -84,28 +88,28 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=1, help="worker processes")
 
 
-def _open_out(path: str):
+@contextlib.contextmanager
+def _output(path: str):
+    """The --out target: stdout for "-", else the file, closed on exit."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
 
 
 def _fmt(value: float) -> str:
     return format(value, ".10g")
 
 
-def _write_rows(handle, config: ScenarioConfig, kind: str, header: str, rows) -> int:
+def _write_rows(handle, config: ScenarioConfig, kind: str, header: str, rows) -> None:
     handle.write(f"# thzloc {__version__} {kind}\n")
     handle.write(f"# scenario {scenario_hash(config)} seed {config.seed}\n")
     handle.write(header + "\n")
-    count = 0
-    for row in rows:
-        handle.write(",".join(row) + "\n")
-        count += 1
-    return count
+    handle.writelines(",".join(row) + "\n" for row in rows)
 
 
-def _report(args, config: ScenarioConfig, message: str) -> None:
+def _report(config: ScenarioConfig, message: str) -> None:
     print(
         f"thzloc: scenario {scenario_hash(config)} seed {config.seed}: {message}",
         file=sys.stderr,
@@ -145,23 +149,19 @@ def cmd_bounds(args) -> int:
             for obs in result.paths
         ],
     }
-    handle, close = _open_out(args.out)
-    try:
+    with _output(args.out) as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
-    finally:
-        if close:
-            handle.close()
     return EXIT_OK if result.localizable else EXIT_NOT_LOCALIZABLE
 
 
-def _grid_rows(grid, fmt_axis):
+def _grid_rows(grid):
     first, second = grid.axis_values
     for i, a in enumerate(first):
         for j, b in enumerate(second):
             yield (
-                fmt_axis(a),
-                fmt_axis(b),
+                _fmt(a),
+                _fmt(b),
                 _fmt(grid.peb_m[i, j]),
                 _fmt(grid.oeb_deg[i, j]),
                 str(grid.classification[i, j]),
@@ -169,53 +169,39 @@ def _grid_rows(grid, fmt_axis):
             )
 
 
+def _write_grid(out: str, config: ScenarioConfig, kind: str, grid, started: float) -> int:
+    header = ",".join(grid.axis_names + ("peb_m", "oeb_deg", "classification", "num_paths"))
+    with _output(out) as handle:
+        _write_rows(handle, config, kind, header, _grid_rows(grid))
+    _report(config, f"{grid.peb_m.size} cells in {time.monotonic() - started:.1f} s")
+    return EXIT_OK
+
+
 def cmd_map(args) -> int:
     config = _load_scenario(args)
     orientation = EulerAngles(*_parse_floats(args.orientation, 3, "--orientation"))
     grid_spec = _parse_floats(args.grid, 3, "--grid")
     _require(grid_spec[2] > 0, f"--grid step must be positive, got {_fmt(grid_spec[2])}")
+    _require(math.isfinite(args.z), f"--z must be finite, got {_fmt(args.z)}")
     started = time.monotonic()
     grid = position_field(
         config, orientation, z_m=args.z, grid=grid_spec, threads=args.threads
     )
-    handle, close = _open_out(args.out)
-    try:
-        rows = _write_rows(
-            handle,
-            config,
-            "map",
-            "x_m,y_m,peb_m,oeb_deg,classification,num_paths",
-            _grid_rows(grid, _fmt),
-        )
-    finally:
-        if close:
-            handle.close()
-    _report(args, config, f"{rows} cells in {time.monotonic() - started:.1f} s")
-    return EXIT_OK
+    return _write_grid(args.out, config, "map", grid, started)
 
 
 def cmd_orient_sweep(args) -> int:
     config = _load_scenario(args)
     position = _parse_floats(args.position, 3, "--position")
-    _require(args.step > 0, f"--step must be positive, got {_fmt(args.step)}")
+    _require(
+        0 < args.step < math.inf, f"--step must be positive and finite, got {_fmt(args.step)}"
+    )
+    _require(math.isfinite(args.alpha), f"--alpha must be finite, got {_fmt(args.alpha)}")
     started = time.monotonic()
     grid = orientation_field(
         config, position, step_deg=args.step, alpha_deg=args.alpha, threads=args.threads
     )
-    handle, close = _open_out(args.out)
-    try:
-        rows = _write_rows(
-            handle,
-            config,
-            "orient-sweep",
-            "beta_deg,gamma_deg,peb_m,oeb_deg,classification,num_paths",
-            _grid_rows(grid, _fmt),
-        )
-    finally:
-        if close:
-            handle.close()
-    _report(args, config, f"{rows} cells in {time.monotonic() - started:.1f} s")
-    return EXIT_OK
+    return _write_grid(args.out, config, "orient-sweep", grid, started)
 
 
 def cmd_coverage(args) -> int:
@@ -230,8 +216,7 @@ def cmd_coverage(args) -> int:
         threads=args.threads,
     )
     unit = "m" if args.metric == "peb" else "deg"
-    handle, close = _open_out(args.out)
-    try:
+    with _output(args.out) as handle:
         _write_rows(
             handle,
             config,
@@ -243,11 +228,7 @@ def cmd_coverage(args) -> int:
             ),
         )
         handle.write(f"# outage_fraction {_fmt(curve.outage)} trials {curve.trials}\n")
-    finally:
-        if close:
-            handle.close()
     _report(
-        args,
         config,
         f"{curve.trials} trials in {time.monotonic() - started:.1f} s, "
         f"outage {curve.outage:.4f}",
@@ -339,7 +320,7 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
         if (
             token in _COORDINATE_FLAGS
             and i + 1 < len(argv)
-            and re.match(r"-[\d.]", argv[i + 1])
+            and re.match(r"-([\d.]|inf)", argv[i + 1], re.IGNORECASE)
         ):
             merged.append(f"{token}={argv[i + 1]}")
             skip = True

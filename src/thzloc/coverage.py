@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crb import BoundResult, evaluate_batch, evaluate_bounds
+from .errors import ConfigError
 from .geometry import EulerAngles, Pose, euler_to_rotation
 from .scenario import Scenario, ScenarioConfig
 
@@ -32,6 +33,9 @@ OEB_THRESHOLDS_DEG = np.logspace(-3.0, 2.0, 60)
 _POSE_CHUNK = 64
 # Contiguous index ranges per worker process, for load balance.
 _RANGES_PER_WORKER = 4
+# Most cells a position or orientation field may hold; the default 5 deg
+# orientation sweep has 5,329.
+MAX_FIELD_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -191,9 +195,16 @@ class FieldGrid:
 
 
 def _axis(start: float, stop: float, step: float) -> np.ndarray:
-    if step <= 0:
-        raise ValueError("grid step must be positive")
-    return start + step * np.arange(int(round((stop - start) / step)) + 1)
+    # One axis of a square field grid, checked before anything is allocated.
+    if not step > 0:
+        raise ConfigError(f"grid step must be positive, got {step:g}")
+    points = np.rint((stop - start) / step) + 1.0
+    where = f"grid from {start:g} to {stop:g} in steps of {step:g}"
+    if not points >= 1.0:
+        raise ConfigError(f"{where} has no cells")
+    if points * points > MAX_FIELD_CELLS:
+        raise ConfigError(f"{where} has {points * points:.3g} cells, more than {MAX_FIELD_CELLS}")
+    return start + step * np.arange(int(points))
 
 
 def _field_cells(config: ScenarioConfig, poses_of, start: int, stop: int) -> list[tuple]:

@@ -70,12 +70,12 @@ def _symmetric(stack: np.ndarray) -> np.ndarray:
     return 0.5 * (stack + _transpose(stack))
 
 
-def _tone_gram(config: SignalConfig, columns: int) -> np.ndarray:
+def _tone_gram(config: SignalConfig) -> np.ndarray:
     # T^H T for the subcarrier factors of the signal derivatives: 1 for the
-    # four angles (and the two gain parts), -2j pi f_k for the delay.  The
-    # common tone exp(-2j pi f_k tau) has unit modulus and cancels.
+    # four angles, -2j pi f_k for the delay.  The common tone
+    # exp(-2j pi f_k tau) has unit modulus and cancels.
     f_k = config.subcarrier_offsets_hz()
-    tones = np.ones((f_k.size, columns), dtype=complex)
+    tones = np.ones((f_k.size, 5), dtype=complex)
     tones[:, 4] = -2j * np.pi * f_k
     return tones.conj().T @ tones
 
@@ -85,7 +85,6 @@ def path_fims(
     bs_couplings: np.ndarray,
     gains: np.ndarray,
     config: SignalConfig,
-    unknown_gain: bool = False,
 ) -> np.ndarray:
     """5x5 Fisher information of many paths, shape (P, 5, 5).
 
@@ -96,17 +95,12 @@ def path_fims(
     """
     g_ue, du_az, du_el = (ue_couplings[..., j] for j in range(3))
     g_bs, db_az, db_el = (bs_couplings[..., j] for j in range(3))
-    both = g_ue * g_bs
-    c = np.stack([g_ue * db_az, g_ue * db_el, du_az * g_bs, du_el * g_bs, both], axis=-1)
+    c = np.stack(
+        [g_ue * db_az, g_ue * db_el, du_az * g_bs, du_el * g_bs, g_ue * g_bs], axis=-1
+    )
     c = c * np.asarray(gains)[:, None, None]
-    if unknown_gain:
-        c = np.concatenate([c, np.stack([both, 1j * both], axis=-1)], axis=-1)
-    gram = (_transpose(c.conj()) @ c) * _tone_gram(config, c.shape[-1])
-    fim = _symmetric((2.0 * config.power_w / config.noise_variance_w) * np.real(gram))
-    if not unknown_gain:
-        return fim
-    head, cross, nuisance = fim[:, :5, :5], fim[:, :5, 5:], fim[:, 5:, 5:]
-    return _symmetric(head - cross @ np.linalg.pinv(nuisance) @ _transpose(cross))
+    gram = (_transpose(c.conj()) @ c) * _tone_gram(config)
+    return _symmetric((2.0 * config.power_w / config.noise_variance_w) * np.real(gram))
 
 
 def path_fim(
@@ -116,29 +110,13 @@ def path_fim(
     bs_elements_m: np.ndarray,
     sub_elements_m: np.ndarray,
     config: SignalConfig,
-    unknown_gain: bool = False,
 ) -> np.ndarray:
-    """5x5 Fisher information of one path's channel parameters.
-
-    With unknown_gain the real and imaginary parts of the complex amplitude
-    are treated as nuisance parameters and removed by Schur complement, so
-    the result is the equivalent information of the five geometric
-    parameters alone.
-    """
+    """5x5 Fisher information of one path's channel parameters."""
     lam = config.wavelength_m
     steer_bs = steering_stack(bs_elements_m, [params.aod_az], [params.aod_el], lam)
     steer_ue = steering_stack(sub_elements_m, [params.aoa_az], [params.aoa_el], lam)
     ue, bs = beam_couplings(beams, steer_ue[0], steer_bs[0])
-    return path_fims(ue[None], bs[None], np.array([gain]), config, unknown_gain)[0]
-
-
-def stacked_fim(path_fims: list[np.ndarray]) -> np.ndarray:
-    """Block-diagonal information of all paths, shape (5D, 5D)."""
-    total = 5 * len(path_fims)
-    out = np.zeros((total, total))
-    for i, fim in enumerate(path_fims):
-        out[5 * i : 5 * i + 5, 5 * i : 5 * i + 5] = fim
-    return out
+    return path_fims(ue[None], bs[None], np.array([gain]), config)[0]
 
 
 def _vec_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -266,7 +244,7 @@ def constraint_basis(rotation: np.ndarray) -> np.ndarray:
 
 
 def constrained_crbs(
-    fims: np.ndarray, bases: np.ndarray, condition_limit: float = CONDITION_LIMIT
+    fims: np.ndarray, bases: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """constrained_crb over a stack of B information matrices.
 
@@ -287,7 +265,7 @@ def constrained_crbs(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = eigvals[:, -1] / eigvals[:, 0]
     conditions[usable[positive]] = ratio[positive]
-    keep = positive & (ratio <= condition_limit)
+    keep = positive & (ratio <= CONDITION_LIMIT)
     vals, vecs, scale = eigvals[keep], eigvecs[keep], scale[keep]
     inv_balanced = (vecs / vals[:, None, :]) @ _transpose(vecs)
     inv_reduced = scale[:, :, None] * inv_balanced * scale[:, None, :]
@@ -298,9 +276,7 @@ def constrained_crbs(
     return crbs, invertible, conditions
 
 
-def constrained_crb(
-    fim: np.ndarray, basis: np.ndarray, condition_limit: float = CONDITION_LIMIT
-) -> tuple[np.ndarray | None, float]:
+def constrained_crb(fim: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray | None, float]:
     """Constrained CRB M (M^T I M)^{-1} M^T with a singularity check.
 
     The 7x7 reduced information mixes units (meters, seconds, dimensionless
@@ -312,7 +288,7 @@ def constrained_crb(
         (crb, condition) with crb None when the information is singular.
     """
     crbs, invertible, conditions = constrained_crbs(
-        np.asarray(fim, dtype=float)[None], np.asarray(basis, dtype=float)[None], condition_limit
+        np.asarray(fim, dtype=float)[None], np.asarray(basis, dtype=float)[None]
     )
     return (crbs[0] if invertible[0] else None), float(conditions[0])
 
@@ -399,7 +375,7 @@ def _panel_steering(panel_of: list[int], elements, az, el, lam):
     return stacks, rows
 
 
-def _beam_fims(signal, bs_elements, subarrays, params, paths, trials, seed, unknown_gain):
+def _beam_fims(signal, bs_elements, subarrays, params, paths, trials, seed):
     """path_fims of the paths (owners, bs_index, sub_index), each with its
     own keyed beam draw.
 
@@ -425,7 +401,7 @@ def _beam_fims(signal, bs_elements, subarrays, params, paths, trials, seed, unkn
                 trial=trials[owner],
             )
             ue_c[p], bs_c[p] = beam_couplings(beams, steer_ue[n][row_ue[p]], steer_bs[m][row_bs[p]])
-        fims.append(path_fims(ue_c, bs_c, path_gain(angles[:, 5], lam), signal, unknown_gain))
+        fims.append(path_fims(ue_c, bs_c, path_gain(angles[:, 5], lam), signal))
     return np.concatenate(fims)
 
 
@@ -438,7 +414,6 @@ def evaluate_batch(
     trials: list[int],
     clock_bias_s: float = 0.0,
     seed: int = 0,
-    unknown_gain: bool = False,
 ) -> list[BoundResult]:
     """Bounds for a batch of UE poses against a set of BSs.
 
@@ -470,7 +445,7 @@ def evaluate_batch(
     live = solvable[owners]
     fims = _beam_fims(
         signal, bs_elements, subarrays, params[live],
-        (owners[live], bs_index[live], sub_index[live]), trials, seed, unknown_gain,
+        (owners[live], bs_index[live], sub_index[live]), trials, seed,
     )
     fim = state_fims(fims, jacobians[live], owners[live], count)
 
@@ -515,7 +490,6 @@ def evaluate_bounds(
     clock_bias_s: float = 0.0,
     seed: int = 0,
     trial: int = 0,
-    unknown_gain: bool = False,
 ) -> BoundResult:
     """Bound computation for one UE pose against a set of BSs.
 
@@ -525,5 +499,5 @@ def evaluate_bounds(
     """
     return evaluate_batch(
         bs_poses, bs_elements_m, subarrays, signal, [ue_pose], [trial],
-        clock_bias_s=clock_bias_s, seed=seed, unknown_gain=unknown_gain,
+        clock_bias_s=clock_bias_s, seed=seed,
     )[0]

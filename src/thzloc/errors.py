@@ -2,13 +2,12 @@
 
 
 class ConfigError(ValueError):
-    """A scenario file or preset request is malformed."""
+    """A scenario file, preset or field grid request is malformed."""
 
 
 class GeometryError(ValueError):
     """A geometric computation received degenerate input.
 
-    Raised for coincident transmit/receive points, rotation matrices that
-    fail the orthonormality check, and elevation angles at the arcsin
-    branch point where the measurement Jacobian is undefined.
+    Raised for coincident transmit/receive points and for elevation angles
+    at the arcsin branch point where the measurement Jacobian is undefined.
     """

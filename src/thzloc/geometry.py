@@ -22,9 +22,6 @@ from .errors import GeometryError
 
 SPEED_OF_LIGHT = 299792458.0
 
-_ORTHONORMALITY_TOL = 1e-6
-_GIMBAL_TOL = 1e-12
-
 
 def _sind(deg: float) -> float:
     # Exact at multiples of 90 so axis-aligned presets stay exact.
@@ -47,9 +44,6 @@ class EulerAngles:
     beta: float
     gamma: float
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.alpha, self.beta, self.gamma)
-
 
 def rot_x(deg: float) -> np.ndarray:
     c, s = _cosd(deg), _sind(deg)
@@ -69,43 +63,6 @@ def rot_z(deg: float) -> np.ndarray:
 def euler_to_rotation(angles: EulerAngles) -> np.ndarray:
     """Compose a rotation matrix from Z-Y-X Euler angles in degrees."""
     return rot_z(angles.gamma) @ rot_y(angles.beta) @ rot_x(angles.alpha)
-
-
-def orthonormality_residual(rotation: np.ndarray) -> float:
-    """Max-norm of R^T R - I, zero for an exact rotation."""
-    rotation = np.asarray(rotation, dtype=float)
-    return float(np.max(np.abs(rotation.T @ rotation - np.eye(3))))
-
-
-def rotation_to_euler(rotation: np.ndarray) -> EulerAngles:
-    """Extract Z-Y-X Euler angles in degrees from a rotation matrix.
-
-    Args:
-        rotation: 3x3 orthonormal matrix.
-
-    Returns:
-        EulerAngles with beta in [-90, 90].  At the gimbal-lock points
-        beta = +/-90 only the sum/difference of alpha and gamma is
-        observable; the convention alpha = 0 is returned there.
-
-    Raises:
-        GeometryError: if the input is not orthonormal to 1e-6.
-    """
-    rotation = np.asarray(rotation, dtype=float)
-    residual = orthonormality_residual(rotation)
-    if residual > _ORTHONORMALITY_TOL:
-        raise GeometryError(
-            f"input is not a rotation matrix, orthonormality residual {residual:.3e}"
-        )
-    sin_beta = -rotation[2, 0]
-    if 1.0 - abs(sin_beta) < _GIMBAL_TOL:
-        beta = 90.0 if sin_beta > 0 else -90.0
-        gamma = np.rad2deg(np.arctan2(-rotation[0, 1], rotation[1, 1]))
-        return EulerAngles(0.0, beta, float(gamma))
-    beta = np.rad2deg(np.arcsin(np.clip(sin_beta, -1.0, 1.0)))
-    alpha = np.rad2deg(np.arctan2(rotation[2, 1], rotation[2, 2]))
-    gamma = np.rad2deg(np.arctan2(rotation[1, 0], rotation[0, 0]))
-    return EulerAngles(float(alpha), float(beta), float(gamma))
 
 
 @dataclass(frozen=True)
@@ -158,14 +115,6 @@ class Subarray:
         object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float))
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float))
         object.__setattr__(self, "elements", np.asarray(self.elements, dtype=float))
-
-
-def subarray_global_pose(ue_pose: Pose, subarray: Subarray) -> Pose:
-    """Global pose of a subarray given the UE pose it is mounted on."""
-    return Pose(
-        ue_pose.position + ue_pose.rotation @ subarray.offset,
-        ue_pose.rotation @ subarray.rotation,
-    )
 
 
 # Batched layers.  Every function below works on stacks of vectors and

@@ -31,8 +31,10 @@ or on the faces of a 0.1 m cube) with two, three, or four ceiling-mounted
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -197,24 +199,45 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _number(value, where: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be a number: {exc}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return number
+
+
+def _integer(value, where: str) -> int:
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where} must be an integer: {exc}") from exc
+    if number != value:
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return number
+
+
 def _triple(value, where: str) -> tuple[float, float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"{where} must be a list of three numbers")
-    try:
-        return tuple(float(x) for x in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must contain numbers: {exc}") from exc
+    return tuple(_number(x, where) for x in value)
 
 
 def _panel(section: dict, where: str) -> PanelConfig:
     _require_keys(section, {"rows", "cols", "spacing_wl"}, where)
     try:
-        rows, cols = int(section["rows"]), int(section["cols"])
+        rows = _integer(section["rows"], f"{where}.rows")
+        cols = _integer(section["cols"], f"{where}.cols")
     except KeyError as exc:
         raise ConfigError(f"{where} is missing {exc}") from exc
     if rows < 1 or cols < 1:
         raise ConfigError(f"{where} needs positive rows and cols")
-    return PanelConfig(rows=rows, cols=cols, spacing_wl=float(section.get("spacing_wl", 0.5)))
+    spacing = _number(section.get("spacing_wl", 0.5), f"{where}.spacing_wl")
+    if spacing <= 0:
+        raise ConfigError(f"{where}.spacing_wl must be positive, got {spacing:g}")
+    return PanelConfig(rows=rows, cols=cols, spacing_wl=spacing)
 
 
 def parse_config(text_or_mapping) -> ScenarioConfig:
@@ -249,6 +272,9 @@ def parse_config(text_or_mapping) -> ScenarioConfig:
                 panel=_panel(entry.get("panel", {}), f"{where}.panel"),
             )
         )
+        same = [b.position_m for b in stations].index(stations[-1].position_m)
+        if same < i:
+            raise ConfigError(f"{where}.position_m repeats bs[{same}].position_m")
 
     ue_section = doc.get("ue", {})
     _require_keys(ue_section, {"subarrays"}, "ue")
@@ -268,32 +294,15 @@ def parse_config(text_or_mapping) -> ScenarioConfig:
         )
 
     signal_section = doc.get("signal", {})
-    _require_keys(
-        signal_section,
-        {
-            "power_dbm",
-            "carrier_hz",
-            "bandwidth_hz",
-            "num_subcarriers",
-            "num_transmissions",
-            "noise_psd_dbm_hz",
-            "noise_figure_db",
-        },
-        "signal",
-    )
-    defaults = SignalConfig()
+    defaults = dataclasses.asdict(SignalConfig())
+    _require_keys(signal_section, set(defaults), "signal")
     signal = SignalConfig(
-        power_dbm=float(signal_section.get("power_dbm", defaults.power_dbm)),
-        carrier_hz=float(signal_section.get("carrier_hz", defaults.carrier_hz)),
-        bandwidth_hz=float(signal_section.get("bandwidth_hz", defaults.bandwidth_hz)),
-        num_subcarriers=int(signal_section.get("num_subcarriers", defaults.num_subcarriers)),
-        num_transmissions=int(
-            signal_section.get("num_transmissions", defaults.num_transmissions)
-        ),
-        noise_psd_dbm_hz=float(
-            signal_section.get("noise_psd_dbm_hz", defaults.noise_psd_dbm_hz)
-        ),
-        noise_figure_db=float(signal_section.get("noise_figure_db", defaults.noise_figure_db)),
+        **{
+            key: (_integer if isinstance(default, int) else _number)(
+                signal_section.get(key, default), f"signal.{key}"
+            )
+            for key, default in defaults.items()
+        }
     )
     if signal.carrier_hz <= 0 or signal.bandwidth_hz <= 0:
         raise ConfigError("carrier_hz and bandwidth_hz must be positive")
@@ -302,7 +311,7 @@ def parse_config(text_or_mapping) -> ScenarioConfig:
 
     sim_section = doc.get("sim", {})
     _require_keys(sim_section, {"seed", "clock_bias_s"}, "sim")
-    seed = int(sim_section.get("seed", 1))
+    seed = _integer(sim_section.get("seed", 1), "sim.seed")
     if seed < 0:
         raise ConfigError(f"sim.seed must be a non-negative integer, got {seed}")
     return ScenarioConfig(
@@ -310,7 +319,7 @@ def parse_config(text_or_mapping) -> ScenarioConfig:
         subarrays=tuple(subs),
         signal=signal,
         seed=seed,
-        clock_bias_s=float(sim_section.get("clock_bias_s", 0.0)),
+        clock_bias_s=_number(sim_section.get("clock_bias_s", 0.0), "sim.clock_bias_s"),
     )
 
 
@@ -322,43 +331,13 @@ def load_config(path) -> ScenarioConfig:
 
 def config_to_mapping(config: ScenarioConfig) -> dict:
     """Plain-dict form of a scenario, inverse of parse_config."""
+    # The JSON round trip turns tuples into the lists YAML can represent.
+    plain = json.loads(json.dumps(dataclasses.asdict(config)))
     return {
-        "bs": [
-            {
-                "position_m": list(b.position_m),
-                "orientation_deg": list(b.orientation_deg),
-                "panel": {
-                    "rows": b.panel.rows,
-                    "cols": b.panel.cols,
-                    "spacing_wl": b.panel.spacing_wl,
-                },
-            }
-            for b in config.bs
-        ],
-        "ue": {
-            "subarrays": [
-                {
-                    "offset_m": list(s.offset_m),
-                    "orientation_deg": list(s.orientation_deg),
-                    "panel": {
-                        "rows": s.panel.rows,
-                        "cols": s.panel.cols,
-                        "spacing_wl": s.panel.spacing_wl,
-                    },
-                }
-                for s in config.subarrays
-            ]
-        },
-        "signal": {
-            "power_dbm": config.signal.power_dbm,
-            "carrier_hz": config.signal.carrier_hz,
-            "bandwidth_hz": config.signal.bandwidth_hz,
-            "num_subcarriers": config.signal.num_subcarriers,
-            "num_transmissions": config.signal.num_transmissions,
-            "noise_psd_dbm_hz": config.signal.noise_psd_dbm_hz,
-            "noise_figure_db": config.signal.noise_figure_db,
-        },
-        "sim": {"seed": config.seed, "clock_bias_s": config.clock_bias_s},
+        "bs": plain["bs"],
+        "ue": {"subarrays": plain["subarrays"]},
+        "signal": plain["signal"],
+        "sim": {"seed": plain["seed"], "clock_bias_s": plain["clock_bias_s"]},
     }
 
 

@@ -1,9 +1,10 @@
 """Built-in consistency checks exposed through the validate command.
 
-These are runtime self-diagnostics: finite-difference spot checks of the
-analytic Jacobians, algebraic identities of the constraint basis, exact
-scaling laws, and config round-trips.  They complement the test suite and
-run against whatever scenario the user supplies.
+These are runtime self-diagnostics: spot checks of the analytic Jacobians
+against the finite-difference oracles of thzloc.oracles (the ones the test
+suite uses), algebraic identities of the constraint basis, exact scaling
+laws, and config round-trips.  They complement the test suite and run
+against whatever scenario the user supplies.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ import numpy as np
 from .channel import draw_beamformers, path_gain, signal_gradient
 from .coverage import PoseDistribution, coverage_ccdf, sample_pose
 from .crb import constraint_basis, evaluate_bounds, state_jacobian
-from .geometry import (
-    EulerAngles,
-    PathParams,
-    Pose,
-    Subarray,
-    euler_to_rotation,
-    path_params,
+from .geometry import EulerAngles, Pose, Subarray, euler_to_rotation, path_params
+from .oracles import (
+    constraint_jacobian_oracle,
+    pack_state,
+    signal_jacobian_fd,
+    state_jacobian_fd,
 )
 from .scenario import ScenarioConfig, parse_config, serialize_config
 
@@ -45,63 +45,44 @@ def _random_geometry(rng):
             return bs, ue, sub
 
 
-def _fd_state_jacobian(bs: Pose, ue: Pose, sub: Subarray, step: float = 1e-6) -> np.ndarray:
-    def eta_of(state: np.ndarray) -> np.ndarray:
-        pose = Pose(state[0:3], state[4:13].reshape(3, 3, order="F"))
-        p = path_params(bs, pose, sub, clock_bias_s=float(state[3]))
-        return p.as_array()
-
-    base = np.concatenate([ue.position, [0.0], ue.rotation.reshape(9, order="F")])
-    jac = np.zeros((5, 13))
-    for j in range(13):
-        forward, backward = base.copy(), base.copy()
-        forward[j] += step
-        backward[j] -= step
-        jac[:, j] = (eta_of(forward) - eta_of(backward)) / (2.0 * step)
-    return jac
+def _relative_error(analytic: np.ndarray, numeric: np.ndarray, axis) -> float:
+    """Largest error over the slices along axis, each relative to the
+    largest magnitude of its numeric slice."""
+    scale = np.maximum(np.abs(numeric).max(axis=axis), 1e-30)
+    return float(np.max(np.abs(analytic - numeric).max(axis=axis) / scale))
 
 
 def check_state_jacobian(trials: int, rng) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(trials):
         bs, ue, sub = _random_geometry(rng)
-        analytic = state_jacobian(bs, ue, sub)
-        numeric = _fd_state_jacobian(bs, ue, sub)
-        for row in range(5):
-            scale = max(np.max(np.abs(numeric[row])), 1e-30)
-            worst = max(worst, np.max(np.abs(analytic[row] - numeric[row])) / scale)
+        numeric = state_jacobian_fd(
+            bs.position, bs.rotation, pack_state(ue.position, 0.0, ue.rotation),
+            sub.offset, sub.rotation,
+        )
+        worst = max(worst, _relative_error(state_jacobian(bs, ue, sub), numeric, axis=1))
     return worst < 1e-5, f"max relative error {worst:.2e} over {trials} geometries"
 
 
 def check_signal_gradient(config: ScenarioConfig, trials: int, rng) -> tuple[bool, str]:
     scn = config.realize()
+    signal, bs_elements = scn.signal, scn.bs_elements[0]
     worst = 0.0
     for _ in range(trials):
         bs, ue, sub = _random_geometry(rng)
         sub = Subarray(sub.offset, sub.rotation, scn.subarrays[0].elements)
         params = path_params(bs, ue, sub)
-        gain = path_gain(params.distance, scn.signal.wavelength_m)
+        gain = path_gain(params.distance, signal.wavelength_m)
         beams = draw_beamformers(
             int(rng.integers(1 << 31)), 0, 0, 4,
-            sub.elements.shape[0], scn.bs_elements[0].shape[0],
+            sub.elements.shape[0], bs_elements.shape[0],
         )
-        args = (gain, beams, scn.bs_elements[0], sub.elements, scn.signal)
-        _, dmu = signal_gradient(params, *args)
-        eta = params.as_array()
-        steps = np.array([1e-7, 1e-7, 1e-7, 1e-7, 1e-13])
-        for j in range(5):
-            fwd, bwd = eta.copy(), eta.copy()
-            fwd[j] += steps[j]
-            bwd[j] -= steps[j]
-            mu_f, _ = signal_gradient(
-                PathParams(*fwd, params.distance), *args, with_gradient=False
-            )
-            mu_b, _ = signal_gradient(
-                PathParams(*bwd, params.distance), *args, with_gradient=False
-            )
-            numeric = (mu_f - mu_b) / (2.0 * steps[j])
-            scale = max(np.max(np.abs(numeric)), 1e-30)
-            worst = max(worst, np.max(np.abs(dmu[:, :, j] - numeric)) / scale)
+        _, dmu = signal_gradient(params, gain, beams, bs_elements, sub.elements, signal)
+        numeric = signal_jacobian_fd(
+            list(params.as_array()), gain, beams.ue, beams.bs, sub.elements, bs_elements,
+            signal.power_w, signal.wavelength_m, signal.subcarrier_offsets_hz(),
+        )
+        worst = max(worst, _relative_error(dmu, numeric, axis=(0, 1)))
     return worst < 1e-5, f"max relative error {worst:.2e} over {trials} configurations"
 
 
@@ -111,14 +92,7 @@ def check_constraint_basis(trials: int, rng) -> tuple[bool, str]:
         rot = _random_rotation(rng)
         basis = constraint_basis(rot)
         worst_orth = max(worst_orth, np.max(np.abs(basis.T @ basis - np.eye(7))))
-        jac_h = np.zeros((6, 13))
-        cols = [rot[:, 0], rot[:, 1], rot[:, 2]]
-        row = 0
-        for i in range(3):
-            for j in range(i, 3):
-                jac_h[row, 4 + 3 * i : 7 + 3 * i] += cols[j]
-                jac_h[row, 4 + 3 * j : 7 + 3 * j] += cols[i]
-                row += 1
+        jac_h = constraint_jacobian_oracle(pack_state(np.zeros(3), 0.0, rot))
         worst_null = max(worst_null, np.max(np.abs(jac_h @ basis)))
     ok = worst_orth < 1e-12 and worst_null < 1e-10
     return ok, f"orthonormality {worst_orth:.2e}, null-space residual {worst_null:.2e}"

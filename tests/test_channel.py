@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from thzloc import ETA_NAMES, SignalConfig, draw_beamformers
-from thzloc.channel import (
-    mean_signal,
-    path_gain,
-    signal_gradient,
-    steering_gradients,
-    steering_vector,
-)
+from thzloc.channel import path_gain, signal_gradient, steering_stack
 from thzloc.geometry import PathParams, element_grid
 
 from oracles import mean_signal_oracle, signal_jacobian_fd
@@ -41,23 +35,25 @@ def test_path_gain_reference_value():
 
 def test_steering_vector_unit_magnitude_and_broadside():
     elements = element_grid(4, 4, 1e-3)
-    a = steering_vector(elements, 0.7, -0.3, 2e-3)
-    np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-14)
+    stack = steering_stack(elements, [0.7, 0.0], [-0.3, 0.0], 2e-3)
+    np.testing.assert_allclose(np.abs(stack[0, :, 0]), 1.0, atol=1e-14)
     # Broadside (+X) is normal to the panel plane: zero phase everywhere.
-    np.testing.assert_allclose(steering_vector(elements, 0.0, 0.0, 2e-3), 1.0, atol=1e-14)
+    np.testing.assert_allclose(stack[1, :, 0], 1.0, atol=1e-14)
 
 
 def test_steering_gradients_match_finite_differences():
     elements = element_grid(3, 5, 1.1e-3)
     lam = 2.1e-3
     az, el = 0.4, -0.6
-    a, da_az, da_el = steering_gradients(elements, az, el, lam)
-    np.testing.assert_allclose(a, steering_vector(elements, az, el, lam), atol=1e-15)
     h = 1e-7
-    fd_az = (steering_vector(elements, az + h, el, lam) - steering_vector(elements, az - h, el, lam)) / (2 * h)
-    fd_el = (steering_vector(elements, az, el + h, lam) - steering_vector(elements, az, el - h, lam)) / (2 * h)
-    np.testing.assert_allclose(da_az, fd_az, rtol=1e-6, atol=1e-6)
-    np.testing.assert_allclose(da_el, fd_el, rtol=1e-6, atol=1e-6)
+    a, da_az, da_el = steering_stack(elements, [az], [el], lam)[0].T
+    # Rows: the point itself, then az -/+ h, then el -/+ h.
+    shifted = steering_stack(
+        elements, [az, az - h, az + h, az, az], [el, el, el, el - h, el + h], lam
+    )[:, :, 0]
+    np.testing.assert_allclose(a, shifted[0], atol=1e-15)
+    np.testing.assert_allclose(da_az, (shifted[2] - shifted[1]) / (2 * h), rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(da_el, (shifted[4] - shifted[3]) / (2 * h), rtol=1e-6, atol=1e-6)
 
 
 def test_beamformer_magnitudes_and_determinism():
@@ -102,7 +98,7 @@ def _random_case(seed):
 
 def test_mean_signal_matches_oracle():
     cfg, bs_el, ue_el, params, gain, beams = _random_case(11)
-    got = mean_signal(params, gain, beams, bs_el, ue_el, cfg)
+    got, _ = signal_gradient(params, gain, beams, bs_el, ue_el, cfg)
     want = mean_signal_oracle(
         list(params.as_array()), gain, beams.ue, beams.bs, ue_el, bs_el,
         cfg.power_w, cfg.wavelength_m, cfg.subcarrier_offsets_hz(),
@@ -124,9 +120,3 @@ def test_signal_gradient_matches_oracle_finite_differences():
             err = np.linalg.norm(dmu[:, :, idx] - fd[:, :, idx])
             assert err < 1e-5 * scale, f"component {ETA_NAMES[idx]}: {err / scale:.2e}"
 
-
-def test_gradient_skip_flag():
-    cfg, bs_el, ue_el, params, gain, beams = _random_case(9)
-    mu, dmu = signal_gradient(params, gain, beams, bs_el, ue_el, cfg, with_gradient=False)
-    assert dmu is None
-    np.testing.assert_array_equal(mu, mean_signal(params, gain, beams, bs_el, ue_el, cfg))

@@ -193,6 +193,27 @@ def test_config_and_preset_are_mutually_exclusive(capsys):
              "--position", "1,1,1", "--orientation", "0,0,0"],
             "--seed",
         ),
+        (["map", "--preset", "planar-2bs", "--grid=-inf,10,1"], "--grid"),
+        (["map", "--preset", "planar-2bs", "--grid=nan,10,1"], "--grid"),
+        (["map", "--preset", "planar-2bs", "--grid", "-inf,10,1"], "--grid"),
+        (["map", "--preset", "planar-2bs", "--z", "nan"], "--z"),
+        (
+            ["bounds", "--preset", "planar-2bs", "--position", "nan,1,1",
+             "--orientation", "0,0,0"],
+            "--position",
+        ),
+        (
+            ["bounds", "--preset", "planar-2bs", "--position", "1,1,1",
+             "--orientation", "nan,0,0"],
+            "--orientation",
+        ),
+        (["orient-sweep", "--preset", "planar-2bs", "--position", "inf,0,0"], "--position"),
+        (["orient-sweep", "--preset", "planar-2bs", "--alpha", "inf"], "--alpha"),
+        (["orient-sweep", "--preset", "planar-2bs", "--step", "inf"], "--step"),
+        # Empty and runaway grids, refused before any cell is allocated.
+        (["map", "--preset", "planar-2bs", "--grid", "10,-10,1"], "no cells"),
+        (["map", "--preset", "planar-2bs", "--grid", "0,1,1e-9"], "more than 1000000"),
+        (["orient-sweep", "--preset", "planar-2bs", "--step", "1e-9"], "more than 1000000"),
     ],
 )
 def test_bad_counts_and_steps_are_config_errors(capsys, argv, flag):

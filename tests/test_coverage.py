@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from thzloc import (
     preset,
     sample_pose,
 )
-from thzloc.coverage import OEB_THRESHOLDS_DEG, PEB_THRESHOLDS_M
+from thzloc.coverage import MAX_FIELD_CELLS, OEB_THRESHOLDS_DEG, PEB_THRESHOLDS_M, _axis
 from thzloc.crb import COMM_ONLY, LOCALIZABLE, NO_LOS
 
 
@@ -156,5 +158,18 @@ def test_orientation_field_planar_labels():
 
 
 def test_field_rejects_bad_grid():
-    with pytest.raises(ValueError):
-        position_field(preset("planar-2bs"), EulerAngles(0, 0, 0), grid=(0.0, 1.0, 0.0))
+    for grid, match in [
+        ((0.0, 1.0, 0.0), "positive"),
+        ((10.0, -10.0, 1.0), "no cells"),
+        # About 10^18 cells: refused before the axis is allocated.
+        ((0.0, 1.0, 1e-9), "more than"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            position_field(preset("planar-2bs"), EulerAngles(0, 0, 0), grid=grid)
+    with pytest.raises(ValueError, match="more than"):
+        orientation_field(preset("planar-2bs"), (0.0, 0.0, 0.0), step_deg=1e-9)
+    # The limit admits a square grid of exactly MAX_FIELD_CELLS cells.
+    side = math.isqrt(MAX_FIELD_CELLS)
+    assert len(_axis(0.0, side - 1.0, 1.0)) == side
+    with pytest.raises(ValueError, match="more than"):
+        _axis(0.0, float(side), 1.0)

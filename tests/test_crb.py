@@ -19,7 +19,7 @@ from thzloc import (
     state_jacobian,
 )
 from thzloc.channel import draw_beamformers, path_gain
-from thzloc.crb import classify_localizability, stacked_fim
+from thzloc.crb import classify_localizability
 from thzloc.geometry import Subarray, element_grid, path_params
 
 from oracles import (
@@ -108,24 +108,6 @@ def test_path_fim_matches_oracle_finite_differences():
     )
     want = fim_from_jacobian(fd.reshape(-1, 5), cfg.noise_variance_w)
     assert np.linalg.norm(got - want) < 1e-4 * np.linalg.norm(want)
-
-
-def test_unknown_gain_never_adds_information():
-    for seed in (1, 8, 15):
-        cfg, _, _, sub, params, gain, bs_el, beams = _small_fim_case(seed)
-        known = path_fim(params, gain, beams, bs_el, sub.elements, cfg)
-        marginal = path_fim(params, gain, beams, bs_el, sub.elements, cfg, unknown_gain=True)
-        diff = known - marginal
-        assert np.linalg.eigvalsh(diff).min() >= -1e-6 * np.abs(known).max()
-
-
-def test_stacked_fim_is_block_diagonal():
-    blocks = [np.full((5, 5), 2.0), np.full((5, 5), 3.0)]
-    stacked = stacked_fim(blocks)
-    assert stacked.shape == (10, 10)
-    np.testing.assert_array_equal(stacked[:5, :5], blocks[0])
-    np.testing.assert_array_equal(stacked[5:, 5:], blocks[1])
-    np.testing.assert_array_equal(stacked[:5, 5:], 0.0)
 
 
 def test_state_fim_accumulates_paths():

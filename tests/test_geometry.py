@@ -12,11 +12,9 @@ from thzloc import (
     element_grid,
     euler_to_rotation,
     path_params,
-    rotation_to_euler,
-    subarray_global_pose,
     visible_paths,
 )
-from thzloc.geometry import orthonormality_residual, rot_x, rot_y, rot_z
+from thzloc.geometry import rot_x, rot_y, rot_z
 
 from oracles import euler_matrix_oracle, forward_model_oracle
 
@@ -46,36 +44,10 @@ def test_axis_aligned_rotations_are_exact():
     assert np.array_equal(r90, np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
-@given(
-    st.floats(min_value=-179.0, max_value=179.0),
-    st.floats(min_value=-89.0, max_value=89.0),
-    st.floats(min_value=-179.0, max_value=179.0),
-)
-@settings(max_examples=200, deadline=None)
-def test_euler_round_trip(alpha, beta, gamma):
-    r = euler_to_rotation(EulerAngles(alpha, beta, gamma))
-    back = euler_to_rotation(rotation_to_euler(r))
-    np.testing.assert_allclose(back, r, atol=1e-9)
-
-
 def test_rotation_is_orthonormal():
     r = euler_to_rotation(EulerAngles(33.0, -71.0, 140.0))
-    assert orthonormality_residual(r) < 1e-14
+    assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-14
     assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_gimbal_lock_round_trip():
-    for beta in (90.0, -90.0):
-        r = euler_to_rotation(EulerAngles(25.0, beta, 70.0))
-        angles_back = rotation_to_euler(r)
-        assert angles_back.alpha == 0.0
-        assert angles_back.beta == beta
-        np.testing.assert_allclose(euler_to_rotation(angles_back), r, atol=1e-12)
-
-
-def test_rotation_to_euler_rejects_non_rotation():
-    with pytest.raises(GeometryError):
-        rotation_to_euler(np.eye(3) * 1.5)
 
 
 def test_element_grid_layout():
@@ -172,15 +144,6 @@ def test_path_params_rejects_coincident_points():
     ue = Pose(np.zeros(3), np.eye(3))
     with pytest.raises(GeometryError):
         path_params(bs, ue, _panel([0, 0, 0], (0, 0, 0)))
-
-
-def test_subarray_global_pose_composition():
-    ue = Pose(np.array([1.0, 2.0, 3.0]), euler_to_rotation(EulerAngles(0, 0, 90)))
-    sub = _panel([0.1, 0.0, 0.0], (0, 0, 90))
-    pose = subarray_global_pose(ue, sub)
-    np.testing.assert_allclose(pose.position, [1.0, 2.1, 3.0], atol=1e-15)
-    # Two 90-degree z-rotations compose to 180 degrees.
-    np.testing.assert_allclose(pose.rotation @ [1, 0, 0], [-1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_path_params_as_array_order():

@@ -112,24 +112,41 @@ def test_parse_rejects_missing_sections():
 
 
 def test_parse_rejects_bad_triples():
-    doc = config_to_mapping(preset("planar-2bs"))
-    doc["bs"][0]["position_m"] = [1.0, 2.0]
-    with pytest.raises(ConfigError, match="three numbers"):
-        parse_config(doc)
+    for position, match in [
+        ([1.0, 2.0], "three numbers"),
+        ([0.0, float("inf"), 5.0], "finite"),
+        # The preset's bs[1] position: two co-located BSs.
+        ([10.5, 10.5, 5.0], "bs\\[1\\].position_m repeats bs\\[0\\]"),
+    ]:
+        doc = config_to_mapping(preset("planar-2bs"))
+        doc["bs"][0]["position_m"] = position
+        with pytest.raises(ConfigError, match=match):
+            parse_config(doc)
 
 
 def test_parse_rejects_bad_panel():
-    doc = config_to_mapping(preset("planar-2bs"))
-    doc["bs"][0]["panel"]["rows"] = 0
-    with pytest.raises(ConfigError, match="positive rows"):
-        parse_config(doc)
+    for key, value, match in [
+        ("rows", 0, "positive rows"),
+        ("rows", 2.7, "rows must be an integer"),
+        ("spacing_wl", 0, "spacing_wl must be positive"),
+        ("spacing_wl", -0.5, "spacing_wl must be positive"),
+    ]:
+        doc = config_to_mapping(preset("planar-2bs"))
+        doc["bs"][0]["panel"][key] = value
+        with pytest.raises(ConfigError, match=match):
+            parse_config(doc)
 
 
 def test_parse_rejects_bad_waveform():
-    doc = config_to_mapping(preset("planar-2bs"))
-    doc["signal"]["num_subcarriers"] = 0
-    with pytest.raises(ConfigError, match="num_subcarriers"):
-        parse_config(doc)
+    for key, value, match in [
+        ("num_subcarriers", 0, "num_subcarriers"),
+        ("power_dbm", float("nan"), "power_dbm must be finite"),
+        ("num_transmissions", 2.5, "num_transmissions must be an integer"),
+    ]:
+        doc = config_to_mapping(preset("planar-2bs"))
+        doc["signal"][key] = value
+        with pytest.raises(ConfigError, match=match):
+            parse_config(doc)
 
 
 def test_parse_rejects_negative_seed():
