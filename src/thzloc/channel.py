@@ -124,10 +124,81 @@ def draw_beamformers(
     """
     key = np.random.SeedSequence(seed, spawn_key=(trial, bs_index, subarray_index))
     rng = np.random.Generator(np.random.Philox(key))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(num_transmissions, n_ue + n_bs))
-    ue = np.exp(1j * phases[:, :n_ue]) / np.sqrt(n_ue)
-    bs = np.exp(1j * phases[:, n_ue:])  # unit modulus, one PA per element
+    # Phase 2 pi u of each element; uniform(0, 2 pi) scales the same u.
+    phasors = _unit_phasors(rng.random(size=(num_transmissions, n_ue + n_bs)))
+    ue = phasors[:, :n_ue] / np.sqrt(n_ue)
+    bs = phasors[:, n_ue:]  # unit modulus, one PA per element
     return BeamformerSet(ue=ue, bs=bs)
+
+
+# Entries of the phasor table, a power of two so that u * _TURN_STEPS is
+# exact.
+_TURN_STEPS = 256
+# pi to 40 decimals, for the table's fixed-point arithmetic.
+_PI_E40 = 31415926535897932384626433832795028841971
+
+
+def _phasor_table(size: int) -> np.ndarray:
+    """e^{2 pi i k / size} for k = 0..size-1, both parts correctly rounded.
+
+    The first eighth of the circle is built in integer fixed point with 40
+    decimals, as powers of e^{2 pi i / size} summed from its Taylor series;
+    the rest follows by exact swaps and sign changes.
+    """
+    one = 10**40
+    theta = 2 * _PI_E40 // size
+    step_re, step_im = one, 0
+    term_re, term_im = one, 0
+    for n in range(1, 30):  # theta^30 / 30! < 10^-44 for size >= 16
+        term_re, term_im = -term_im * theta // (n * one), term_re * theta // (n * one)
+        step_re, step_im = step_re + term_re, step_im + term_im
+    octant = [(one, 0)]
+    for _ in range(size // 8):
+        c, s = octant[-1]
+        octant.append(((c * step_re - s * step_im) // one, (s * step_re + c * step_im) // one))
+    # Dividing two integers with / rounds correctly to a double.
+    cos = np.array([c / one for c, _ in octant])
+    sin = np.array([s / one for _, s in octant])
+    # Eighth -> quarter turn by cos(pi/2 - x) = sin(x), then by quarter turns.
+    cos, sin = np.concatenate([cos, sin[-2:0:-1]]), np.concatenate([sin, cos[-2:0:-1]])
+    return np.concatenate([cos, -sin, -cos, sin]) + 1j * np.concatenate([sin, cos, -sin, -cos])
+
+
+_PHASORS = _phasor_table(_TURN_STEPS)
+
+
+def _unit_phasors(turns: np.ndarray) -> np.ndarray:
+    """e^{2 pi i u} of each u in [0, 1), to within 2.5e-16.
+
+    u * _TURN_STEPS splits exactly into a table index k and a remainder r;
+    the result is the table's e^{2 pi i k / _TURN_STEPS} times e^{i theta},
+    theta = 2 pi r / _TURN_STEPS < 0.025, from Taylor polynomials to
+    theta^6 and theta^7, using IEEE basic operations only.
+    """
+    theta = turns * _TURN_STEPS
+    whole = np.floor(theta)
+    theta -= whole
+    base = _PHASORS.take(whole.astype(np.intp))
+    theta *= 2.0 * np.pi / _TURN_STEPS
+    t2 = theta * theta
+    # cos(theta) - 1 and sin(theta), by Horner's rule.
+    cos_m1 = t2 * (-1.0 / 720.0)
+    cos_m1 += 1.0 / 24.0
+    cos_m1 *= t2
+    cos_m1 -= 0.5
+    cos_m1 *= t2
+    sin = t2 * (-1.0 / 5040.0)
+    sin += 1.0 / 120.0
+    sin *= t2
+    sin -= 1.0 / 6.0
+    sin *= t2
+    sin *= theta
+    sin += theta
+    out = np.empty(turns.shape, dtype=complex)
+    out.real, out.imag = cos_m1, sin
+    out *= base
+    out += base
+    return out
 
 
 def beam_couplings(beams: BeamformerSet, steer_ue: np.ndarray, steer_bs: np.ndarray):

@@ -36,6 +36,8 @@ _RANGES_PER_WORKER = 4
 # Most cells a position or orientation field may hold; the default 5 deg
 # orientation sweep has 5,329.
 MAX_FIELD_CELLS = 10**6
+# Relative tolerance of a grid's end point.
+_AXIS_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -196,9 +198,11 @@ class FieldGrid:
 
 def _axis(start: float, stop: float, step: float) -> np.ndarray:
     # One axis of a square field grid, checked before anything is allocated.
+    # The last point does not pass stop, up to a relative _AXIS_SLACK that
+    # keeps the end point of steps such as 0.1 that binary cannot hold.
     if not step > 0:
         raise ConfigError(f"grid step must be positive, got {step:g}")
-    points = np.rint((stop - start) / step) + 1.0
+    points = np.floor((stop - start) / step * (1.0 + _AXIS_SLACK)) + 1.0
     where = f"grid from {start:g} to {stop:g} in steps of {step:g}"
     if not points >= 1.0:
         raise ConfigError(f"{where} has no cells")

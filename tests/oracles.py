@@ -10,6 +10,7 @@ test modules and the benchmark checks use are re-exported here.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -65,6 +66,75 @@ def rot_z_oracle(deg):
 def euler_matrix_oracle(alpha, beta, gamma):
     """Z-Y-X composition, all angles in degrees."""
     return rot_z_oracle(gamma) @ rot_y_oracle(beta) @ rot_x_oracle(alpha)
+
+
+# --- beamformers --------------------------------------------------------------
+
+
+def beamformers_exp_oracle(seed, bs_index, subarray_index, num_transmissions, n_ue, n_bs, trial=0):
+    """(ue, bs) weights of one path through the complex exponential.
+
+    The same keyed stream as draw_beamformers, with each phase drawn as
+    uniform(0, 2 pi) and turned into exp(1j * phase): unit-modulus precoder
+    entries and a combiner scaled to unit norm.
+    """
+    key = np.random.SeedSequence(seed, spawn_key=(trial, bs_index, subarray_index))
+    rng = np.random.Generator(np.random.Philox(key))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(num_transmissions, n_ue + n_bs))
+    return np.exp(1j * phases[:, :n_ue]) / math.sqrt(n_ue), np.exp(1j * phases[:, n_ue:])
+
+
+def _steering_columns(elements, az, el, wavelength):
+    """Rows [a_n, da_n/daz, da_n/del] of a panel's steering vector."""
+    wavenumber = 2.0 * math.pi / wavelength
+    u = (math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el))
+    du_az = (-math.cos(el) * math.sin(az), math.cos(el) * math.cos(az), 0.0)
+    du_el = (-math.sin(el) * math.cos(az), -math.sin(el) * math.sin(az), math.cos(el))
+    rows = []
+    for e in elements:
+        a = cmath.exp(1j * wavenumber * sum(e[i] * u[i] for i in range(3)))
+        rows.append((
+            a,
+            1j * wavenumber * sum(e[i] * du_az[i] for i in range(3)) * a,
+            1j * wavenumber * sum(e[i] * du_el[i] for i in range(3)) * a,
+        ))
+    return rows
+
+
+def expected_path_fim_oracle(
+    eta, gain, ue_elements, bs_elements, num_transmissions, power_w, noise_variance,
+    wavelength, offsets_hz,
+):
+    """5x5 Fisher information of one path averaged over its random beams.
+
+    With independent uniform phases, E[w w^H] is I for the unit-modulus
+    precoder and I / N_ue for the unit-norm combiner, and the two are
+    independent, so
+
+        E[FIM] = (2 G P |gain|^2 / sigma^2)
+                 Re[(X_ue^H X_ue / N_ue) o (X_bs^H X_bs) o (T^H T)],
+
+    where column i of X_ue (X_bs) is the arrival (departure) steering
+    vector, or the angle derivative of it, that the derivative of the
+    pilots in parameter i carries, and T holds the (K, 5) subcarrier
+    factors: 1 for the angles, -2j pi f_k for the delay.
+    """
+    aod_az, aod_el, aoa_az, aoa_el, _ = eta
+    ue = _steering_columns(ue_elements, aoa_az, aoa_el, wavelength)
+    bs = _steering_columns(bs_elements, aod_az, aod_el, wavelength)
+    # Parameter order aod_az, aod_el, aoa_az, aoa_el, delay; 0 = a, 1 = d/daz, 2 = d/del.
+    ue_column = (0, 0, 1, 2, 0)
+    bs_column = (1, 2, 0, 0, 0)
+    tones = [[1.0, 1.0, 1.0, 1.0, -2j * math.pi * f] for f in offsets_hz]
+    scale = 2.0 * num_transmissions * power_w * abs(gain) ** 2 / noise_variance
+    fim = np.zeros((5, 5))
+    for i in range(5):
+        for j in range(5):
+            gram_ue = sum(r[ue_column[i]].conjugate() * r[ue_column[j]] for r in ue)
+            gram_bs = sum(r[bs_column[i]].conjugate() * r[bs_column[j]] for r in bs)
+            gram_t = sum(t[i].conjugate() * t[j] for t in tones)
+            fim[i, j] = scale * (gram_ue / len(ue) * gram_bs * gram_t).real
+    return fim
 
 
 # --- visibility --------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Acceptance checks, one test per numbered criterion.
 
 Each test prints one PASS/FAIL line.  With the default sizes the module
-takes about 65 s on a 2-core machine; set THZLOC_ACCEPTANCE_FULL=1 for the
+takes about 45 s on a 2-core machine; set THZLOC_ACCEPTANCE_FULL=1 for the
 full-scale Monte-Carlo runs (10^4 trials where sampling is involved).
 """
 
@@ -22,7 +22,6 @@ from thzloc import (
     constrained_crb,
     euler_to_rotation,
     evaluate_bounds,
-    evaluate_pose,
     orientation_field,
     path_fim,
     position_field,
@@ -33,6 +32,7 @@ from thzloc import (
 )
 from thzloc.channel import draw_beamformers, path_gain, signal_gradient
 from thzloc.cli import main as cli_main
+from thzloc.coverage import _trial_values
 from thzloc.crb import COMM_ONLY, LOCALIZABLE, NO_LOS
 from thzloc.geometry import PathParams, Subarray, element_grid, path_params, visible_paths
 
@@ -301,13 +301,11 @@ def test_criterion_06_planar_outage_floor(planar_2bs_coverage):
 
 
 def _metric_values(config_name, trials):
+    # PEB of trial t at the pose sample_pose(..., config.seed, t) with the
+    # beams of trial t, as evaluate_pose gives it, through the coverage
+    # path that feeds the kernel 64 poses per call.
     config = preset(config_name)
-    dist = PoseDistribution()
-    values = np.empty(trials)
-    for trial in range(trials):
-        pose = sample_pose(dist, config.seed, trial)
-        values[trial] = evaluate_pose(config, pose, trial=trial).peb_m
-    return values
+    return np.array(_trial_values(config, PoseDistribution(), config.seed, "peb", 0, trials))
 
 
 def test_criterion_07_quantile_targets():

@@ -1,11 +1,23 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from thzloc import ETA_NAMES, SignalConfig, draw_beamformers
-from thzloc.channel import path_gain, signal_gradient, steering_stack
+from thzloc import ETA_NAMES, PRESET_NAMES, SignalConfig, draw_beamformers, load_config, preset
+from thzloc.channel import (
+    _PHASORS,
+    _TURN_STEPS,
+    _unit_phasors,
+    path_gain,
+    signal_gradient,
+    steering_stack,
+)
 from thzloc.geometry import PathParams, element_grid
 
-from oracles import mean_signal_oracle, signal_jacobian_fd
+from oracles import beamformers_exp_oracle, mean_signal_oracle, signal_jacobian_fd
+
+WIDE = Path(__file__).resolve().parents[1] / "perfbench" / "planar-2bs-wide.yaml"
+EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(float).nmant
 
 
 def test_eta_order_is_fixed():
@@ -76,6 +88,58 @@ def test_beamformer_streams_are_keyed_per_path_and_trial():
     assert not np.array_equal(b00.ue, b01.ue)
     assert not np.array_equal(b00.ue, b10.ue)
     assert not np.array_equal(b00.ue, t1.ue)
+
+
+def _extended_phasors(turns):
+    angle = 2 * np.arccos(np.longdouble(-1)) * np.asarray(turns, dtype=np.longdouble)
+    return np.cos(angle), np.sin(angle)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="the reference needs an extended long double")
+def test_unit_phasors_match_extended_precision_reference():
+    ends = np.arange(1, _TURN_STEPS) / _TURN_STEPS
+    edges = [0.0, 1.0 - 2.0**-53, *np.nextafter(ends, 0.0), *ends, *np.nextafter(ends, 1.0)]
+    turns = np.concatenate([np.random.default_rng(5).random(10**5), edges])
+    got = _unit_phasors(turns)
+    cos, sin = _extended_phasors(turns)
+    error = np.hypot(got.real - cos, got.imag - sin)
+    assert float(error.max()) <= 2.5e-16
+    modulus = np.hypot(got.real.astype(np.longdouble), got.imag.astype(np.longdouble))
+    assert float(np.abs(modulus - 1).max()) <= 4.5e-16
+    # The table holds each phasor of a whole step correctly rounded: within
+    # half an ulp, up to the reference's own error, with exact quarter turns.
+    cos, sin = _extended_phasors(np.arange(_TURN_STEPS) / _TURN_STEPS)
+    for part, want in ((_PHASORS.real, cos), (_PHASORS.imag, sin)):
+        assert np.all(np.abs(part - want) <= 0.5 * np.spacing(np.abs(part)) + 1e-18)
+    np.testing.assert_array_equal(_PHASORS[:: _TURN_STEPS // 4], [1, 1j, -1, -1j])
+
+
+def test_unit_phasors_keep_shape_and_whole_turns():
+    turns = np.array([[0.0, 0.25], [0.5, 0.75]])
+    np.testing.assert_array_equal(_unit_phasors(turns), [[1, 1j], [-1, -1j]])
+    assert _unit_phasors(np.zeros((3, 0))).shape == (3, 0)
+
+
+def _panel_sizes():
+    sizes = set()
+    for config in [preset(name) for name in PRESET_NAMES] + [load_config(WIDE)]:
+        scn = config.realize()
+        sizes |= {
+            (sub.elements.shape[0], bs.shape[0])
+            for sub in scn.subarrays for bs in scn.bs_elements
+        }
+    return sorted(sizes)
+
+
+@pytest.mark.parametrize("n_ue, n_bs", _panel_sizes())
+def test_beam_draws_match_the_exponential_of_the_same_stream(n_ue, n_bs):
+    # The phasors changed how a uniform draw becomes e^{j phase}, not the
+    # keyed streams: every entry stays within roundoff of the old formula.
+    for seed, trial, m, n in [(1, 0, 0, 0), (7, 3, 1, 5), (2**31 - 1, 9999, 3, 2)]:
+        beams = draw_beamformers(seed, m, n, 50, n_ue, n_bs, trial=trial)
+        ue, bs = beamformers_exp_oracle(seed, m, n, 50, n_ue, n_bs, trial=trial)
+        assert float(np.abs(beams.ue - ue).max()) <= 1e-15
+        assert float(np.abs(beams.bs - bs).max()) <= 1e-15
 
 
 def _random_case(seed):

@@ -119,6 +119,16 @@ def test_map_csv_structure(capsys):
     assert "cells" in err  # run report goes to stderr, not into the CSV
 
 
+def test_map_grid_ends_inside_the_requested_range(capsys):
+    code, out, _ = run(
+        capsys, "map", "--preset", "cuboidal-2bs", "--grid=-10,10,3",
+    )
+    assert code == EXIT_OK
+    lines = out.strip().split("\n")
+    assert len(lines) == 3 + 49  # -10, -7, ..., 8 on both axes
+    assert lines[-1].split(",")[:2] == ["8", "8"]
+
+
 def test_orient_sweep_csv_structure(capsys):
     code, out, _ = run(
         capsys, "orient-sweep", "--preset", "planar-2bs", "--step", "120",

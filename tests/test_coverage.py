@@ -157,6 +157,17 @@ def test_orientation_field_planar_labels():
     assert NO_LOS in labels and COMM_ONLY in labels
 
 
+def test_grid_axis_stops_at_its_end():
+    # A step that does not divide the range stops short of the end point;
+    # one that binary cannot hold keeps it.
+    np.testing.assert_array_equal(_axis(0.0, 1.0, 0.6), [0.0, 0.6])
+    np.testing.assert_array_equal(_axis(-10.0, 10.0, 3.0), np.arange(-10.0, 9.0, 3.0))
+    assert len(_axis(0.0, 0.3, 0.1)) == 4
+    fine = _axis(-10.0, 10.0, 0.1)
+    assert len(fine) == 201 and fine[-1] == pytest.approx(10.0, abs=1e-12)
+    np.testing.assert_array_equal(_axis(0.0, 360.0, 30.0), np.arange(0.0, 361.0, 30.0))
+
+
 def test_field_rejects_bad_grid():
     for grid, match in [
         ((0.0, 1.0, 0.0), "positive"),

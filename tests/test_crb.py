@@ -20,10 +20,12 @@ from thzloc import (
 )
 from thzloc.channel import draw_beamformers, path_gain
 from thzloc.crb import classify_localizability
-from thzloc.geometry import Subarray, element_grid, path_params
+from thzloc.geometry import Subarray, element_grid, path_params, visible_paths
+from thzloc.validate import state_jacobian_error
 
 from oracles import (
     constraint_jacobian_oracle,
+    expected_path_fim_oracle,
     fim_from_jacobian,
     pack_state,
     signal_jacobian_fd,
@@ -80,6 +82,21 @@ def test_state_jacobian_delay_row_is_exact():
     )
 
 
+def test_validate_state_jacobian_error_sees_every_block():
+    # The delay row holds the clock-bias entry 1 next to position and
+    # rotation entries near 1e-9; errors in those must still show.
+    rng = np.random.default_rng(4)
+    bs, ue, sub, _ = _random_geometry(rng)
+    jac = state_jacobian(bs, ue, sub)
+    state = pack_state(ue.position, 0.0, ue.rotation)
+    want = state_jacobian_fd(bs.position, bs.rotation, state, sub.offset, sub.rotation)
+    assert state_jacobian_error(jac, want) < 1e-5
+    for block in (slice(0, 3), slice(4, 13)):
+        corrupted = jac.copy()
+        corrupted[4, block] *= 2.0
+        assert state_jacobian_error(corrupted, want) > 0.5
+
+
 def _small_fim_case(seed):
     rng = np.random.default_rng(seed)
     cfg = SignalConfig(num_subcarriers=4, num_transmissions=3)
@@ -108,6 +125,33 @@ def test_path_fim_matches_oracle_finite_differences():
     )
     want = fim_from_jacobian(fd.reshape(-1, 5), cfg.noise_variance_w)
     assert np.linalg.norm(got - want) < 1e-4 * np.linalg.norm(want)
+
+
+def test_beam_averaged_path_fim_matches_closed_form():
+    # Law of large numbers: the mean FIM of S independent beam draws lies
+    # within a few 1/sqrt(S) of the closed-form expectation, in units of
+    # sqrt(F_ii F_jj).
+    scn = preset("cuboidal-4bs").realize()
+    pose = Pose(np.array([2.0, -1.0, 1.0]), euler_to_rotation(EulerAngles(10, 40, -30)))
+    m, n = visible_paths(scn.bs_poses, pose, scn.subarrays)[0]
+    sub, bs_elements, signal = scn.subarrays[n], scn.bs_elements[m], scn.signal
+    params = path_params(scn.bs_poses[m], pose, sub)
+    gain = path_gain(params.distance, signal.wavelength_m)
+    draws = 400
+    mean = np.zeros((5, 5))
+    for trial in range(draws):
+        beams = draw_beamformers(
+            scn.seed, m, n, signal.num_transmissions, sub.elements.shape[0],
+            bs_elements.shape[0], trial=trial,
+        )
+        mean += path_fim(params, gain, beams, bs_elements, sub.elements, signal) / draws
+    want = expected_path_fim_oracle(
+        list(params.as_array()), gain, sub.elements, bs_elements, signal.num_transmissions,
+        signal.power_w, signal.noise_variance_w, signal.wavelength_m,
+        signal.subcarrier_offsets_hz(),
+    )
+    scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+    assert np.max(np.abs(mean - want) / scale) <= 3.0 / np.sqrt(draws)
 
 
 def test_state_fim_accumulates_paths():
