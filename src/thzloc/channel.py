@@ -9,15 +9,28 @@ with unit pilot symbol, deterministic free-space gain, and random
 phase-shifter beamformers redrawn per transmission.  Subcarriers sit on a
 symmetric grid around the carrier, f_k = (k - (K + 1) / 2) * W / K for
 k = 1..K, so the grid never contains the carrier itself for even K.
+
+The beams of a path come from the Philox stream keyed by
+SeedSequence(seed, spawn_key=(trial, bs, subarray)).  beam_keys derives
+those keys for many paths at once by NumPy's SeedSequence mixing in uint32
+arithmetic, with the pool after the seed's words cached per seed; a path
+with a spawn entry of 2^32 or more, which SeedSequence splits into several
+words, goes through SeedSequence itself.  keyed_beams reseats one shared
+Philox with a key and turns its uniforms into phase-shifter weights in
+BeamBuffers that many draws reuse, so no generator and no array is built
+per path.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT, PathParams
+from .geometry import SPEED_OF_LIGHT
 
 # Order of the per-path channel parameters everywhere in this package.
 ETA_NAMES = ("aod_az", "aod_el", "aoa_az", "aoa_el", "delay")
@@ -70,19 +83,21 @@ def steering_stack(elements_m: np.ndarray, az, el, wavelength_m: float) -> np.nd
     amplitude taper.
 
     Args:
-        elements_m: panel element offsets, (N, 3).
+        elements_m: panel element offsets, (N, 3), or one panel per
+            direction, (P, N, 3).
         az, el: directions, each of shape (P,).
 
     Returns:
         (P, N, 3) complex array whose columns are a, da/daz and da/del.
-        Each direction's result does not depend on the others.
+        Each direction's result does not depend on the others, and is the
+        same bits whether its panel is given once or per direction.
     """
     az = np.asarray(az, dtype=float)[:, None]
     el = np.asarray(el, dtype=float)[:, None]
     ca, sa, ce, se = np.cos(az), np.sin(az), np.cos(el), np.sin(el)
-    x, y, z = elements_m[:, 0], elements_m[:, 1], elements_m[:, 2]
+    x, y, z = elements_m[..., 0], elements_m[..., 1], elements_m[..., 2]
     wavenumber = 2.0 * np.pi / wavelength_m
-    out = np.empty((az.shape[0], elements_m.shape[0], 3), dtype=complex)
+    out = np.empty((az.shape[0], elements_m.shape[-2], 3), dtype=complex)
     a = np.exp(1j * (wavenumber * (x * (ce * ca) + y * (ce * sa) + z * se)))
     out[..., 0] = a
     out[..., 1] = (1j * wavenumber) * (x * (-ce * sa) + y * (ce * ca)) * a
@@ -122,13 +137,177 @@ def draw_beamformers(
     on how many other BSs or subarrays exist.  That keeps random draws
     common when comparing nested BS sets.
     """
-    key = np.random.SeedSequence(seed, spawn_key=(trial, bs_index, subarray_index))
-    rng = np.random.Generator(np.random.Philox(key))
-    # Phase 2 pi u of each element; uniform(0, 2 pi) scales the same u.
-    phasors = _unit_phasors(rng.random(size=(num_transmissions, n_ue + n_bs)))
-    ue = phasors[:, :n_ue] / np.sqrt(n_ue)
-    bs = phasors[:, n_ue:]  # unit modulus, one PA per element
-    return BeamformerSet(ue=ue, bs=bs)
+    key = beam_keys(seed, [trial], [bs_index], [subarray_index])[0]
+    return keyed_beams(key, BeamBuffers(num_transmissions, n_ue, n_bs))
+
+
+# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx): pool
+# size, the two hash chains, the mixing multipliers and the xor shift.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# Spawn key words per path: (trial, bs, subarray).
+_SPAWN_WORDS = 3
+
+
+def _mix(x: int, y: int) -> int:
+    x = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return x ^ (x >> 16)
+
+
+def _hash_chain(start: int, mult: int, count: int) -> list[int]:
+    """The first count + 1 values of a SeedSequence hash constant."""
+    chain = [start]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & _MASK32)
+    return chain
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_prefix(seed: int):
+    """SeedSequence state of seed once its own words are mixed in.
+
+    Returns the (4, 1) pool and the (xor, multiplier) hash constants, each
+    (3, 4, 1), that the three spawn words meet: mixing goes through the
+    words in order, and the hash constant advances once per hash whatever
+    the words are.
+    """
+    words = []
+    while seed:
+        words.append(seed & _MASK32)
+        seed >>= 32
+    # A seed fills at least the pool, zero-padded, before the spawn words.
+    words += [0] * (_POOL_SIZE - len(words))
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    chain = np.array(_hash_chain(hash_const, _MULT_A, _SPAWN_WORDS * _POOL_SIZE), dtype=np.uint32)
+    shape = (_SPAWN_WORDS, _POOL_SIZE, 1)
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    prefix = pool, chain[:-1].reshape(shape), chain[1:].reshape(shape)
+    for array in prefix:  # shared by every caller through the cache
+        array.flags.writeable = False
+    return prefix
+
+
+# generate_state's hash constants for the four words of a Philox key.
+_STATE_CHAIN = np.array(_hash_chain(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint32)[:, None]
+_SPAWN_LIMIT = 1 << 32
+
+
+def _spawn_entries(values) -> np.ndarray:
+    """Spawn key entries as an integer array; as Python ints in an object
+    array when one does not fit in 64 bits."""
+    entries = np.asarray(values)
+    if entries.dtype.kind in "iu":
+        return entries
+    return np.array([operator.index(v) for v in values], dtype=object)
+
+
+def beam_keys(seed: int, trials, bs_index, sub_index) -> np.ndarray:
+    """Philox keys of many paths' beam streams, shape (P, 2) uint64.
+
+    Row p equals SeedSequence(seed, spawn_key=(trials[p], bs_index[p],
+    sub_index[p])).generate_state(2, np.uint64), and it is computed by the
+    same mixing over all paths at once.  SeedSequence splits an entry of
+    2^32 or more into several words, so such a path goes through
+    SeedSequence itself.
+
+    Raises:
+        ValueError: for a negative seed or spawn entry.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    spawn = [_spawn_entries(values) for values in (trials, bs_index, sub_index)]
+    if any((entries < 0).any() for entries in spawn):
+        raise ValueError("trial, BS and subarray indices must be non-negative")
+    fits = (spawn[0] < _SPAWN_LIMIT) & (spawn[1] < _SPAWN_LIMIT) & (spawn[2] < _SPAWN_LIMIT)
+    words = np.array([entries[fits] for entries in spawn]).astype(np.uint32)
+    pool, xor, mult = _seed_prefix(seed)
+    hashes = (words[:, None, :] ^ xor) * mult
+    hashes ^= hashes >> 16
+    for word_hashes in hashes:
+        pool = np.uint32(_MIX_L) * pool - np.uint32(_MIX_R) * word_hashes
+        pool ^= pool >> 16
+    state = (pool ^ _STATE_CHAIN[:-1]) * _STATE_CHAIN[1:]
+    state ^= state >> 16
+    state = state.astype(np.uint64)
+    keys = np.empty((fits.size, 2), dtype=np.uint64)
+    keys[fits, 0] = state[0] | (state[1] << 32)
+    keys[fits, 1] = state[2] | (state[3] << 32)
+    for p in np.flatnonzero(~fits):
+        spawn_key = tuple(int(entries[p]) for entries in spawn)
+        keys[p] = np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(2, np.uint64)
+    return keys
+
+
+# One Philox reseated for every draw; the lock keeps reseat and fill
+# together when threads share it.
+_PHILOX = np.random.Philox(0)
+_UNIFORMS = np.random.Generator(_PHILOX)
+_PHILOX_LOCK = threading.Lock()
+_ZEROS = np.zeros(4, dtype=np.uint64)
+
+
+class BeamBuffers:
+    """The arrays a beam draw of G transmissions on N_ue + N_bs elements
+    writes, so that many draws of one shape reuse them.
+
+    turns holds the uniforms and then the phase remainders, whole and words
+    are the scratch of _unit_phasors, base its table phasors, phasors its
+    result and ue the scaled combiner.
+    """
+
+    def __init__(self, num_transmissions: int, n_ue: int, n_bs: int):
+        shape = (num_transmissions, n_ue + n_bs)
+        self.n_ue = n_ue
+        self.turns = np.empty(shape)
+        self.whole = np.empty(shape)
+        self.words = np.empty(shape, dtype=np.intp)
+        self.base = np.empty(shape, dtype=complex)
+        self.phasors = np.empty(shape, dtype=complex)
+        self.ue = np.empty((num_transmissions, n_ue), dtype=complex)
+
+
+def keyed_beams(key: np.ndarray, buffers: BeamBuffers) -> BeamformerSet:
+    """Beamformers from the Philox stream with the given key.
+
+    The uniforms u are those of a fresh np.random.Philox with that key;
+    entry u becomes the phasor e^{2 pi i u} (the phase that uniform(0, 2 pi)
+    scales from the same u).  The first N_ue columns, scaled to unit norm,
+    are the combiner, the rest the precoder.  The result views buffers, so
+    it holds until the next draw into them.
+    """
+    state = {"counter": _ZEROS, "key": key}
+    with _PHILOX_LOCK:
+        _PHILOX.state = {
+            "bit_generator": "Philox", "state": state, "buffer": _ZEROS,
+            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        _UNIFORMS.random(out=buffers.turns)
+    n_ue = buffers.n_ue
+    phasors = _unit_phasors(
+        buffers.turns, buffers.whole, buffers.words, buffers.base, buffers.phasors
+    )
+    ue = np.divide(phasors[:, :n_ue], np.sqrt(n_ue), out=buffers.ue)
+    return BeamformerSet(ue=ue, bs=phasors[:, n_ue:])  # unit-modulus precoder, one PA per element
 
 
 # Entries of the phasor table, a power of two so that u * _TURN_STEPS is
@@ -167,34 +346,45 @@ def _phasor_table(size: int) -> np.ndarray:
 _PHASORS = _phasor_table(_TURN_STEPS)
 
 
-def _unit_phasors(turns: np.ndarray) -> np.ndarray:
-    """e^{2 pi i u} of each u in [0, 1), to within 2.5e-16.
+def _unit_phasors(
+    turns: np.ndarray, whole: np.ndarray, words: np.ndarray, base: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """e^{2 pi i u} of each u in turns, in [0, 1), to within 2.5e-16.
 
     u * _TURN_STEPS splits exactly into a table index k and a remainder r;
     the result is the table's e^{2 pi i k / _TURN_STEPS} times e^{i theta},
     theta = 2 pi r / _TURN_STEPS < 0.025, from Taylor polynomials to
-    theta^6 and theta^7, using IEEE basic operations only.
+    theta^6 and theta^7, using IEEE basic operations only.  The result goes
+    to out; turns is overwritten, and whole (float), words (intp) and base
+    (complex), all of turns' shape, are scratch.  No array is allocated,
+    since fresh large temporaries cost page faults on every call.
     """
-    theta = turns * _TURN_STEPS
-    whole = np.floor(theta)
+    theta = turns
+    theta *= _TURN_STEPS
+    np.floor(theta, out=whole)
     theta -= whole
-    base = _PHASORS.take(whole.astype(np.intp))
+    np.copyto(words, whole, casting="unsafe")
+    # Indices lie in [0, _TURN_STEPS); "wrap" takes them as they are and,
+    # unlike "raise", writes out without an intermediate buffer.
+    _PHASORS.take(words, out=base, mode="wrap")
     theta *= 2.0 * np.pi / _TURN_STEPS
-    t2 = theta * theta
-    # cos(theta) - 1 and sin(theta), by Horner's rule.
-    cos_m1 = t2 * (-1.0 / 720.0)
-    cos_m1 += 1.0 / 24.0
-    cos_m1 *= t2
-    cos_m1 -= 0.5
-    cos_m1 *= t2
-    sin = t2 * (-1.0 / 5040.0)
+    # sin(theta) and cos(theta) - 1 by Horner's rule: t2 in the floor's
+    # array, sin in the spent indices' 8-byte words, cos_m1 in theta's
+    # array once sin is done.  Contiguous arithmetic runs at twice the
+    # speed of the strided parts of out.
+    t2 = np.multiply(theta, theta, out=whole)
+    sin = np.multiply(t2, -1.0 / 5040.0, out=words.view(np.float64))
     sin += 1.0 / 120.0
     sin *= t2
     sin -= 1.0 / 6.0
     sin *= t2
     sin *= theta
     sin += theta
-    out = np.empty(turns.shape, dtype=complex)
+    cos_m1 = np.multiply(t2, -1.0 / 720.0, out=theta)
+    cos_m1 += 1.0 / 24.0
+    cos_m1 *= t2
+    cos_m1 -= 0.5
+    cos_m1 *= t2
     out.real, out.imag = cos_m1, sin
     out *= base
     out += base
@@ -209,49 +399,3 @@ def beam_couplings(beams: BeamformerSet, steer_ue: np.ndarray, steer_bs: np.ndar
     da/del of the arrival (departure) direction.
     """
     return beams.ue @ steer_ue, beams.bs @ steer_bs
-
-
-def signal_gradient(
-    params: PathParams,
-    gain: complex,
-    beams: BeamformerSet,
-    bs_elements_m: np.ndarray,
-    sub_elements_m: np.ndarray,
-    config: SignalConfig,
-):
-    """Mean signal and its gradient in the five path parameters.
-
-    Args:
-        params: path angles and delay.
-        gain: complex channel amplitude (known constant).
-        beams: beamformer weights for all transmissions.
-        bs_elements_m: BS panel element offsets, (N_bs, 3).
-        sub_elements_m: subarray element offsets, (N_ue, 3).
-        config: waveform parameters.
-
-    Returns:
-        (mu, dmu) with mu the noise-free pilots, shape (G, K), and dmu of
-        shape (G, K, 5) ordered as ETA_NAMES.
-    """
-    lam = config.wavelength_m
-    steer_bs = steering_stack(bs_elements_m, [params.aod_az], [params.aod_el], lam)[0]
-    steer_ue = steering_stack(sub_elements_m, [params.aoa_az], [params.aoa_el], lam)[0]
-    a_bs, da_bs_az, da_bs_el = steer_bs.T
-    a_ue, da_ue_az, da_ue_el = steer_ue.T
-
-    # Per-transmission scalar couplings, shape (G,).
-    g_bs = beams.bs @ a_bs
-    g_ue = beams.ue @ a_ue
-
-    f_k = config.subcarrier_offsets_hz()
-    tone = np.exp(-2j * np.pi * f_k * params.delay)
-    amp = np.sqrt(config.power_w) * gain
-
-    mu = amp * (g_ue * g_bs)[:, None] * tone[None, :]
-    dmu = np.empty(mu.shape + (5,), dtype=complex)
-    dmu[:, :, 0] = amp * (g_ue * (beams.bs @ da_bs_az))[:, None] * tone[None, :]
-    dmu[:, :, 1] = amp * (g_ue * (beams.bs @ da_bs_el))[:, None] * tone[None, :]
-    dmu[:, :, 2] = amp * ((beams.ue @ da_ue_az) * g_bs)[:, None] * tone[None, :]
-    dmu[:, :, 3] = amp * ((beams.ue @ da_ue_el) * g_bs)[:, None] * tone[None, :]
-    dmu[:, :, 4] = mu * (-2j * np.pi * f_k)[None, :]
-    return mu, dmu

@@ -15,9 +15,13 @@ rotation block, converted to degrees through the small-angle relation
 
 evaluate_batch is the one evaluation kernel: it runs each layer once over
 all paths of a batch of poses (visibility, angles, state Jacobians, beam
-draws and per-path FIMs, state FIMs, constrained CRBs).  The per-path
-public functions are batches of one through the same layers, and a pose's
-result does not depend on the batch it is evaluated in.
+draws and per-path FIMs, state FIMs, constrained CRBs).  The beam layer
+derives the Philox keys of all paths in one pass, then takes the paths a
+block at a time: one steering_stack call per side and panel size, and per
+path one fill of the shared, reseated generator, whose phasors and (G, 3)
+couplings go into buffers reused from path to path.  The per-path public
+functions are batches of one through the same layers, and a pose's result
+does not depend on the batch it is evaluated in.
 """
 
 from __future__ import annotations
@@ -27,10 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    BeamBuffers,
     BeamformerSet,
     SignalConfig,
     beam_couplings,
-    draw_beamformers,
+    beam_keys,
+    keyed_beams,
     path_gain,
     steering_stack,
 )
@@ -364,43 +370,69 @@ class BoundResult:
 _PATH_BLOCK = 16
 
 
-def _panel_steering(panel_of: list[int], elements, az, el, lam):
-    """Steering stack of each panel for the paths on it, and each path's
-    row in its panel's stack."""
-    stacks, rows = {}, np.empty(len(panel_of), dtype=int)
-    for panel in set(panel_of):
-        members = np.flatnonzero(np.equal(panel_of, panel))
-        stacks[panel] = steering_stack(elements[panel], az[members], el[members], lam)
+def _by_size(elements: list[np.ndarray]):
+    """Panels grouped by element count: each panel's count, the stacked
+    offsets of each count's panels, and each panel's slot in its stack."""
+    sizes = np.array([e.shape[0] for e in elements])
+    stacks, slots = {}, np.empty(len(elements), dtype=int)
+    for size in set(sizes.tolist()):
+        members = np.flatnonzero(sizes == size)
+        stacks[size] = np.stack([elements[i] for i in members])
+        slots[members] = np.arange(members.size)
+    return sizes, stacks, slots
+
+
+def _size_steering(panels: np.ndarray, grouped, az, el, lam):
+    """Steering stacks of paths on the given panels, one steering_stack
+    call per panel size; path p's is stacks[sizes[p]][rows[p]]."""
+    sizes, stacks, slots = grouped
+    sizes = sizes[panels]
+    steering, rows = {}, np.empty(panels.size, dtype=int)
+    for size in set(sizes.tolist()):
+        members = np.flatnonzero(sizes == size)
+        elements = stacks[size][slots[panels[members]]]
+        steering[size] = steering_stack(elements, az[members], el[members], lam)
         rows[members] = np.arange(members.size)
-    return stacks, rows
+    return steering, sizes.tolist(), rows.tolist()
 
 
 def _beam_fims(signal, bs_elements, subarrays, params, paths, trials, seed):
     """path_fims of the paths (owners, bs_index, sub_index), each with its
     own keyed beam draw.
 
-    Paths go _PATH_BLOCK at a time: steering stacks are built per panel for
+    The Philox keys of all paths are derived in one pass.  Paths then go
+    _PATH_BLOCK at a time: steering stacks are built per panel size for
     the block's paths, and each draw is reduced to its (G, 3) couplings
-    right away, so memory does not grow with the batch.
+    right away in buffers reused across paths, so memory does not grow
+    with the batch.
     """
     lam = signal.wavelength_m
     g = signal.num_transmissions
-    ue_elements = [s.elements for s in subarrays]
+    owners, bs_index, sub_index = paths
+    keys = beam_keys(seed, [trials[o] for o in owners.tolist()], bs_index, sub_index)
+    bs_grouped = _by_size(bs_elements)
+    ue_grouped = _by_size([s.elements for s in subarrays])
+    buffers = {}
     fims = [np.zeros((0, 5, 5))]
     for first in range(0, params.shape[0], _PATH_BLOCK):
         block = slice(first, first + _PATH_BLOCK)
-        owners, bs_index, sub_index = (index[block].tolist() for index in paths)
         angles = params[block]
-        steer_bs, row_bs = _panel_steering(bs_index, bs_elements, angles[:, 0], angles[:, 1], lam)
-        steer_ue, row_ue = _panel_steering(sub_index, ue_elements, angles[:, 2], angles[:, 3], lam)
-        ue_c = np.empty((len(owners), g, 3), dtype=complex)
-        bs_c = np.empty((len(owners), g, 3), dtype=complex)
-        for p, (owner, m, n) in enumerate(zip(owners, bs_index, sub_index)):
-            beams = draw_beamformers(
-                seed, m, n, g, ue_elements[n].shape[0], bs_elements[m].shape[0],
-                trial=trials[owner],
+        steer_bs, n_bs, row_bs = _size_steering(
+            bs_index[block], bs_grouped, angles[:, 0], angles[:, 1], lam
+        )
+        steer_ue, n_ue, row_ue = _size_steering(
+            sub_index[block], ue_grouped, angles[:, 2], angles[:, 3], lam
+        )
+        ue_c = np.empty((angles.shape[0], g, 3), dtype=complex)
+        bs_c = np.empty((angles.shape[0], g, 3), dtype=complex)
+        for p, key in enumerate(keys[block]):
+            sizes = (n_ue[p], n_bs[p])
+            if sizes not in buffers:
+                buffers[sizes] = BeamBuffers(g, *sizes)
+            beams = keyed_beams(key, buffers[sizes])
+            ue_c[p], bs_c[p] = beam_couplings(
+                beams, steer_ue[n_ue[p]][row_ue[p]], steer_bs[n_bs[p]][row_bs[p]]
             )
-            ue_c[p], bs_c[p] = beam_couplings(beams, steer_ue[n][row_ue[p]], steer_bs[m][row_bs[p]])
         fims.append(path_fims(ue_c, bs_c, path_gain(angles[:, 5], lam), signal))
     return np.concatenate(fims)
 

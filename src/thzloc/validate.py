@@ -1,8 +1,9 @@
 """Built-in consistency checks exposed through the validate command.
 
-These are runtime self-diagnostics: spot checks of the analytic Jacobians
-against the finite-difference oracles of thzloc.oracles (the ones the test
-suite uses), algebraic identities of the constraint basis, exact scaling
+These are runtime self-diagnostics: spot checks of the analytic state
+Jacobian and of the kernel's per-path FIM against the finite-difference
+oracles of thzloc.oracles (the ones the test suite uses), algebraic
+identities of the constraint basis, exact scaling
 laws, and config round-trips.  They complement the test suite and run
 against whatever scenario the user supplies.
 """
@@ -13,12 +14,13 @@ import dataclasses
 
 import numpy as np
 
-from .channel import draw_beamformers, path_gain, signal_gradient
+from .channel import draw_beamformers, path_gain
 from .coverage import PoseDistribution, coverage_ccdf, sample_pose
-from .crb import constraint_basis, evaluate_bounds, state_jacobian
+from .crb import constraint_basis, evaluate_bounds, path_fim, state_jacobian
 from .geometry import EulerAngles, Pose, Subarray, euler_to_rotation, path_params
 from .oracles import (
     constraint_jacobian_oracle,
+    fim_from_jacobian,
     pack_state,
     signal_jacobian_fd,
     state_jacobian_fd,
@@ -81,7 +83,10 @@ def check_state_jacobian(trials: int, rng) -> tuple[bool, str]:
     return worst < 1e-5, f"max relative error {worst:.2e} over {trials} geometries"
 
 
-def check_signal_gradient(config: ScenarioConfig, trials: int, rng) -> tuple[bool, str]:
+def check_path_fim(config: ScenarioConfig, trials: int, rng) -> tuple[bool, str]:
+    """The kernel's per-path FIM against 2 / sigma^2 Re(J^H J) of the
+    finite-difference signal Jacobian, each entry relative to
+    sqrt(F_ii F_jj)."""
     scn = config.realize()
     signal, bs_elements = scn.signal, scn.bs_elements[0]
     worst = 0.0
@@ -94,13 +99,17 @@ def check_signal_gradient(config: ScenarioConfig, trials: int, rng) -> tuple[boo
             int(rng.integers(1 << 31)), 0, 0, 4,
             sub.elements.shape[0], bs_elements.shape[0],
         )
-        _, dmu = signal_gradient(params, gain, beams, bs_elements, sub.elements, signal)
-        numeric = signal_jacobian_fd(
-            list(params.as_array()), gain, beams.ue, beams.bs, sub.elements, bs_elements,
-            signal.power_w, signal.wavelength_m, signal.subcarrier_offsets_hz(),
+        fim = path_fim(params, gain, beams, bs_elements, sub.elements, signal)
+        numeric = fim_from_jacobian(
+            signal_jacobian_fd(
+                list(params.as_array()), gain, beams.ue, beams.bs, sub.elements, bs_elements,
+                signal.power_w, signal.wavelength_m, signal.subcarrier_offsets_hz(),
+            ).reshape(-1, 5),
+            signal.noise_variance_w,
         )
-        worst = max(worst, _relative_error(dmu, numeric, axis=(0, 1)))
-    return worst < 1e-5, f"max relative error {worst:.2e} over {trials} configurations"
+        scale = np.sqrt(np.outer(np.diag(numeric), np.diag(numeric)))
+        worst = max(worst, float(np.max(np.abs(fim - numeric) / scale)))
+    return worst < 1e-5, f"max scaled error {worst:.2e} over {trials} configurations"
 
 
 def check_constraint_basis(trials: int, rng) -> tuple[bool, str]:
@@ -155,7 +164,7 @@ def run_validation(config: ScenarioConfig, trials: int = 50, seed: int = 0):
     """Run all checks; yields (name, passed, detail) triples."""
     rng = np.random.default_rng(seed)
     yield ("state_jacobian_fd", *check_state_jacobian(trials, rng))
-    yield ("signal_gradient_fd", *check_signal_gradient(config, max(10, trials // 5), rng))
+    yield ("path_fim_fd", *check_path_fim(config, max(10, trials // 5), rng))
     yield ("constraint_basis", *check_constraint_basis(max(100, trials), rng))
     yield ("power_scaling", *check_power_scaling(config, rng))
     yield ("config_roundtrip", *check_roundtrip(config))

@@ -5,7 +5,11 @@ the math module, deliberately avoiding the package's own vectorized code, so
 that a bug in the package cannot hide by also being present in the oracle.
 The derivative oracles live in ``thzloc.oracles``, which imports nothing
 from the package, so ``thzloc validate`` can use them too; the ones the
-test modules and the benchmark checks use are re-exported here.
+test modules and the benchmark checks use are re-exported here.  The one
+exception to the rule is ``signal_gradient``, the full (G, K, 5) signal
+derivative tensor that the kernel's separable per-path FIM replaced; it
+builds on the package's ``steering_stack`` and serves as the reference
+that the separable form is checked against.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import math
 
 import numpy as np
 
+from thzloc.channel import BeamformerSet, SignalConfig, steering_stack
+from thzloc.geometry import PathParams
 from thzloc.oracles import (  # noqa: F401  (re-exported)
     C_LIGHT,
     constraint_jacobian_oracle,
@@ -205,3 +211,52 @@ def spearman_oracle(x, y):
     if denom == 0.0:
         return 0.0
     return float(rx @ ry) / denom
+
+
+# --- the (G, K, 5) signal-gradient tensor -------------------------------------
+
+
+def signal_gradient(
+    params: PathParams,
+    gain: complex,
+    beams: BeamformerSet,
+    bs_elements_m: np.ndarray,
+    sub_elements_m: np.ndarray,
+    config: SignalConfig,
+):
+    """Mean signal and its gradient in the five path parameters.
+
+    Args:
+        params: path angles and delay.
+        gain: complex channel amplitude (known constant).
+        beams: beamformer weights for all transmissions.
+        bs_elements_m: BS panel element offsets, (N_bs, 3).
+        sub_elements_m: subarray element offsets, (N_ue, 3).
+        config: waveform parameters.
+
+    Returns:
+        (mu, dmu) with mu the noise-free pilots, shape (G, K), and dmu of
+        shape (G, K, 5) ordered as ETA_NAMES.
+    """
+    lam = config.wavelength_m
+    steer_bs = steering_stack(bs_elements_m, [params.aod_az], [params.aod_el], lam)[0]
+    steer_ue = steering_stack(sub_elements_m, [params.aoa_az], [params.aoa_el], lam)[0]
+    a_bs, da_bs_az, da_bs_el = steer_bs.T
+    a_ue, da_ue_az, da_ue_el = steer_ue.T
+
+    # Per-transmission scalar couplings, shape (G,).
+    g_bs = beams.bs @ a_bs
+    g_ue = beams.ue @ a_ue
+
+    f_k = config.subcarrier_offsets_hz()
+    tone = np.exp(-2j * np.pi * f_k * params.delay)
+    amp = np.sqrt(config.power_w) * gain
+
+    mu = amp * (g_ue * g_bs)[:, None] * tone[None, :]
+    dmu = np.empty(mu.shape + (5,), dtype=complex)
+    dmu[:, :, 0] = amp * (g_ue * (beams.bs @ da_bs_az))[:, None] * tone[None, :]
+    dmu[:, :, 1] = amp * (g_ue * (beams.bs @ da_bs_el))[:, None] * tone[None, :]
+    dmu[:, :, 2] = amp * ((beams.ue @ da_ue_az) * g_bs)[:, None] * tone[None, :]
+    dmu[:, :, 3] = amp * ((beams.ue @ da_ue_el) * g_bs)[:, None] * tone[None, :]
+    dmu[:, :, 4] = mu * (-2j * np.pi * f_k)[None, :]
+    return mu, dmu

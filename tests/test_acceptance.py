@@ -30,7 +30,7 @@ from thzloc import (
     state_fim,
     state_jacobian,
 )
-from thzloc.channel import draw_beamformers, path_gain, signal_gradient
+from thzloc.channel import draw_beamformers, path_gain
 from thzloc.cli import main as cli_main
 from thzloc.coverage import _trial_values
 from thzloc.crb import COMM_ONLY, LOCALIZABLE, NO_LOS
@@ -40,6 +40,7 @@ from oracles import (
     constraint_jacobian_oracle,
     no_los_probability_oracle,
     pack_state,
+    signal_gradient,
     signal_jacobian_fd,
     spearman_oracle,
     state_jacobian_fd,

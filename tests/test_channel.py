@@ -1,3 +1,6 @@
+import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,14 +10,21 @@ from thzloc import ETA_NAMES, PRESET_NAMES, SignalConfig, draw_beamformers, load
 from thzloc.channel import (
     _PHASORS,
     _TURN_STEPS,
+    BeamBuffers,
     _unit_phasors,
+    beam_keys,
+    keyed_beams,
     path_gain,
-    signal_gradient,
     steering_stack,
 )
 from thzloc.geometry import PathParams, element_grid
 
-from oracles import beamformers_exp_oracle, mean_signal_oracle, signal_jacobian_fd
+from oracles import (
+    beamformers_exp_oracle,
+    mean_signal_oracle,
+    signal_gradient,
+    signal_jacobian_fd,
+)
 
 WIDE = Path(__file__).resolve().parents[1] / "perfbench" / "planar-2bs-wide.yaml"
 EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(float).nmant
@@ -90,6 +100,14 @@ def test_beamformer_streams_are_keyed_per_path_and_trial():
     assert not np.array_equal(b00.ue, t1.ue)
 
 
+def _phasors(turns):
+    """_unit_phasors of a copy of turns, with fresh scratch."""
+    turns = np.array(turns, dtype=float)
+    shape = turns.shape
+    scratch = np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape, dtype=complex)
+    return _unit_phasors(turns, *scratch, np.empty(shape, dtype=complex))
+
+
 def _extended_phasors(turns):
     angle = 2 * np.arccos(np.longdouble(-1)) * np.asarray(turns, dtype=np.longdouble)
     return np.cos(angle), np.sin(angle)
@@ -100,7 +118,7 @@ def test_unit_phasors_match_extended_precision_reference():
     ends = np.arange(1, _TURN_STEPS) / _TURN_STEPS
     edges = [0.0, 1.0 - 2.0**-53, *np.nextafter(ends, 0.0), *ends, *np.nextafter(ends, 1.0)]
     turns = np.concatenate([np.random.default_rng(5).random(10**5), edges])
-    got = _unit_phasors(turns)
+    got = _phasors(turns)
     cos, sin = _extended_phasors(turns)
     error = np.hypot(got.real - cos, got.imag - sin)
     assert float(error.max()) <= 2.5e-16
@@ -116,8 +134,125 @@ def test_unit_phasors_match_extended_precision_reference():
 
 def test_unit_phasors_keep_shape_and_whole_turns():
     turns = np.array([[0.0, 0.25], [0.5, 0.75]])
-    np.testing.assert_array_equal(_unit_phasors(turns), [[1, 1j], [-1, -1j]])
-    assert _unit_phasors(np.zeros((3, 0))).shape == (3, 0)
+    np.testing.assert_array_equal(_phasors(turns), [[1, 1j], [-1, -1j]])
+    assert _phasors(np.zeros((3, 0))).shape == (3, 0)
+
+
+def test_one_wide_draw_peaks_under_a_mebibyte():
+    # 50 transmissions on an 8x8 subarray and a 16x16 panel: the uniforms,
+    # the phasors and their temporaries stay under 1 MiB at their peak.
+    draw_beamformers(1, 0, 0, 50, 64, 256)
+    tracemalloc.start()
+    try:
+        draw_beamformers(2, 1, 3, 50, 64, 256, trial=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _seed_sequence_key(seed, trial, m, n):
+    return np.random.SeedSequence(seed, spawn_key=(trial, m, n)).generate_state(2, np.uint64)
+
+
+def test_beam_keys_mirror_seed_sequence():
+    # 5,000 random keys: five random seeds of up to two words, 1,000 paths
+    # each, every spawn entry below 2^32.
+    rng = np.random.default_rng(17)
+    for seed in rng.integers(0, 2**63, 5).tolist():
+        trials, bs_index = rng.integers(0, 2**32, (2, 1000))
+        sub_index = rng.integers(0, 64, 1000)
+        want = [_seed_sequence_key(seed, *entries) for entries in zip(trials, bs_index, sub_index)]
+        np.testing.assert_array_equal(beam_keys(seed, trials, bs_index, sub_index), want)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**128 + 1])
+def test_beam_keys_take_seeds_of_any_size(seed):
+    spawn = [(0, 0, 0), (5, 1, 2), (2**32 - 1, 3, 7)]
+    keys = beam_keys(seed, *zip(*spawn))
+    np.testing.assert_array_equal(keys, [_seed_sequence_key(seed, *entries) for entries in spawn])
+
+
+def _fresh_draw(seed, trial, m, n, g, n_ue, n_bs):
+    key = np.random.SeedSequence(seed, spawn_key=(trial, m, n))
+    rng = np.random.Generator(np.random.Philox(key))
+    phasors = _phasors(rng.random(size=(g, n_ue + n_bs)))
+    return phasors[:, :n_ue] / np.sqrt(n_ue), phasors[:, n_ue:]
+
+
+def test_trial_boundary_between_the_mixing_and_seed_sequence(monkeypatch):
+    made = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        made.append(kwargs.get("spawn_key"))
+        return seed_sequence(*args, **kwargs)
+
+    for trial, fallbacks in ((2**32 - 1, []), (2**32, [(2**32, 1, 2)])):
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        beams = draw_beamformers(9, 1, 2, 6, 4, 16, trial=trial)
+        monkeypatch.setattr(np.random, "SeedSequence", seed_sequence)
+        assert made == fallbacks
+        made.clear()
+        ue, bs = _fresh_draw(9, trial, 1, 2, 6, 4, 16)
+        np.testing.assert_array_equal(beams.ue, ue)
+        np.testing.assert_array_equal(beams.bs, bs)
+    # One batch mixes both routes, row by row.
+    spawn = [(2**32 - 1, 1, 2), (2**32, 1, 2), (3, 0, 0), (2**70, 2, 1)]
+    want = [_seed_sequence_key(9, *entries) for entries in spawn]
+    np.testing.assert_array_equal(beam_keys(9, *zip(*spawn)), want)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [dict(seed=-1), dict(trial=-1), dict(bs_index=-1), dict(trial=-(2**70))]
+)
+def test_negative_key_entries_raise(kwargs):
+    args = dict(seed=1, bs_index=0, subarray_index=0, num_transmissions=2, n_ue=1, n_bs=1)
+    with pytest.raises(ValueError):
+        draw_beamformers(**{**args, **kwargs})
+
+
+def test_shared_generator_carries_no_state_between_fills():
+    keys = beam_keys(4, [0, 1], [0, 0], [0, 0])
+    buffers = BeamBuffers(5, 4, 8)
+    for _ in range(3):
+        for key in keys:
+            beams = keyed_beams(key, buffers)
+            fresh = np.random.Generator(np.random.Philox(key=key)).random(size=(5, 12))
+            phasors = _phasors(fresh)
+            np.testing.assert_array_equal(beams.ue, phasors[:, :4] / 2.0)
+            np.testing.assert_array_equal(beams.bs, phasors[:, 4:])
+
+
+def test_threads_sharing_the_generator_get_their_own_streams():
+    # Reseat and fill happen under one lock, so a thread never fills from
+    # a key another thread just set.
+    keys = beam_keys(6, list(range(8)), [0] * 8, [0] * 8)
+    fresh = [
+        _phasors(np.random.Generator(np.random.Philox(key=key)).random(size=(4, 10)))
+        for key in keys
+    ]
+    mismatches = []
+
+    def work(which):
+        buffers = BeamBuffers(4, 2, 8)
+        for _ in range(300):
+            keyed_beams(keys[which], buffers)
+            if not np.array_equal(buffers.phasors, fresh[which]):
+                mismatches.append(which)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(which,)) for which in range(len(keys))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
 
 
 def _panel_sizes():

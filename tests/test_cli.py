@@ -1,13 +1,17 @@
 import json
 
+import numpy as np
 import pytest
 
+from thzloc import crb, preset
 from thzloc.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_NOT_LOCALIZABLE,
     EXIT_OK,
+    EXIT_VALIDATION_FAILED,
     main,
 )
+from thzloc.validate import run_validation
 
 
 def run(capsys, *argv):
@@ -178,6 +182,25 @@ def test_validate_command(capsys):
     assert code == EXIT_OK
     lines = [line for line in out.strip().split("\n") if line]
     assert lines and all(line.startswith("PASS") for line in lines)
+
+
+def test_validate_fails_when_the_path_fim_loses_its_delay_scale(capsys, monkeypatch):
+    # Dropping 2 pi from the delay factor of the per-path FIM changes every
+    # bound; the path_fim_fd line must see it and the command exit 1.
+    def tone_gram_without_two_pi(config):
+        f_k = config.subcarrier_offsets_hz()
+        tones = np.ones((f_k.size, 5), dtype=complex)
+        tones[:, 4] = -1j * f_k
+        return tones.conj().T @ tones
+
+    monkeypatch.setattr(crb, "_tone_gram", tone_gram_without_two_pi)
+    checks = run_validation(preset("cuboidal-2bs"), trials=5)
+    verdicts = {name: passed for name, passed, _ in checks}
+    assert verdicts.pop("path_fim_fd") is False
+    assert all(verdicts.values())
+    code, out, _ = run(capsys, "validate", "--preset", "cuboidal-2bs", "--trials", "5")
+    assert code == EXIT_VALIDATION_FAILED
+    assert "FAIL path_fim_fd" in out
 
 
 def test_config_and_preset_are_mutually_exclusive(capsys):

@@ -8,6 +8,7 @@ the separable per-path FIM agrees with the full (G, K, 5) signal-gradient
 tensor that it replaces.
 """
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -38,8 +39,10 @@ from thzloc import (
     state_jacobian,
     visible_paths,
 )
-from thzloc.channel import draw_beamformers, path_gain, signal_gradient
+from thzloc.channel import draw_beamformers, path_gain
 from thzloc.crb import classify_localizability
+
+from oracles import signal_gradient
 
 WIDE = Path(__file__).resolve().parents[1] / "perfbench" / "planar-2bs-wide.yaml"
 SCENARIOS = {name: preset(name) for name in PRESET_NAMES}
@@ -129,6 +132,33 @@ def test_results_do_not_depend_on_the_batch(name):
         assert [pieces[t] for t in trials] == whole, f"batches of {size}"
     composed = [_composed(scn, pose, seed, t) for t, pose in zip(trials, poses)]
     assert composed == whole
+
+
+def _resized(panels, shapes):
+    return tuple(
+        dataclasses.replace(item, panel=dataclasses.replace(item.panel, rows=rows, cols=cols))
+        for item, (rows, cols) in zip(panels, shapes)
+    )
+
+
+def test_mixed_panel_sizes_match_the_per_path_composition():
+    # The kernel steers each block's paths once per panel size.  Here the
+    # BS panels have three sizes, two of them equal in count but not in
+    # shape (4x4 and 2x8), and the subarrays two sizes.
+    config = preset("cuboidal-4bs")
+    config = dataclasses.replace(
+        config,
+        bs=_resized(config.bs, [(4, 4), (8, 8), (2, 8), (6, 6)]),
+        subarrays=_resized(config.subarrays, [(4, 4), (2, 2), (4, 4), (2, 4), (2, 2), (4, 4)]),
+    )
+    scn = config.realize()
+    assert [e.shape[0] for e in scn.bs_elements] == [16, 64, 16, 36]
+    seed, count = 13, 40
+    poses = _poses(scn, count, seed)
+    trials = list(range(count))
+    whole = _batch(scn, poses, trials, seed)
+    assert sum(result.localizable for result in whole) > count // 2
+    assert [_composed(scn, pose, seed, t) for t, pose in zip(trials, poses)] == whole
 
 
 @pytest.mark.parametrize(
