@@ -27,7 +27,6 @@ from .crb import (
     constraint_basis,
     error_bounds,
     evaluate_batch,
-    evaluate_bounds,
     path_fim,
     state_fim,
     state_jacobian,
@@ -80,7 +79,6 @@ __all__ = [
     "error_bounds",
     "euler_to_rotation",
     "evaluate_batch",
-    "evaluate_bounds",
     "evaluate_pose",
     "load_config",
     "orientation_field",

@@ -13,7 +13,7 @@ k = 1..K, so the grid never contains the carrier itself for even K.
 The beams of a path come from the Philox stream keyed by
 SeedSequence(seed, spawn_key=(trial, bs, subarray)).  beam_keys derives
 those keys for many paths at once by NumPy's SeedSequence mixing in uint32
-arithmetic, with the pool after the seed's words cached per seed; a path
+arithmetic from the pool of SeedSequence(seed), cached per seed; a path
 with a spawn entry of 2^32 or more, which SeedSequence splits into several
 words, goes through SeedSequence itself.  keyed_beams reseats one shared
 Philox with a key and turns its uniforms into phase-shifter weights in
@@ -152,11 +152,6 @@ _MASK32 = 0xFFFFFFFF
 _SPAWN_WORDS = 3
 
 
-def _mix(x: int, y: int) -> int:
-    x = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return x ^ (x >> 16)
-
-
 def _hash_chain(start: int, mult: int, count: int) -> list[int]:
     """The first count + 1 values of a SeedSequence hash constant."""
     chain = [start]
@@ -170,36 +165,18 @@ def _seed_prefix(seed: int):
     """SeedSequence state of seed once its own words are mixed in.
 
     Returns the (4, 1) pool and the (xor, multiplier) hash constants, each
-    (3, 4, 1), that the three spawn words meet: mixing goes through the
-    words in order, and the hash constant advances once per hash whatever
-    the words are.
+    (3, 4, 1), that the three spawn words meet.  The pool is that of
+    SeedSequence(seed): its words, zero-padded to the pool size, mix alike
+    with or without a spawn key.  The hash constant advances once per hash
+    whatever the words are: 16 hashes for the pool, 4 for each seed word
+    beyond the fourth.
     """
-    words = []
-    while seed:
-        words.append(seed & _MASK32)
-        seed >>= 32
-    # A seed fills at least the pool, zero-padded, before the spawn words.
-    words += [0] * (_POOL_SIZE - len(words))
-    hash_const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ (value >> 16)
-
-    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    chain = np.array(_hash_chain(hash_const, _MULT_A, _SPAWN_WORDS * _POOL_SIZE), dtype=np.uint32)
+    words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
+    hashes = _POOL_SIZE * words
+    chain = _hash_chain(_INIT_A, _MULT_A, hashes + _SPAWN_WORDS * _POOL_SIZE)[hashes:]
+    chain = np.array(chain, dtype=np.uint32)
     shape = (_SPAWN_WORDS, _POOL_SIZE, 1)
-    pool = np.array(pool, dtype=np.uint32)[:, None]
+    pool = np.random.SeedSequence(seed).pool[:, None]
     prefix = pool, chain[:-1].reshape(shape), chain[1:].reshape(shape)
     for array in prefix:  # shared by every caller through the cache
         array.flags.writeable = False

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crb import BoundResult, evaluate_batch, evaluate_bounds
+from .crb import BoundResult, evaluate_batch
 from .errors import ConfigError
 from .geometry import EulerAngles, Pose, euler_to_rotation
 from .scenario import Scenario, ScenarioConfig
@@ -70,17 +70,7 @@ def evaluate_pose(
     config: ScenarioConfig, pose: Pose, seed: int | None = None, trial: int = 0
 ) -> BoundResult:
     """Bounds for one explicit UE pose under a scenario."""
-    scn = _realized(config)
-    return evaluate_bounds(
-        scn.bs_poses,
-        scn.bs_elements,
-        scn.subarrays,
-        scn.signal,
-        pose,
-        clock_bias_s=scn.clock_bias_s,
-        seed=scn.seed if seed is None else seed,
-        trial=trial,
-    )
+    return evaluate_batch(_realized(config), [pose], [trial], seed)[0]
 
 
 @dataclass(frozen=True)
@@ -109,16 +99,7 @@ def _evaluate_range(config: ScenarioConfig, poses_of, seed: int, start: int, sto
     results = []
     for first in range(start, stop, _POSE_CHUNK):
         trials = range(first, min(first + _POSE_CHUNK, stop))
-        results += evaluate_batch(
-            scn.bs_poses,
-            scn.bs_elements,
-            scn.subarrays,
-            scn.signal,
-            [poses_of(t) for t in trials],
-            trials,
-            clock_bias_s=scn.clock_bias_s,
-            seed=seed,
-        )
+        results += evaluate_batch(scn, [poses_of(t) for t in trials], trials, seed)
     return results
 
 

@@ -13,9 +13,11 @@ PEB is the root-trace of the position block; OEB is the root-trace of the
 rotation block, converted to degrees through the small-angle relation
 |dR|_F = sqrt(2) * angle.
 
-evaluate_batch is the one evaluation kernel: it runs each layer once over
-all paths of a batch of poses (visibility, angles, state Jacobians, beam
-draws and per-path FIMs, state FIMs, constrained CRBs).  The beam layer
+evaluate_batch(scenario, ue_poses, trials, seed=None) is the one way into
+the evaluation kernel: it takes a realized Scenario whole and runs each
+layer once over all paths of a batch of poses (visibility, angles, state
+Jacobians, beam draws and per-path FIMs, state FIMs, constrained CRBs).
+A single pose is a batch of one (coverage.evaluate_pose).  The beam layer
 derives the Philox keys of all paths in one pass, then takes the paths a
 block at a time: one steering_stack call per side and panel size, and per
 path one fill of the shared, reseated generator, whose phasors and (G, 3)
@@ -26,6 +28,7 @@ does not depend on the batch it is evaluated in.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +56,7 @@ from .geometry import (
     stack_poses,
     visibility,
 )
+from .scenario import Scenario
 
 STATE_DIM = 13
 CONSTRAINED_DIM = 7
@@ -396,7 +400,7 @@ def _size_steering(panels: np.ndarray, grouped, az, el, lam):
     return steering, sizes.tolist(), rows.tolist()
 
 
-def _beam_fims(signal, bs_elements, subarrays, params, paths, trials, seed):
+def _beam_fims(scenario: Scenario, params, paths, trials, seed):
     """path_fims of the paths (owners, bs_index, sub_index), each with its
     own keyed beam draw.
 
@@ -406,12 +410,13 @@ def _beam_fims(signal, bs_elements, subarrays, params, paths, trials, seed):
     right away in buffers reused across paths, so memory does not grow
     with the batch.
     """
+    signal = scenario.signal
     lam = signal.wavelength_m
     g = signal.num_transmissions
     owners, bs_index, sub_index = paths
     keys = beam_keys(seed, [trials[o] for o in owners.tolist()], bs_index, sub_index)
-    bs_grouped = _by_size(bs_elements)
-    ue_grouped = _by_size([s.elements for s in subarrays])
+    bs_grouped = _by_size(scenario.bs_elements)
+    ue_grouped = _by_size([s.elements for s in scenario.subarrays])
     buffers = {}
     fims = [np.zeros((0, 5, 5))]
     for first in range(0, params.shape[0], _PATH_BLOCK):
@@ -438,27 +443,25 @@ def _beam_fims(signal, bs_elements, subarrays, params, paths, trials, seed):
 
 
 def evaluate_batch(
-    bs_poses: list[Pose],
-    bs_elements: list[np.ndarray],
-    subarrays: list[Subarray],
-    signal: SignalConfig,
-    ue_poses: list[Pose],
-    trials: list[int],
-    clock_bias_s: float = 0.0,
-    seed: int = 0,
+    scenario: Scenario, ue_poses: list[Pose], trials: list[int], seed: int | None = None
 ) -> list[BoundResult]:
-    """Bounds for a batch of UE poses against a set of BSs.
+    """Bounds for a batch of UE poses under a realized scenario.
 
-    Pose i draws its beamformers per (seed, trials[i], bs, subarray), so
-    results are reproducible and nested BS sets share their common paths'
-    draws.  Each pose's result is the same bits as evaluate_bounds of that
-    pose alone.  Memory grows with the number of paths in the batch, so
-    callers with many poses feed them in chunks.
+    Pose i draws its beamformers per (seed, trials[i], bs, subarray), with
+    seed the scenario's unless given, so results are reproducible and
+    nested BS sets share their common paths' draws.  A pose's result is the
+    same bits in any batch, a batch of one included.  Memory grows with
+    the number of paths in the batch, so callers with many poses feed them
+    in chunks.
+
+    Raises:
+        TypeError: for a trial that is not an integer.
     """
-    trials = [int(t) for t in trials]
+    trials = [operator.index(t) for t in trials]
+    seed = scenario.seed if seed is None else seed
     ue = stack_poses(ue_poses)
-    bs = stack_poses(bs_poses)
-    mounts = stack_mounts(subarrays)
+    bs = stack_poses(scenario.bs_poses)
+    mounts = stack_mounts(scenario.subarrays)
     count = ue[0].shape[0]
     mask = visibility(bs, ue, mounts)
     owners, bs_index, sub_index = np.nonzero(mask)  # visible_paths order per pose
@@ -467,7 +470,7 @@ def evaluate_batch(
         (ue[0][owners], ue[1][owners]),
         (mounts[0][sub_index], mounts[1][sub_index]),
     )
-    params = path_angles(geo, clock_bias_s)
+    params = path_angles(geo, scenario.clock_bias_s)
     jacobians, departure, arrival = state_jacobians(geo)
 
     # A path at the arcsin branch point has no Jacobian, so its pose gets
@@ -476,8 +479,7 @@ def evaluate_batch(
     solvable[owners[departure | arrival]] = False
     live = solvable[owners]
     fims = _beam_fims(
-        signal, bs_elements, subarrays, params[live],
-        (owners[live], bs_index[live], sub_index[live]), trials, seed,
+        scenario, params[live], (owners[live], bs_index[live], sub_index[live]), trials, seed
     )
     fim = state_fims(fims, jacobians[live], owners[live], count)
 
@@ -511,25 +513,3 @@ def evaluate_batch(
         )
         for i in range(count)
     ]
-
-
-def evaluate_bounds(
-    bs_poses: list[Pose],
-    bs_elements_m: list[np.ndarray],
-    subarrays: list[Subarray],
-    signal: SignalConfig,
-    ue_pose: Pose,
-    clock_bias_s: float = 0.0,
-    seed: int = 0,
-    trial: int = 0,
-) -> BoundResult:
-    """Bound computation for one UE pose against a set of BSs.
-
-    A batch of one through evaluate_batch: beamformers are drawn per
-    (seed, trial, bs, subarray), so results are reproducible and nested BS
-    sets share their common paths' draws.
-    """
-    return evaluate_batch(
-        bs_poses, bs_elements_m, subarrays, signal, [ue_pose], [trial],
-        clock_bias_s=clock_bias_s, seed=seed,
-    )[0]

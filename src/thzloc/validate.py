@@ -15,8 +15,8 @@ import dataclasses
 import numpy as np
 
 from .channel import draw_beamformers, path_gain
-from .coverage import PoseDistribution, coverage_ccdf, sample_pose
-from .crb import constraint_basis, evaluate_bounds, path_fim, state_jacobian
+from .coverage import PoseDistribution, coverage_ccdf, evaluate_pose, sample_pose
+from .crb import constraint_basis, path_fim, state_jacobian
 from .geometry import EulerAngles, Pose, Subarray, euler_to_rotation, path_params
 from .oracles import (
     constraint_jacobian_oracle,
@@ -125,23 +125,16 @@ def check_constraint_basis(trials: int, rng) -> tuple[bool, str]:
 
 
 def check_power_scaling(config: ScenarioConfig, rng) -> tuple[bool, str]:
-    scn = config.realize()
     louder = dataclasses.replace(
         config.signal, power_dbm=config.signal.power_dbm + 10.0 * np.log10(4.0)
     )
-    boosted = dataclasses.replace(config, signal=louder).realize()
+    boosted = dataclasses.replace(config, signal=louder)
     for trial in range(200):
         pose = sample_pose(PoseDistribution(), config.seed, trial)
-        base = evaluate_bounds(
-            scn.bs_poses, scn.bs_elements, scn.subarrays, scn.signal, pose,
-            clock_bias_s=scn.clock_bias_s, seed=scn.seed, trial=trial,
-        )
+        base = evaluate_pose(config, pose, trial=trial)
         if not base.localizable:
             continue
-        ref = evaluate_bounds(
-            boosted.bs_poses, boosted.bs_elements, boosted.subarrays, boosted.signal,
-            pose, clock_bias_s=boosted.clock_bias_s, seed=boosted.seed, trial=trial,
-        )
+        ref = evaluate_pose(boosted, pose, trial=trial)
         ratio = ref.peb_m / base.peb_m
         ok = abs(ratio - 0.5) < 1e-9
         return ok, f"PEB ratio under 4x power: {ratio:.12f}"

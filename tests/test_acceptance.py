@@ -21,7 +21,7 @@ from thzloc import (
     constraint_basis,
     constrained_crb,
     euler_to_rotation,
-    evaluate_bounds,
+    evaluate_batch,
     orientation_field,
     path_fim,
     position_field,
@@ -165,9 +165,8 @@ def _bounds_for(config_name, pose, power_shift_db=0.0, transform=None):
         rot, shift = transform
         bs_poses = [Pose(rot @ p.position + shift, rot @ p.rotation) for p in bs_poses]
         pose = Pose(rot @ pose.position + shift, rot @ pose.rotation)
-    return evaluate_bounds(
-        bs_poses, scn.bs_elements, scn.subarrays, signal, pose, seed=scn.seed
-    )
+    scn = dataclasses.replace(scn, bs_poses=bs_poses, signal=signal)
+    return evaluate_batch(scn, [pose], [0])[0]
 
 
 def test_criterion_04_exact_scalings():

@@ -1,0 +1,68 @@
+"""Every thzloc name the benchmark under perfbench/ uses still exists.
+
+The benchmark runs unchanged on successive versions of the package, so a
+name it imports cannot be removed without a change to the benchmark.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _dotted(node) -> str | None:
+    # "a.b.c" for an attribute chain on a plain name, else None.
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id] + parts[::-1])
+
+
+def _thzloc_names(source: str) -> set[str]:
+    """Dotted names the source imports from thzloc or reads off the
+    thzloc package: `from thzloc.crb import x` gives thzloc.crb.x,
+    `import thzloc.cli` thzloc.cli, and `thzloc.load_config(...)` after
+    `import thzloc` gives thzloc.load_config."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            if module.split(".")[0] == "thzloc":
+                names.update(f"{module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names if a.name.split(".")[0] == "thzloc")
+        elif isinstance(node, ast.Attribute):
+            dotted = _dotted(node)
+            if dotted and dotted.split(".")[0] == "thzloc":
+                names.add(dotted)
+    return names
+
+
+def _resolves(dotted: str) -> bool:
+    # The longest importable module prefix, then attributes for the rest.
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+def test_benchmark_imports_resolve():
+    used = {}
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for name in _thzloc_names(path.read_text(encoding="utf-8")):
+            used.setdefault(name, path.name)
+    assert "thzloc.evaluate_pose" in used, "no thzloc names found; is the path right?"
+    missing = sorted(f"{name} ({where})" for name, where in used.items() if not _resolves(name))
+    assert not missing, missing

@@ -166,7 +166,7 @@ def test_beam_keys_mirror_seed_sequence():
         np.testing.assert_array_equal(beam_keys(seed, trials, bs_index, sub_index), want)
 
 
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**128 + 1])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**128 + 1, 2**200 + 12345])
 def test_beam_keys_take_seeds_of_any_size(seed):
     spawn = [(0, 0, 0), (5, 1, 2), (2**32 - 1, 3, 7)]
     keys = beam_keys(seed, *zip(*spawn))
@@ -185,7 +185,10 @@ def test_trial_boundary_between_the_mixing_and_seed_sequence(monkeypatch):
     seed_sequence = np.random.SeedSequence
 
     def counting(*args, **kwargs):
-        made.append(kwargs.get("spawn_key"))
+        # A seed's first use also builds a plain SeedSequence(seed) for its
+        # pool; only constructions with a spawn key take a path's key.
+        if "spawn_key" in kwargs:
+            made.append(kwargs["spawn_key"])
         return seed_sequence(*args, **kwargs)
 
     for trial, fallbacks in ((2**32 - 1, []), (2**32, [(2**32, 1, 2)])):

@@ -12,7 +12,8 @@ from thzloc import (
     constraint_basis,
     error_bounds,
     euler_to_rotation,
-    evaluate_bounds,
+    evaluate_batch,
+    evaluate_pose,
     path_fim,
     preset,
     state_fim,
@@ -248,12 +249,10 @@ def test_classification_labels():
     assert classify_localizability(3, False) == COMM_ONLY
 
 
-def test_evaluate_bounds_end_to_end():
+def test_evaluate_batch_end_to_end():
     scn = preset("cuboidal-2bs").realize()
     pose = Pose(np.array([1.0, 2.0, 0.0]), euler_to_rotation(EulerAngles(0, -90, 45)))
-    result = evaluate_bounds(
-        scn.bs_poses, scn.bs_elements, scn.subarrays, scn.signal, pose, seed=scn.seed
-    )
+    result = evaluate_batch(scn, [pose], [0])[0]
     assert result.classification == LOCALIZABLE
     assert result.num_visible_bs == 2
     assert np.isfinite(result.peb_m) and result.peb_m > 0
@@ -265,9 +264,6 @@ def test_adding_a_base_station_never_hurts():
     pose = Pose(np.array([3.0, -4.0, 1.0]), euler_to_rotation(EulerAngles(20, 10, 75)))
     results = {}
     for name in ("cuboidal-2bs", "cuboidal-3bs", "cuboidal-4bs"):
-        scn = preset(name).realize()
-        results[name] = evaluate_bounds(
-            scn.bs_poses, scn.bs_elements, scn.subarrays, scn.signal, pose, seed=scn.seed
-        )
+        results[name] = evaluate_pose(preset(name), pose)
     assert results["cuboidal-3bs"].peb_m <= results["cuboidal-2bs"].peb_m + 1e-12
     assert results["cuboidal-4bs"].peb_m <= results["cuboidal-3bs"].peb_m + 1e-12

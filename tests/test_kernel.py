@@ -1,11 +1,13 @@
 """The batched evaluation kernel against its per-path layers and a reference.
 
-evaluate_batch runs every layer once over all paths of a batch of poses;
-the per-path public functions are batches of one through the same layers.
-These tests pin two things: a pose's result does not depend on the batch
-it is evaluated in (bit for bit, against the per-path composition too), and
-the separable per-path FIM agrees with the full (G, K, 5) signal-gradient
-tensor that it replaces.
+evaluate_batch(scenario, ue_poses, trials, seed=None) is the one way into
+the kernel: it takes a realized Scenario and runs every layer once over all
+paths of a batch of poses.  evaluate_pose and the per-path public functions
+are batches of one through the same layers.  These tests pin three things:
+a pose's result does not depend on the batch it is evaluated in (bit for
+bit, against the per-path composition too), the entry's seed and trial
+arguments, and the separable per-path FIM's agreement with the full
+(G, K, 5) signal-gradient tensor that it replaces.
 """
 
 import dataclasses
@@ -28,6 +30,7 @@ from thzloc import (
     error_bounds,
     euler_to_rotation,
     evaluate_batch,
+    evaluate_pose,
     load_config,
     orientation_field,
     path_fim,
@@ -62,13 +65,6 @@ def _branch_point_pose(scn):
 def _poses(scn, count, seed):
     poses = [sample_pose(PoseDistribution(), seed, t) for t in range(count - 1)]
     return poses + [_branch_point_pose(scn)]
-
-
-def _batch(scn, poses, trials, seed):
-    return evaluate_batch(
-        scn.bs_poses, scn.bs_elements, scn.subarrays, scn.signal, poses, trials,
-        clock_bias_s=scn.clock_bias_s, seed=seed,
-    )
 
 
 def _composed(scn, pose, seed, trial):
@@ -119,7 +115,7 @@ def test_results_do_not_depend_on_the_batch(name):
     seed, count = 11, 24
     poses = _poses(scn, count, seed)
     trials = list(range(count))
-    whole = _batch(scn, poses, trials, seed)
+    whole = evaluate_batch(scn, poses, trials, seed)
     assert not whole[-1].localizable and math.isinf(whole[-1].peb_m)
     assert whole[-1].num_paths == len(whole[-1].paths) > 0
     for size in (1, 7):
@@ -127,11 +123,30 @@ def test_results_do_not_depend_on_the_batch(name):
         backwards = trials[::-1]
         for start in range(0, count, size):
             part = backwards[start : start + size]
-            for t, result in zip(part, _batch(scn, [poses[t] for t in part], part, seed)):
+            for t, result in zip(part, evaluate_batch(scn, [poses[t] for t in part], part, seed)):
                 pieces[t] = result
         assert [pieces[t] for t in trials] == whole, f"batches of {size}"
     composed = [_composed(scn, pose, seed, t) for t, pose in zip(trials, poses)]
     assert composed == whole
+
+
+def test_seed_defaults_to_the_scenario_seed():
+    config = preset("cuboidal-3bs")
+    scn = config.realize()
+    pose, trial = sample_pose(PoseDistribution(), 5, 0), 4
+    result = evaluate_batch(scn, [pose], [trial])[0]
+    assert result.localizable
+    assert result == evaluate_pose(config, pose, trial=trial)
+    assert result == evaluate_batch(scn, [pose], [trial], scn.seed)[0]
+    assert scn.seed != 0 and result != evaluate_batch(scn, [pose], [trial], 0)[0]
+
+
+def test_trials_must_be_integers():
+    config = preset("cuboidal-3bs")
+    pose = sample_pose(PoseDistribution(), 5, 0)
+    with pytest.raises(TypeError):
+        evaluate_pose(config, pose, trial=1.5)
+    assert evaluate_pose(config, pose, trial=np.int64(3)) == evaluate_pose(config, pose, trial=3)
 
 
 def _resized(panels, shapes):
@@ -156,7 +171,7 @@ def test_mixed_panel_sizes_match_the_per_path_composition():
     seed, count = 13, 40
     poses = _poses(scn, count, seed)
     trials = list(range(count))
-    whole = _batch(scn, poses, trials, seed)
+    whole = evaluate_batch(scn, poses, trials, seed)
     assert sum(result.localizable for result in whole) > count // 2
     assert [_composed(scn, pose, seed, t) for t, pose in zip(trials, poses)] == whole
 
@@ -227,7 +242,7 @@ def test_kernel_matches_tensor_reference(name):
     scn = SCENARIOS[name].realize()
     seed = 29
     poses = [sample_pose(PoseDistribution(), seed, t) for t in range(REFERENCE_POSES)]
-    results = _batch(scn, poses, list(range(REFERENCE_POSES)), seed)
+    results = evaluate_batch(scn, poses, list(range(REFERENCE_POSES)), seed)
     fim_errors, worst = [], 0.0
     for trial, (pose, result) in enumerate(zip(poses, results)):
         label, peb, oeb, condition = _reference(scn, pose, seed, trial, fim_errors)
