@@ -18,12 +18,13 @@ with a spawn entry of 2^32 or more, which SeedSequence splits into several
 words, goes through SeedSequence itself.  keyed_beams reseats one shared
 Philox with a key and turns its uniforms into phase-shifter weights in
 BeamBuffers that many draws reuse, so no generator and no array is built
-per path.
+per path; thread_buffers keeps one set per shape for each thread.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import threading
 from dataclasses import dataclass
@@ -146,7 +147,7 @@ def draw_beamformers(
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
 # Spawn key words per path: (trial, bs, subarray).
 _SPAWN_WORDS = 3
@@ -164,8 +165,8 @@ def _hash_chain(start: int, mult: int, count: int) -> list[int]:
 def _seed_prefix(seed: int):
     """SeedSequence state of seed once its own words are mixed in.
 
-    Returns the (4, 1) pool and the (xor, multiplier) hash constants, each
-    (3, 4, 1), that the three spawn words meet.  The pool is that of
+    Returns the (1, 4) pool and the (xor, multiplier) hash constants, each
+    (3, 1, 4), that the three spawn words meet.  The pool is that of
     SeedSequence(seed): its words, zero-padded to the pool size, mix alike
     with or without a spawn key.  The hash constant advances once per hash
     whatever the words are: 16 hashes for the pool, 4 for each seed word
@@ -175,8 +176,8 @@ def _seed_prefix(seed: int):
     hashes = _POOL_SIZE * words
     chain = _hash_chain(_INIT_A, _MULT_A, hashes + _SPAWN_WORDS * _POOL_SIZE)[hashes:]
     chain = np.array(chain, dtype=np.uint32)
-    shape = (_SPAWN_WORDS, _POOL_SIZE, 1)
-    pool = np.random.SeedSequence(seed).pool[:, None]
+    shape = (_SPAWN_WORDS, 1, _POOL_SIZE)
+    pool = np.random.SeedSequence(seed).pool[None]
     prefix = pool, chain[:-1].reshape(shape), chain[1:].reshape(shape)
     for array in prefix:  # shared by every caller through the cache
         array.flags.writeable = False
@@ -184,17 +185,34 @@ def _seed_prefix(seed: int):
 
 
 # generate_state's hash constants for the four words of a Philox key.
-_STATE_CHAIN = np.array(_hash_chain(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint32)[:, None]
+_STATE_CHAIN = np.array(_hash_chain(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint32)
 _SPAWN_LIMIT = 1 << 32
 
 
-def _spawn_entries(values) -> np.ndarray:
-    """Spawn key entries as an integer array; as Python ints in an object
-    array when one does not fit in 64 bits."""
-    entries = np.asarray(values)
+def _spawn_entries(trials, bs_index, sub_index) -> np.ndarray:
+    """(3, P) spawn key entries as an integer array; as Python ints in an
+    object array when one does not fit in 64 bits."""
+    entries = np.array((trials, bs_index, sub_index))
     if entries.dtype.kind in "iu":
         return entries
-    return np.array([operator.index(v) for v in values], dtype=object)
+    rows = (trials, bs_index, sub_index)
+    return np.array([[operator.index(v) for v in row] for row in rows], dtype=object)
+
+
+def _mixed_keys(seed: int, words: np.ndarray) -> np.ndarray:
+    # SeedSequence's mixing of the (3, P) uint32 spawn words into the
+    # seed's pool, then generate_state: (P, 2) uint64 keys.
+    pool, xor, mult = _seed_prefix(seed)
+    hashes = (words[:, :, None] ^ xor) * mult
+    hashes ^= hashes >> 16
+    hashes *= _MIX_R
+    for word_hashes in hashes:
+        pool = _MIX_L * pool - word_hashes
+        pool ^= pool >> 16
+    state = (pool ^ _STATE_CHAIN[:-1]) * _STATE_CHAIN[1:]
+    state ^= state >> 16
+    # Each key word is two state words, the first the low half.
+    return state.astype("<u4", copy=False).view("<u8")
 
 
 def beam_keys(seed: int, trials, bs_index, sub_index) -> np.ndarray:
@@ -212,25 +230,16 @@ def beam_keys(seed: int, trials, bs_index, sub_index) -> np.ndarray:
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    spawn = [_spawn_entries(values) for values in (trials, bs_index, sub_index)]
-    if any((entries < 0).any() for entries in spawn):
+    spawn = _spawn_entries(trials, bs_index, sub_index)
+    if spawn.min(initial=0) < 0:
         raise ValueError("trial, BS and subarray indices must be non-negative")
-    fits = (spawn[0] < _SPAWN_LIMIT) & (spawn[1] < _SPAWN_LIMIT) & (spawn[2] < _SPAWN_LIMIT)
-    words = np.array([entries[fits] for entries in spawn]).astype(np.uint32)
-    pool, xor, mult = _seed_prefix(seed)
-    hashes = (words[:, None, :] ^ xor) * mult
-    hashes ^= hashes >> 16
-    for word_hashes in hashes:
-        pool = np.uint32(_MIX_L) * pool - np.uint32(_MIX_R) * word_hashes
-        pool ^= pool >> 16
-    state = (pool ^ _STATE_CHAIN[:-1]) * _STATE_CHAIN[1:]
-    state ^= state >> 16
-    state = state.astype(np.uint64)
+    if spawn.max(initial=0) < _SPAWN_LIMIT:
+        return _mixed_keys(seed, spawn.astype(np.uint32))
+    fits = (spawn < _SPAWN_LIMIT).all(axis=0)
     keys = np.empty((fits.size, 2), dtype=np.uint64)
-    keys[fits, 0] = state[0] | (state[1] << 32)
-    keys[fits, 1] = state[2] | (state[3] << 32)
+    keys[fits] = _mixed_keys(seed, spawn[:, fits].astype(np.uint32))
     for p in np.flatnonzero(~fits):
-        spawn_key = tuple(int(entries[p]) for entries in spawn)
+        spawn_key = tuple(int(entries) for entries in spawn[:, p])
         keys[p] = np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(2, np.uint64)
     return keys
 
@@ -248,19 +257,44 @@ class BeamBuffers:
     writes, so that many draws of one shape reuse them.
 
     turns holds the uniforms and then the phase remainders, whole and words
-    are the scratch of _unit_phasors, base its table phasors, phasors its
-    result and ue the scaled combiner.
+    are the scratch of _unit_phasors, base its table phasors and phasors
+    its result; beams holds the scaled combiner and views the precoder.
     """
 
     def __init__(self, num_transmissions: int, n_ue: int, n_bs: int):
         shape = (num_transmissions, n_ue + n_bs)
-        self.n_ue = n_ue
         self.turns = np.empty(shape)
         self.whole = np.empty(shape)
         self.words = np.empty(shape, dtype=np.intp)
         self.base = np.empty(shape, dtype=complex)
         self.phasors = np.empty(shape, dtype=complex)
-        self.ue = np.empty((num_transmissions, n_ue), dtype=complex)
+        self.combiner = self.phasors[:, :n_ue]
+        self.combiner_norm = math.sqrt(n_ue)
+        ue = np.empty((num_transmissions, n_ue), dtype=complex)
+        # Unit-modulus precoder, one PA per element.
+        self.beams = BeamformerSet(ue=ue, bs=self.phasors[:, n_ue:])
+
+
+class _ThreadBuffers(threading.local):
+    def __init__(self):
+        self.sets = {}
+
+
+_THREAD_BUFFERS = _ThreadBuffers()
+# Buffer shapes a thread keeps; one more starts the set afresh.
+_KEPT_SHAPES = 8
+
+
+def thread_buffers(num_transmissions: int, n_ue: int, n_bs: int) -> BeamBuffers:
+    """This thread's BeamBuffers of the given shape, built on first use and
+    kept, so that the kernel's calls share them."""
+    sets = _THREAD_BUFFERS.sets
+    shape = (num_transmissions, n_ue, n_bs)
+    if shape not in sets:
+        if len(sets) == _KEPT_SHAPES:
+            sets.clear()
+        sets[shape] = BeamBuffers(*shape)
+    return sets[shape]
 
 
 def keyed_beams(key: np.ndarray, buffers: BeamBuffers) -> BeamformerSet:
@@ -269,8 +303,8 @@ def keyed_beams(key: np.ndarray, buffers: BeamBuffers) -> BeamformerSet:
     The uniforms u are those of a fresh np.random.Philox with that key;
     entry u becomes the phasor e^{2 pi i u} (the phase that uniform(0, 2 pi)
     scales from the same u).  The first N_ue columns, scaled to unit norm,
-    are the combiner, the rest the precoder.  The result views buffers, so
-    it holds until the next draw into them.
+    are the combiner, the rest the precoder.  The result is buffers.beams,
+    so it holds until the next draw into them.
     """
     state = {"counter": _ZEROS, "key": key}
     with _PHILOX_LOCK:
@@ -279,12 +313,9 @@ def keyed_beams(key: np.ndarray, buffers: BeamBuffers) -> BeamformerSet:
             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
         _UNIFORMS.random(out=buffers.turns)
-    n_ue = buffers.n_ue
-    phasors = _unit_phasors(
-        buffers.turns, buffers.whole, buffers.words, buffers.base, buffers.phasors
-    )
-    ue = np.divide(phasors[:, :n_ue], np.sqrt(n_ue), out=buffers.ue)
-    return BeamformerSet(ue=ue, bs=phasors[:, n_ue:])  # unit-modulus precoder, one PA per element
+    _unit_phasors(buffers.turns, buffers.whole, buffers.words, buffers.base, buffers.phasors)
+    np.divide(buffers.combiner, buffers.combiner_norm, out=buffers.beams.ue)
+    return buffers.beams
 
 
 # Entries of the phasor table, a power of two so that u * _TURN_STEPS is
@@ -368,11 +399,13 @@ def _unit_phasors(
     return out
 
 
-def beam_couplings(beams: BeamformerSet, steer_ue: np.ndarray, steer_bs: np.ndarray):
+def beam_couplings(beams: BeamformerSet, steer_ue: np.ndarray, steer_bs: np.ndarray, out=None):
     """Per-transmission couplings of the beams with steering stacks.
 
     steer_ue and steer_bs are (N, 3) slices of steering_stack.  Returns
     (ue, bs), each (G, 3): the combiner (precoder) times a, da/daz and
-    da/del of the arrival (departure) direction.
+    da/del of the arrival (departure) direction, written to the pair of
+    arrays out if given.
     """
-    return beams.ue @ steer_ue, beams.bs @ steer_bs
+    ue_out, bs_out = out or (None, None)
+    return np.matmul(beams.ue, steer_ue, out=ue_out), np.matmul(beams.bs, steer_bs, out=bs_out)

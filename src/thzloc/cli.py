@@ -35,7 +35,6 @@ from .scenario import (
     preset,
     scenario_hash,
 )
-from .validate import run_validation
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
@@ -237,6 +236,9 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    # Imported here, with the oracles it loads, since no other command needs it.
+    from .validate import run_validation
+
     config = _load_scenario(args)
     _require(args.trials >= 1, f"--trials must be at least 1, got {args.trials}")
     failures = 0

@@ -16,7 +16,6 @@ untouched.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +109,9 @@ def _run_ranges(worker, count: int, threads: int) -> list:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if threads == 1:
         return worker(0, count)
+    # Imported here: loading the process pool costs a serial run about 24 ms.
+    from concurrent.futures import ProcessPoolExecutor
+
     size = max(1, -(-count // (threads * _RANGES_PER_WORKER)))
     starts = range(0, count, size)
     stops = [min(start + size, count) for start in starts]

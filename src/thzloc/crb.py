@@ -17,24 +17,27 @@ evaluate_batch(scenario, ue_poses, trials, seed=None) is the one way into
 the evaluation kernel: it takes a realized Scenario whole and runs each
 layer once over all paths of a batch of poses (visibility, angles, state
 Jacobians, beam draws and per-path FIMs, state FIMs, constrained CRBs).
-A single pose is a batch of one (coverage.evaluate_pose).  The beam layer
-derives the Philox keys of all paths in one pass, then takes the paths a
-block at a time: one steering_stack call per side and panel size, and per
-path one fill of the shared, reseated generator, whose phasors and (G, 3)
-couplings go into buffers reused from path to path.  The per-path public
-functions are batches of one through the same layers, and a pose's result
-does not depend on the batch it is evaluated in.
+A single pose is a batch of one (coverage.evaluate_pose).  What depends on
+the scenario alone (the stacked BS poses and mounts, the element stacks by
+panel size) is built once per Scenario and the tone Gram once per
+SignalConfig.  The beam layer derives the Philox keys of all paths in one
+pass, then takes the paths a block at a time: one steering_stack call per
+side and panel size, and per path one fill of the shared, reseated
+generator, whose phasors and (G, 3) couplings go into the calling
+thread's buffers, kept from call to call.  The per-path public functions
+are batches of one through the same layers, and a pose's result does not
+depend on the batch it is evaluated in.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (
-    BeamBuffers,
     BeamformerSet,
     SignalConfig,
     beam_couplings,
@@ -42,6 +45,7 @@ from .channel import (
     keyed_beams,
     path_gain,
     steering_stack,
+    thread_buffers,
 )
 from .errors import GeometryError
 from .geometry import (
@@ -50,10 +54,11 @@ from .geometry import (
     PathParams,
     Pose,
     Subarray,
+    one_path,
     path_angles,
     path_geometry,
-    stack_mounts,
     stack_poses,
+    subarray_frames,
     visibility,
 )
 from .scenario import Scenario
@@ -80,14 +85,24 @@ def _symmetric(stack: np.ndarray) -> np.ndarray:
     return 0.5 * (stack + _transpose(stack))
 
 
+@functools.lru_cache(maxsize=16)
 def _tone_gram(config: SignalConfig) -> np.ndarray:
     # T^H T for the subcarrier factors of the signal derivatives: 1 for the
     # four angles, -2j pi f_k for the delay.  The common tone
-    # exp(-2j pi f_k tau) has unit modulus and cancels.
+    # exp(-2j pi f_k tau) has unit modulus and cancels.  Cached per
+    # SignalConfig, so path_fim and the kernel build it once.
     f_k = config.subcarrier_offsets_hz()
     tones = np.ones((f_k.size, 5), dtype=complex)
     tones[:, 4] = -2j * np.pi * f_k
-    return tones.conj().T @ tones
+    gram = tones.conj().T @ tones
+    gram.flags.writeable = False  # shared by every caller through the cache
+    return gram
+
+
+# Coupling columns (a, da/daz, da/del) of the UE and the BS side whose
+# products are the five signal derivatives, in ETA_NAMES order.
+_UE_TERMS = np.array([0, 0, 1, 2, 0])
+_BS_TERMS = np.array([1, 2, 0, 0, 0])
 
 
 def path_fims(
@@ -103,12 +118,8 @@ def path_fims(
     (2 / sigma^2) Re[(C^H C) o (T^H T)] with C the (G, 5) couplings of the
     beams (beam_couplings) and T the (K, 5) subcarrier factors.
     """
-    g_ue, du_az, du_el = (ue_couplings[..., j] for j in range(3))
-    g_bs, db_az, db_el = (bs_couplings[..., j] for j in range(3))
-    c = np.stack(
-        [g_ue * db_az, g_ue * db_el, du_az * g_bs, du_el * g_bs, g_ue * g_bs], axis=-1
-    )
-    c = c * np.asarray(gains)[:, None, None]
+    c = ue_couplings[..., _UE_TERMS] * bs_couplings[..., _BS_TERMS]
+    c *= np.asarray(gains)[:, None, None]
     gram = (_transpose(c.conj()) @ c) * _tone_gram(config)
     return _symmetric((2.0 * config.power_w / config.noise_variance_w) * np.real(gram))
 
@@ -132,11 +143,16 @@ def path_fim(
 def _vec_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # vec(x y^T) with column-major stacking, matching the vec(R) part of
     # the state, over the leading axes.
-    return (y[..., :, None] * x[..., None, :]).reshape(x.shape[:-1] + (9,))
+    outer = y[..., :, None] * x[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (9,))
 
 
 def state_jacobians(geo: PathGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jacobians of many paths' channel parameters in the 13-entry state.
+
+    The departure angles resolve v on the BS axes b_j, the arrival angles
+    -v on the subarray axes a_j, which move with R; both sides share the
+    azimuth and elevation forms, so each is computed for both at once.
 
     Returns:
         (jacobians (P, 5, 13), departure (P,), arrival (P,)), the last two
@@ -145,41 +161,45 @@ def state_jacobians(geo: PathGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """
     v, d = geo.v, geo.offset
     dist = geo.distance[:, None]
-    b1, b2, b3 = (geo.bs_rotation[..., j] for j in range(3))
-    n1, n2, n3 = (geo.mount_rotation[..., j] for j in range(3))
-    a1, a2, a3 = (geo.axes[..., j] for j in range(3))
-    x1, y1, z1 = (geo.v_bs[:, j, None] for j in range(3))
-    big_a, big_b, big_c = (geo.v_sub[:, j, None] for j in range(3))
-    departure = 1.0 - np.abs(z1[:, 0] / dist[:, 0]) < _ELEVATION_TOL
-    arrival = 1.0 - np.abs(big_c[:, 0] / dist[:, 0]) < _ELEVATION_TOL
     dist3 = dist * dist * dist
+    frames = geo.frames  # (P, side, 3, 3): columns b_j, then a_j
+    x, y, z = (geo.local[..., j] for j in range(3))  # (P, side)
+    q = z / dist
+    branch = 1.0 - np.abs(q) < _ELEVATION_TOL
     jac = np.zeros((v.shape[0], 5, STATE_DIM))
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Departure side: v resolved on the BS axes.
-        daz_dv = (x1 * b2 - y1 * b1) / (x1 * x1 + y1 * y1)
-        q1 = z1 / dist
-        del_dv = (1.0 / np.sqrt(1.0 - q1 * q1)) * (b3 / dist - z1 * v / dist3)
-        jac[:, 0, 0:3], jac[:, 0, 4:] = daz_dv, _vec_outer(daz_dv, d)
-        jac[:, 1, 0:3], jac[:, 1, 4:] = del_dv, _vec_outer(del_dv, d)
+        # Rows 0 and 2 (azimuths), then rows 1 and 3 (elevations, the
+        # arrival one negated since it resolves -v).
+        den = x * x + y * y
+        azimuth = x[..., None] * frames[..., 1] - y[..., None] * frames[..., 0]
+        jac[:, 0:4:2, 0:3] = azimuth / den[..., None]
+        s = 1.0 / np.sqrt(1.0 - q * q)
+        jac[:, 1:4:2, 0:3] = s[..., None] * (
+            frames[..., 2] / dist[..., None] - z[..., None] * v[:, None] / dist3[..., None]
+        )
+        jac[:, 3, 0:3] *= -1.0
 
-        # Arrival side: -v resolved on the subarray axes, which move with R.
-        d_a = _vec_outer(v, n1) + _vec_outer(a1, d)
-        d_b = _vec_outer(v, n2) + _vec_outer(a2, d)
-        d_c = _vec_outer(v, n3) + _vec_outer(a3, d)
-        den = big_a * big_a + big_b * big_b
-        jac[:, 2, 0:3] = (big_a * a2 - big_b * a1) / den
-        jac[:, 2, 4:] = (big_a * d_b - big_b * d_a) / den
-        q2 = big_c / dist
-        s2 = 1.0 / np.sqrt(1.0 - q2 * q2)
-        outer_vd = _vec_outer(v, d)
-        jac[:, 3, 0:3] = -s2 * (a3 / dist - big_c * v / dist3)
-        jac[:, 3, 4:] = -s2 * (d_c / dist - big_c * (outer_vd / dist) / (dist * dist))
+        # vec(R) columns: x_j d^T for the departure rows, and for the
+        # arrival rows v n_j^T + a_j d^T (n_j the mounting axes), the
+        # derivative of v resolved on a_j.
+        outer_d = _vec_outer(
+            np.concatenate([jac[:, 0:2, 0:3], _transpose(frames[:, 1]), v[:, None]], axis=1),
+            d[:, None],
+        )
+        jac[:, 0:2, 4:] = outer_d[:, 0:2]
+        d_a, d_b, d_c = (
+            _vec_outer(v[:, None], _transpose(geo.mount_rotation)) + outer_d[:, 2:5]
+        ).swapaxes(0, 1)
+        big_a, big_b, big_c = x[:, 1, None], y[:, 1, None], z[:, 1, None]
+        jac[:, 2, 4:] = (big_a * d_b - big_b * d_a) / den[:, 1, None]
+        outer_vd = outer_d[:, 5]
+        jac[:, 3, 4:] = -s[:, 1, None] * (d_c / dist - big_c * (outer_vd / dist) / (dist * dist))
 
     # Delay.
     jac[:, 4, 0:3] = v / (SPEED_OF_LIGHT * dist)
     jac[:, 4, 3] = 1.0
     jac[:, 4, 4:] = outer_vd / (SPEED_OF_LIGHT * dist)
-    return jac, departure, arrival
+    return jac, branch[:, 0], branch[:, 1]
 
 
 def state_jacobian(bs_pose: Pose, ue_pose: Pose, subarray: Subarray) -> np.ndarray:
@@ -192,10 +212,7 @@ def state_jacobian(bs_pose: Pose, ue_pose: Pose, subarray: Subarray) -> np.ndarr
     Raises:
         GeometryError: at |elevation| = 90 deg where azimuth is undefined.
     """
-    geo = path_geometry(
-        stack_poses([bs_pose]), stack_poses([ue_pose]), stack_mounts([subarray])
-    )
-    jac, departure, arrival = state_jacobians(geo)
+    jac, departure, arrival = state_jacobians(one_path(bs_pose, ue_pose, subarray))
     if departure[0]:
         raise GeometryError("departure elevation at the arcsin branch point")
     if arrival[0]:
@@ -203,16 +220,18 @@ def state_jacobian(bs_pose: Pose, ue_pose: Pose, subarray: Subarray) -> np.ndarr
     return jac[0]
 
 
-def state_fims(
-    path_fims: np.ndarray, jacobians: np.ndarray, owners: np.ndarray, poses: int
-) -> np.ndarray:
-    """(poses, 13, 13) information in the state.
+def state_fims(path_fims: np.ndarray, jacobians: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """(len(starts), 13, 13) information in the state.
 
-    Path p adds J_p^T F_p J_p to pose owners[p]; each pose sums its paths
-    in the order given, starting from zero.
+    Path p adds J_p^T F_p J_p; pose i sums the paths from starts[i] up to
+    the next start one after another, so each pose has at least one path.
+    (np.add.reduceat would sum them pairwise, np.add.at is slow.)
     """
-    fim = np.zeros((poses, STATE_DIM, STATE_DIM))
-    np.add.at(fim, owners, _transpose(jacobians) @ path_fims @ jacobians)
+    terms = _transpose(jacobians) @ path_fims @ jacobians
+    fim = np.empty((starts.size, STATE_DIM, STATE_DIM))
+    ends = starts[1:].tolist() + [terms.shape[0]]
+    for i, (start, end) in enumerate(zip(starts.tolist(), ends)):
+        np.add.reduce(terms[start:end], axis=0, out=fim[i])
     return _symmetric(fim)
 
 
@@ -220,19 +239,24 @@ def state_fim(path_fims: list[np.ndarray], jacobians: list[np.ndarray]) -> np.nd
     """13x13 information in the state, summed over paths."""
     if len(path_fims) != len(jacobians):
         raise ValueError(f"{len(path_fims)} path FIMs for {len(jacobians)} Jacobians")
+    if len(path_fims) == 0:
+        return np.zeros((STATE_DIM, STATE_DIM))
     return state_fims(
         np.array(path_fims, dtype=float).reshape(-1, 5, 5),
         np.array(jacobians, dtype=float).reshape(-1, 5, STATE_DIM),
-        np.zeros(len(path_fims), dtype=int),
-        1,
+        np.zeros(1, dtype=int),
     )[0]
+
+
+_EYE4 = np.eye(4)
+_HALF_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def constraint_bases(rotations: np.ndarray) -> np.ndarray:
     """constraint_basis of each rotation in a (B, 3, 3) stack."""
-    c1, c2, c3 = (rotations[..., j] * (1.0 / np.sqrt(2.0)) for j in range(3))
+    c1, c2, c3 = (rotations * _HALF_SQRT2).transpose(2, 0, 1)  # columns of R
     basis = np.zeros((rotations.shape[0], STATE_DIM, CONSTRAINED_DIM))
-    basis[:, :4, :4] = np.eye(4)
+    basis[:, :4, :4] = _EYE4
     basis[:, 4:7, 4] = -c3
     basis[:, 10:13, 4] = c1
     basis[:, 7:10, 5] = -c3
@@ -259,31 +283,30 @@ def constrained_crbs(
     """constrained_crb over a stack of B information matrices.
 
     Returns:
-        (crbs (B, 13, 13), invertible (B,), conditions (B,)); crbs holds
-        NaN where invertible is False.
+        (crbs (n, 13, 13) of the n invertible ones in order, invertible
+        (B,), conditions (B,)).
     """
-    count = fims.shape[0]
     reduced = _symmetric(_transpose(bases) @ fims @ bases)
-    diag = np.diagonal(reduced, axis1=1, axis2=2)
-    conditions = np.full(count, np.inf)
-    crbs = np.full((count, STATE_DIM, STATE_DIM), np.nan)
-    usable = np.flatnonzero(np.all(np.isfinite(diag) & (diag > 0.0), axis=1))
+    diag = reduced.diagonal(axis1=1, axis2=2)
+    # Finite and positive, which NaN is not.
+    usable = ((diag > 0.0) & (diag < np.inf)).all(axis=1).nonzero()[0]
     scale = 1.0 / np.sqrt(diag[usable])
     balanced = _symmetric(scale[:, :, None] * reduced[usable] * scale[:, None, :])
     eigvals, eigvecs = np.linalg.eigh(balanced)
-    positive = (eigvals[:, 0] > 0.0) & np.all(np.isfinite(eigvals), axis=1)
+    smallest, largest = eigvals[:, 0], eigvals[:, -1]
+    positive = (smallest > 0.0) & np.isfinite(eigvals).all(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = eigvals[:, -1] / eigvals[:, 0]
+        ratio = largest / smallest
+    conditions = np.full(fims.shape[0], np.inf)
     conditions[usable[positive]] = ratio[positive]
     keep = positive & (ratio <= CONDITION_LIMIT)
     vals, vecs, scale = eigvals[keep], eigvecs[keep], scale[keep]
     inv_balanced = (vecs / vals[:, None, :]) @ _transpose(vecs)
     inv_reduced = scale[:, :, None] * inv_balanced * scale[:, None, :]
-    basis = bases[usable[keep]]
-    crbs[usable[keep]] = _symmetric(basis @ inv_reduced @ _transpose(basis))
-    invertible = np.zeros(count, dtype=bool)
+    invertible = np.zeros(fims.shape[0], dtype=bool)
     invertible[usable[keep]] = True
-    return crbs, invertible, conditions
+    basis = bases[invertible]
+    return _symmetric(basis @ inv_reduced @ _transpose(basis)), invertible, conditions
 
 
 def constrained_crb(fim: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray | None, float]:
@@ -305,11 +328,11 @@ def constrained_crb(fim: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray | No
 
 def error_bounds_stack(crbs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(peb_m, oeb_raw, oeb_deg) arrays from a (B, 13, 13) stack of CRBs."""
-    diag = np.diagonal(crbs, axis1=1, axis2=2)
-    position = diag[:, 0] + diag[:, 1] + diag[:, 2]
-    rotation = diag[:, 4]
+    diag = _transpose(crbs.diagonal(axis1=1, axis2=2))
+    position = diag[0] + diag[1] + diag[2]
+    rotation = diag[4]
     for i in range(5, STATE_DIM):
-        rotation = rotation + diag[:, i]
+        rotation = rotation + diag[i]
     oeb_raw = np.sqrt(rotation)
     return np.sqrt(position), oeb_raw, np.rad2deg(oeb_raw / np.sqrt(2.0))
 
@@ -374,30 +397,20 @@ class BoundResult:
 _PATH_BLOCK = 16
 
 
-def _by_size(elements: list[np.ndarray]):
-    """Panels grouped by element count: each panel's count, the stacked
-    offsets of each count's panels, and each panel's slot in its stack."""
-    sizes = np.array([e.shape[0] for e in elements])
-    stacks, slots = {}, np.empty(len(elements), dtype=int)
-    for size in set(sizes.tolist()):
-        members = np.flatnonzero(sizes == size)
-        stacks[size] = np.stack([elements[i] for i in members])
-        slots[members] = np.arange(members.size)
-    return sizes, stacks, slots
-
-
-def _size_steering(panels: np.ndarray, grouped, az, el, lam):
+def _size_steering(panels: np.ndarray, grouped, az, el, lam) -> list:
     """Steering stacks of paths on the given panels, one steering_stack
-    call per panel size; path p's is stacks[sizes[p]][rows[p]]."""
+    call per panel size; entry p of the list is path p's (N, 3) stack.
+    grouped is the side's panels_by_size."""
     sizes, stacks, slots = grouped
     sizes = sizes[panels]
-    steering, rows = {}, np.empty(panels.size, dtype=int)
+    steering = [None] * panels.size
     for size in set(sizes.tolist()):
-        members = np.flatnonzero(sizes == size)
+        members = (sizes == size).nonzero()[0]
         elements = stacks[size][slots[panels[members]]]
-        steering[size] = steering_stack(elements, az[members], el[members], lam)
-        rows[members] = np.arange(members.size)
-    return steering, sizes.tolist(), rows.tolist()
+        rows = steering_stack(elements, az[members], el[members], lam)
+        for p, row in zip(members.tolist(), rows):
+            steering[p] = row
+    return steering
 
 
 def _beam_fims(scenario: Scenario, params, paths, trials, seed):
@@ -407,37 +420,29 @@ def _beam_fims(scenario: Scenario, params, paths, trials, seed):
     The Philox keys of all paths are derived in one pass.  Paths then go
     _PATH_BLOCK at a time: steering stacks are built per panel size for
     the block's paths, and each draw is reduced to its (G, 3) couplings
-    right away in buffers reused across paths, so memory does not grow
-    with the batch.
+    right away in this thread's buffers, so memory does not grow with the
+    batch and a call allocates no beam buffers once a shape has been seen.
     """
     signal = scenario.signal
     lam = signal.wavelength_m
     g = signal.num_transmissions
     owners, bs_index, sub_index = paths
     keys = beam_keys(seed, [trials[o] for o in owners.tolist()], bs_index, sub_index)
-    bs_grouped = _by_size(scenario.bs_elements)
-    ue_grouped = _by_size([s.elements for s in scenario.subarrays])
-    buffers = {}
     fims = [np.zeros((0, 5, 5))]
     for first in range(0, params.shape[0], _PATH_BLOCK):
         block = slice(first, first + _PATH_BLOCK)
         angles = params[block]
-        steer_bs, n_bs, row_bs = _size_steering(
-            bs_index[block], bs_grouped, angles[:, 0], angles[:, 1], lam
+        steer_bs = _size_steering(
+            bs_index[block], scenario.bs_panels, angles[:, 0], angles[:, 1], lam
         )
-        steer_ue, n_ue, row_ue = _size_steering(
-            sub_index[block], ue_grouped, angles[:, 2], angles[:, 3], lam
+        steer_ue = _size_steering(
+            sub_index[block], scenario.ue_panels, angles[:, 2], angles[:, 3], lam
         )
         ue_c = np.empty((angles.shape[0], g, 3), dtype=complex)
         bs_c = np.empty((angles.shape[0], g, 3), dtype=complex)
-        for p, key in enumerate(keys[block]):
-            sizes = (n_ue[p], n_bs[p])
-            if sizes not in buffers:
-                buffers[sizes] = BeamBuffers(g, *sizes)
-            beams = keyed_beams(key, buffers[sizes])
-            ue_c[p], bs_c[p] = beam_couplings(
-                beams, steer_ue[n_ue[p]][row_ue[p]], steer_bs[n_bs[p]][row_bs[p]]
-            )
+        for p, (key, ue, bs) in enumerate(zip(keys[block], steer_ue, steer_bs)):
+            beams = keyed_beams(key, thread_buffers(g, ue.shape[0], bs.shape[0]))
+            beam_couplings(beams, ue, bs, out=(ue_c[p], bs_c[p]))
         fims.append(path_fims(ue_c, bs_c, path_gain(angles[:, 5], lam), signal))
     return np.concatenate(fims)
 
@@ -456,60 +461,62 @@ def evaluate_batch(
 
     Raises:
         TypeError: for a trial that is not an integer.
+        ValueError: if trials and ue_poses differ in length.
     """
     trials = [operator.index(t) for t in trials]
+    if len(trials) != len(ue_poses):
+        raise ValueError(f"{len(ue_poses)} UE poses but {len(trials)} trials")
     seed = scenario.seed if seed is None else seed
+    bs, mounts = scenario.bs_stack, scenario.mount_stack
     ue = stack_poses(ue_poses)
-    bs = stack_poses(scenario.bs_poses)
-    mounts = stack_mounts(scenario.subarrays)
-    count = ue[0].shape[0]
-    mask = visibility(bs, ue, mounts)
-    owners, bs_index, sub_index = np.nonzero(mask)  # visible_paths order per pose
-    geo = path_geometry(
-        (bs[0][bs_index], bs[1][bs_index]),
-        (ue[0][owners], ue[1][owners]),
-        (mounts[0][sub_index], mounts[1][sub_index]),
-    )
+    count = len(trials)
+    frames = subarray_frames(ue, mounts)
+    mask = visibility(bs, frames)
+    paths = np.nonzero(mask)  # visible_paths order per pose
+    owners = paths[0]
+    geo = path_geometry(bs, mounts, frames, paths)
     params = path_angles(geo, scenario.clock_bias_s)
     jacobians, departure, arrival = state_jacobians(geo)
 
     # A path at the arcsin branch point has no Jacobian, so its pose gets
     # no finite bound.
-    solvable = mask.any(axis=(1, 2))
+    num_paths = np.bincount(owners, minlength=count)
+    solvable = num_paths > 0
     solvable[owners[departure | arrival]] = False
     live = solvable[owners]
-    fims = _beam_fims(
-        scenario, params[live], (owners[live], bs_index[live], sub_index[live]), trials, seed
-    )
-    fim = state_fims(fims, jacobians[live], owners[live], count)
+    fims = _beam_fims(scenario, params[live], [index[live] for index in paths], trials, seed)
+    # Each solvable pose's paths are live, one run of them per pose.
+    poses = solvable.nonzero()[0]
+    counts = num_paths[poses]
+    fim = state_fims(fims, jacobians[live], counts.cumsum() - counts)
 
-    poses = np.flatnonzero(solvable)
-    crbs, invertible, conditions = constrained_crbs(fim[poses], constraint_bases(ue[1][poses]))
-    peb, oeb_raw, oeb_deg = np.full((3, count), np.inf)
-    condition = np.full(count, np.inf)
+    crbs, invertible, conditions = constrained_crbs(fim, constraint_bases(ue[1][poses]))
+    bounds = np.full((4, count), np.inf)
+    peb, oeb_raw, oeb_deg, condition = bounds
     condition[poses] = conditions
     solved = poses[invertible]
-    peb[solved], oeb_raw[solved], oeb_deg[solved] = error_bounds_stack(crbs[invertible])
+    peb[solved], oeb_raw[solved], oeb_deg[solved] = error_bounds_stack(crbs)
 
     has_bound = np.zeros(count, dtype=bool)
     has_bound[solved] = True
     num_visible_bs = mask.any(axis=2).sum(axis=1).tolist()
-    ends = np.cumsum(np.bincount(owners, minlength=count)).tolist()
-    starts = [0] + ends[:-1]
+    ends = num_paths.cumsum().tolist()
     observations = [
         PathObservation(m, n, PathParams(*row))
-        for m, n, row in zip(bs_index.tolist(), sub_index.tolist(), params.tolist())
+        for m, n, row in zip(paths[1].tolist(), paths[2].tolist(), params.tolist())
     ]
     return [
         BoundResult(
-            classification=classify_localizability(num_visible_bs[i], bool(has_bound[i])),
-            peb_m=float(peb[i]),
-            oeb_deg=float(oeb_deg[i]),
-            oeb_raw=float(oeb_raw[i]),
-            num_paths=ends[i] - starts[i],
-            num_visible_bs=num_visible_bs[i],
-            condition_number=float(condition[i]),
-            paths=tuple(observations[starts[i] : ends[i]]),
+            classification=classify_localizability(visible_bs, bounded),
+            peb_m=peb_m,
+            oeb_deg=oeb_deg_i,
+            oeb_raw=oeb_raw_i,
+            num_paths=end - start,
+            num_visible_bs=visible_bs,
+            condition_number=condition_i,
+            paths=tuple(observations[start:end]),
         )
-        for i in range(count)
+        for visible_bs, bounded, (peb_m, oeb_raw_i, oeb_deg_i, condition_i), start, end in zip(
+            num_visible_bs, has_bound.tolist(), bounds.T.tolist(), [0] + ends[:-1], ends
+        )
     ]

@@ -161,20 +161,31 @@ def stack_mounts(subarrays) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def visibility(bs, ue, mounts) -> np.ndarray:
-    """Line-of-sight mask of shape (poses, BSs, subarrays).
+def subarray_frames(ue, mounts) -> tuple[np.ndarray, np.ndarray]:
+    """(centers (K, S, 3), axes (K, S, 3, 3)) of every subarray of every pose.
 
-    bs, ue and mounts are (positions, rotations) stacks from stack_poses
-    and stack_mounts.  The test is the one visible_paths documents.
+    ue and mounts are (positions, rotations) stacks from stack_poses and
+    stack_mounts.  A subarray's center is p_ue + R_ue d_n and its axes are
+    the columns of R_ue R_n; the first is its boresight.
     """
-    bs_pos, bs_rot = bs
     ue_pos, ue_rot = ue
     offsets, mount_rot = mounts
     centers = ue_pos[:, None] + _rotate(ue_rot[:, None], offsets)
-    normals = _rotate(ue_rot[:, None], mount_rot[..., 0])
-    los = bs_pos[None, :, None] - centers[:, None]
-    facing_bs = _dot(los, normals[:, None]) > 0.0
-    facing_ue = _dot(-los, bs_rot[None, :, None, :, 0]) > 0.0
+    return centers, _compose(ue_rot[:, None], mount_rot)
+
+
+def visibility(bs, frames) -> np.ndarray:
+    """Line-of-sight mask of shape (poses, BSs, subarrays).
+
+    bs is a (positions, rotations) stack from stack_poses and frames comes
+    from subarray_frames.  The test is the one visible_paths documents,
+    written for v = center - p_bs.
+    """
+    bs_pos, bs_rot = bs
+    centers, axes = frames
+    v = centers[:, None] - bs_pos[None, :, None]
+    facing_bs = _dot(v, axes[:, None, :, :, 0]) < 0.0
+    facing_ue = _dot(v, bs_rot[None, :, None, :, 0]) > 0.0
     return facing_bs & facing_ue
 
 
@@ -190,7 +201,8 @@ def visible_paths(
     Returns:
         Pairs sorted by BS index then subarray index.
     """
-    mask = visibility(stack_poses(bs_poses), stack_poses([ue_pose]), stack_mounts(subarrays))
+    frames = subarray_frames(stack_poses([ue_pose]), stack_mounts(subarrays))
+    mask = visibility(stack_poses(bs_poses), frames)
     return [(int(m), int(n)) for m, n in zip(*np.nonzero(mask[0]))]
 
 
@@ -220,20 +232,49 @@ class PathParams:
 class PathGeometry:
     """Per-path vectors shared by the angle and Jacobian layers.
 
-    Every array has one leading entry per path: the BS rotation, the
-    subarray's mounting rotation R_n and offset d_n in the UE frame, its
-    global axes R_ue R_n as columns, v = p_ue + R_ue d_n - p_bs, |v|, and v
-    resolved on the BS axes and on the subarray axes.
+    Every array has one leading entry per path: the subarray's mounting
+    rotation R_n and offset d_n in the UE frame, v = p_ue + R_ue d_n - p_bs
+    and |v|, and then, first for the BS and second for the subarray, the
+    global axes as columns (frames, (P, 2, 3, 3)) and v resolved on them
+    (local, (P, 2, 3)).
     """
 
-    bs_rotation: np.ndarray
     mount_rotation: np.ndarray
     offset: np.ndarray
-    axes: np.ndarray
     v: np.ndarray
     distance: np.ndarray
-    v_bs: np.ndarray
-    v_sub: np.ndarray
+    frames: np.ndarray
+    local: np.ndarray
+
+
+def path_geometry(bs, mounts, pose_frames, paths) -> PathGeometry:
+    """PathGeometry of the paths (poses, bs_index, sub_index).
+
+    bs and mounts are stacks from stack_poses and stack_mounts, pose_frames
+    the poses' subarray_frames.
+
+    Raises:
+        GeometryError: if a subarray center coincides with its BS.
+    """
+    owners, bs_index, sub_index = paths
+    centers, axes = pose_frames
+    v = centers[owners, sub_index] - bs[0][bs_index]
+    distance = np.sqrt(_dot(v, v))
+    if (distance < 1e-9).any():
+        raise GeometryError("BS and subarray positions coincide")
+    frames = np.empty((v.shape[0], 2, 3, 3))
+    frames[:, 0], frames[:, 1] = bs[1][bs_index], axes[owners, sub_index]
+    return PathGeometry(
+        mounts[1][sub_index], mounts[0][sub_index], v, distance, frames, _resolve(frames, v[:, None])
+    )
+
+
+def one_path(bs_pose: Pose, ue_pose: Pose, subarray: Subarray) -> PathGeometry:
+    """PathGeometry of the single path from a BS to one subarray."""
+    mounts = stack_mounts([subarray])
+    frames = subarray_frames(stack_poses([ue_pose]), mounts)
+    paths = (np.zeros(1, dtype=int),) * 3
+    return path_geometry(stack_poses([bs_pose]), mounts, frames, paths)
 
 
 def _resolve(rotation: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -245,47 +286,28 @@ def _resolve(rotation: np.ndarray, vector: np.ndarray) -> np.ndarray:
     )
 
 
-def path_geometry(bs, ue, mounts) -> PathGeometry:
-    """PathGeometry of paths whose BS, UE and mount stacks are aligned.
-
-    Raises:
-        GeometryError: if a subarray center coincides with its BS.
-    """
-    bs_pos, bs_rot = bs
-    ue_pos, ue_rot = ue
-    offsets, mount_rot = mounts
-    v = ue_pos + _rotate(ue_rot, offsets) - bs_pos
-    distance = np.sqrt(_dot(v, v))
-    if np.any(distance < 1e-9):
-        raise GeometryError("BS and subarray positions coincide")
-    axes = _compose(ue_rot, mount_rot)
-    return PathGeometry(
-        bs_rot, mount_rot, offsets, axes, v, distance, _resolve(bs_rot, v), _resolve(axes, v)
-    )
-
-
 def _safe_asin(x: np.ndarray) -> np.ndarray:
     # Clamp only roundoff-scale excursions beyond +/-1.
-    if np.any(np.abs(x) > 1.0 + 1e-12):
-        raise GeometryError(f"arcsin argument {np.max(np.abs(x))!r} out of range")
-    return np.arcsin(np.clip(x, -1.0, 1.0))
+    size = np.abs(x)
+    if (size > 1.0 + 1e-12).any():
+        raise GeometryError(f"arcsin argument {size.max()!r} out of range")
+    return np.arcsin(np.minimum(np.maximum(x, -1.0), 1.0))
+
+
+# Departure angles resolve v, arrival angles -v.
+_TOWARD = np.array([1.0, -1.0])[:, None]
 
 
 def path_angles(geo: PathGeometry, clock_bias_s: float = 0.0) -> np.ndarray:
     """(paths, 6) rows of PathParams fields, in their declaration order."""
-    (x, y, z), (a, b, c) = geo.v_bs.T, geo.v_sub.T
+    toward = geo.local * _TOWARD
     dist = geo.distance
-    return np.stack(
-        [
-            np.arctan2(y, x),
-            _safe_asin(z / dist),
-            np.arctan2(-b, -a),
-            _safe_asin(-c / dist),
-            dist / SPEED_OF_LIGHT + clock_bias_s,
-            dist,
-        ],
-        axis=-1,
-    )
+    out = np.empty((dist.shape[0], 6))
+    out[:, 0:4:2] = np.arctan2(toward[..., 1], toward[..., 0])
+    out[:, 1:4:2] = _safe_asin(toward[..., 2] / dist[:, None])
+    out[:, 4] = dist / SPEED_OF_LIGHT + clock_bias_s
+    out[:, 5] = dist
+    return out
 
 
 def path_params(
@@ -300,7 +322,5 @@ def path_params(
     Raises:
         GeometryError: if the subarray center coincides with the BS.
     """
-    geo = path_geometry(
-        stack_poses([bs_pose]), stack_poses([ue_pose]), stack_mounts([subarray])
-    )
+    geo = one_path(bs_pose, ue_pose, subarray)
     return PathParams(*path_angles(geo, clock_bias_s)[0].tolist())

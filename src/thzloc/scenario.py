@@ -32,11 +32,13 @@ or on the faces of a 0.1 m cube) with two, three, or four ceiling-mounted
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 import yaml
 
 from .channel import SignalConfig
@@ -47,6 +49,8 @@ from .geometry import (
     Subarray,
     element_grid,
     euler_to_rotation,
+    stack_mounts,
+    stack_poses,
 )
 
 PRESET_NAMES = (
@@ -156,7 +160,12 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Realized scenario ready for bound evaluation."""
+    """Realized scenario ready for bound evaluation.
+
+    The stacks below are built on first use and kept, so the evaluation
+    kernel pays for them once per scenario; a scenario in use is not to be
+    changed in place.
+    """
 
     bs_poses: list[Pose]
     bs_elements: list
@@ -164,6 +173,45 @@ class Scenario:
     signal: SignalConfig
     clock_bias_s: float
     seed: int
+
+    @functools.cached_property
+    def bs_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """stack_poses of the BS poses."""
+        return _read_only(stack_poses(self.bs_poses))
+
+    @functools.cached_property
+    def mount_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """stack_mounts of the subarrays."""
+        return _read_only(stack_mounts(self.subarrays))
+
+    @functools.cached_property
+    def bs_panels(self):
+        """panels_by_size of the BS panels."""
+        return panels_by_size(self.bs_elements)
+
+    @functools.cached_property
+    def ue_panels(self):
+        """panels_by_size of the subarray panels."""
+        return panels_by_size([s.elements for s in self.subarrays])
+
+
+def _read_only(arrays):
+    for array in arrays:  # shared by every evaluation of the scenario
+        array.flags.writeable = False
+    return arrays
+
+
+def panels_by_size(elements: list):
+    """Panels grouped by element count: each panel's count, the stacked
+    offsets of each count's panels and each panel's slot in its stack."""
+    sizes = np.array([e.shape[0] for e in elements])
+    stacks, slots = {}, np.empty(len(elements), dtype=int)
+    for size in sorted(set(sizes.tolist())):
+        members = np.flatnonzero(sizes == size)
+        stacks[size] = np.stack([elements[i] for i in members])
+        slots[members] = np.arange(members.size)
+    _read_only([sizes, slots, *stacks.values()])
+    return sizes, stacks, slots
 
 
 def preset(name: str) -> ScenarioConfig:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thzloc
 from thzloc import crb, preset
 from thzloc.cli import (
     EXIT_CONFIG_ERROR,
@@ -255,3 +260,17 @@ def test_bad_counts_and_steps_are_config_errors(capsys, argv, flag):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("thzloc: error:")
     assert flag in err and "Traceback" not in err
+
+
+def test_cli_import_leaves_out_the_process_pool_and_validation():
+    # Only --threads above 1 needs the pool, only `validate` the checks
+    # and their oracles; each is imported where it is used.
+    lazy = ("concurrent.futures.process", "thzloc.validate", "thzloc.oracles")
+    code = f"import sys, thzloc.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    src = str(Path(thzloc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[]"

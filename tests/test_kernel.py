@@ -12,6 +12,9 @@ arguments, and the separable per-path FIM's agreement with the full
 
 import dataclasses
 import math
+import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +46,7 @@ from thzloc import (
     visible_paths,
 )
 from thzloc.channel import draw_beamformers, path_gain
-from thzloc.crb import classify_localizability
+from thzloc.crb import NO_LOS, classify_localizability
 
 from oracles import signal_gradient
 
@@ -147,6 +150,63 @@ def test_trials_must_be_integers():
     with pytest.raises(TypeError):
         evaluate_pose(config, pose, trial=1.5)
     assert evaluate_pose(config, pose, trial=np.int64(3)) == evaluate_pose(config, pose, trial=3)
+
+
+def test_trials_and_poses_must_match_in_length():
+    scn = preset("cuboidal-3bs").realize()
+    poses = [sample_pose(PoseDistribution(), 5, t) for t in range(3)]
+    with pytest.raises(ValueError, match="3 UE poses but 5 trials"):
+        evaluate_batch(scn, poses, range(5))
+    with pytest.raises(ValueError, match="3 UE poses but 2 trials"):
+        evaluate_batch(scn, poses, range(2))
+    # Also when the pose that lacks a trial has no LOS and draws no beams.
+    above = Pose(np.array([0.0, 0.0, 50.0]), np.eye(3))
+    assert evaluate_batch(scn, [above], [0])[0].classification == NO_LOS
+    with pytest.raises(ValueError, match="2 UE poses but 1 trials"):
+        evaluate_batch(scn, [poses[0], above], [0])
+
+
+def test_a_second_call_draws_into_the_same_beam_buffers():
+    # One beam buffer set of the wide scenario takes 0.95 MB; a batch of
+    # one reuses the set its thread made on the first call.
+    scn = SCENARIOS["planar-2bs-wide"].realize()
+    pose = sample_pose(PoseDistribution(), 5, 1)
+    first = evaluate_batch(scn, [pose], [0])[0]
+    assert first.num_paths > 0
+    tracemalloc.start()
+    try:
+        evaluate_batch(scn, [pose], [1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
+
+
+def test_threads_evaluating_at_once_match_serial_results():
+    # Each thread draws into its own beam buffers.
+    scn = SCENARIOS["planar-2bs-wide"].realize()
+    poses = [sample_pose(PoseDistribution(), 3, t) for t in range(6)]
+    serial = [evaluate_batch(scn, [pose], [t])[0] for t, pose in enumerate(poses)]
+    assert sum(result.num_paths for result in serial) > 0
+    mismatches = []
+
+    def work():
+        for t, pose in enumerate(poses):
+            if evaluate_batch(scn, [pose], [t])[0] != serial[t]:
+                mismatches.append(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, daemon=True) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
 
 
 def _resized(panels, shapes):
