@@ -282,7 +282,7 @@ class _ThreadBuffers(threading.local):
 
 _THREAD_BUFFERS = _ThreadBuffers()
 # Buffer shapes a thread keeps; one more starts the set afresh.
-_KEPT_SHAPES = 8
+_KEPT_SHAPES = 16
 
 
 def thread_buffers(num_transmissions: int, n_ue: int, n_bs: int) -> BeamBuffers:

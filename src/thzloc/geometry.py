@@ -174,15 +174,16 @@ def subarray_frames(ue, mounts) -> tuple[np.ndarray, np.ndarray]:
     return centers, _compose(ue_rot[:, None], mount_rot)
 
 
-def visibility(bs, frames) -> np.ndarray:
+def visibility(bs, pose_frames) -> np.ndarray:
     """Line-of-sight mask of shape (poses, BSs, subarrays).
 
-    bs is a (positions, rotations) stack from stack_poses and frames comes
-    from subarray_frames.  The test is the one visible_paths documents,
-    written for v = center - p_bs.
+    bs is a (positions, rotations) stack from stack_poses and pose_frames
+    comes from subarray_frames.  The test is the one visible_paths
+    documents: v = center - p_bs points against the subarray's boresight
+    and along the BS panel's.
     """
     bs_pos, bs_rot = bs
-    centers, axes = frames
+    centers, axes = pose_frames
     v = centers[:, None] - bs_pos[None, :, None]
     facing_bs = _dot(v, axes[:, None, :, :, 0]) < 0.0
     facing_ue = _dot(v, bs_rot[None, :, None, :, 0]) > 0.0

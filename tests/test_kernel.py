@@ -3,11 +3,12 @@
 evaluate_batch(scenario, ue_poses, trials, seed=None) is the one way into
 the kernel: it takes a realized Scenario and runs every layer once over all
 paths of a batch of poses.  evaluate_pose and the per-path public functions
-are batches of one through the same layers.  These tests pin three things:
+are batches of one through the same layers.  These tests pin four things:
 a pose's result does not depend on the batch it is evaluated in (bit for
 bit, against the per-path composition too), the entry's seed and trial
-arguments, and the separable per-path FIM's agreement with the full
-(G, K, 5) signal-gradient tensor that it replaces.
+arguments, the beam buffers each thread keeps from call to call, and the
+separable per-path FIM's agreement with the full (G, K, 5) signal-gradient
+tensor that it replaces.
 """
 
 import dataclasses
