@@ -109,7 +109,8 @@ def _run_ranges(worker, count: int, threads: int) -> list:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if threads == 1:
         return worker(0, count)
-    # Imported here: loading the process pool costs a serial run about 24 ms.
+    # Imported here: the process pool takes about 24 ms to import, and a
+    # serial run does not need it.
     from concurrent.futures import ProcessPoolExecutor
 
     size = max(1, -(-count // (threads * _RANGES_PER_WORKER)))
