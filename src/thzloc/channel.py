@@ -282,7 +282,7 @@ class _ThreadBuffers(threading.local):
 
 _THREAD_BUFFERS = _ThreadBuffers()
 # Buffer shapes a thread keeps; one more starts the set afresh.
-_KEPT_SHAPES = 16
+_KEPT_SHAPES = 8
 
 
 def thread_buffers(num_transmissions: int, n_ue: int, n_bs: int) -> BeamBuffers:
@@ -399,13 +399,11 @@ def _unit_phasors(
     return out
 
 
-def beam_couplings(beams: BeamformerSet, steer_ue: np.ndarray, steer_bs: np.ndarray, out=None):
+def beam_couplings(beams: BeamformerSet, steer_ue: np.ndarray, steer_bs: np.ndarray):
     """Per-transmission couplings of the beams with steering stacks.
 
     steer_ue and steer_bs are (N, 3) slices of steering_stack.  Returns
     (ue, bs), each (G, 3): the combiner (precoder) times a, da/daz and
-    da/del of the arrival (departure) direction, written to the pair of
-    arrays out if given.
+    da/del of the arrival (departure) direction.
     """
-    ue_out, bs_out = out or (None, None)
-    return np.matmul(beams.ue, steer_ue, out=ue_out), np.matmul(beams.bs, steer_bs, out=bs_out)
+    return beams.ue @ steer_ue, beams.bs @ steer_bs

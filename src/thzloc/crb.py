@@ -239,8 +239,6 @@ def state_fim(path_fims: list[np.ndarray], jacobians: list[np.ndarray]) -> np.nd
     """13x13 information in the state, summed over paths."""
     if len(path_fims) != len(jacobians):
         raise ValueError(f"{len(path_fims)} path FIMs for {len(jacobians)} Jacobians")
-    if len(path_fims) == 0:
-        return np.zeros((STATE_DIM, STATE_DIM))
     return state_fims(
         np.array(path_fims, dtype=float).reshape(-1, 5, 5),
         np.array(jacobians, dtype=float).reshape(-1, 5, STATE_DIM),
@@ -442,7 +440,7 @@ def _beam_fims(scenario: Scenario, params, paths, trials, seed):
         bs_c = np.empty((angles.shape[0], g, 3), dtype=complex)
         for p, (key, ue, bs) in enumerate(zip(keys[block], steer_ue, steer_bs)):
             beams = keyed_beams(key, thread_buffers(g, ue.shape[0], bs.shape[0]))
-            beam_couplings(beams, ue, bs, out=(ue_c[p], bs_c[p]))
+            ue_c[p], bs_c[p] = beam_couplings(beams, ue, bs)
         fims.append(path_fims(ue_c, bs_c, path_gain(angles[:, 5], lam), signal))
     return np.concatenate(fims)
 

@@ -148,6 +148,10 @@ class ScenarioConfig:
             )
             for s in self.subarrays
         ]
+        # The arrays are the scenario's own, so they are frozen with it.
+        _read_only([a for p in bs_poses for a in (p.position, p.rotation)])
+        _read_only([a for s in subs for a in (s.offset, s.rotation, s.elements)])
+        _read_only(bs_elements)
         return Scenario(
             bs_poses=bs_poses,
             bs_elements=bs_elements,
@@ -163,16 +167,21 @@ class Scenario:
     """Realized scenario ready for bound evaluation.
 
     The stacks below are built on first use and kept, so the evaluation
-    kernel pays for them once per scenario; a scenario in use is not to be
-    changed in place.
+    kernel pays for them once per scenario.  The BS poses, BS panels and
+    subarrays are stored as tuples, so a different scenario comes only
+    from dataclasses.replace, which starts without stacks.
     """
 
-    bs_poses: list[Pose]
-    bs_elements: list
-    subarrays: list[Subarray]
+    bs_poses: tuple[Pose, ...]
+    bs_elements: tuple[np.ndarray, ...]
+    subarrays: tuple[Subarray, ...]
     signal: SignalConfig
     clock_bias_s: float
     seed: int
+
+    def __post_init__(self):
+        for name in ("bs_poses", "bs_elements", "subarrays"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @functools.cached_property
     def bs_stack(self) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from thzloc import (
     scenario_hash,
     serialize_config,
 )
+from thzloc.geometry import Pose, stack_poses
 from thzloc.scenario import config_to_mapping, load_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -70,6 +72,37 @@ def test_element_spacing_follows_carrier():
     bs_grid = scn.bs_elements[0]
     spacing = bs_grid[1, 1] - bs_grid[0, 1]
     assert spacing == pytest.approx(0.5 * lam, rel=1e-12)
+
+
+def test_realized_scenario_cannot_change_in_place():
+    # The kernel keeps stacks of a scenario's poses and panels, so nothing
+    # a realized scenario holds may change under them.
+    scn = preset("cuboidal-3bs").realize()
+    assert isinstance(scn.bs_poses, tuple)
+    assert isinstance(scn.bs_elements, tuple)
+    assert isinstance(scn.subarrays, tuple)
+    with pytest.raises(TypeError):
+        scn.bs_poses[0] = scn.bs_poses[1]
+    with pytest.raises(ValueError):
+        scn.bs_poses[0].position[0] = 0.0
+    with pytest.raises(ValueError):
+        scn.bs_elements[0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        scn.subarrays[0].elements[0, 0] = 1.0
+
+
+def test_replaced_scenario_gets_fresh_stacks():
+    scn = preset("cuboidal-3bs").realize()
+    positions, _ = scn.bs_stack
+    moved_poses = [Pose(p.position + 1.0, p.rotation) for p in scn.bs_poses]
+    moved = dataclasses.replace(scn, bs_poses=moved_poses)
+    assert isinstance(moved.bs_poses, tuple)
+    assert np.array_equal(moved.bs_stack[0], stack_poses(moved_poses)[0])
+    assert np.array_equal(moved.bs_stack[0], positions + 1.0)
+    assert np.array_equal(scn.bs_stack[0], positions)
+    fewer = dataclasses.replace(scn, bs_elements=scn.bs_elements[:2], bs_poses=scn.bs_poses[:2])
+    assert fewer.bs_panels[0].size == 2
+    assert fewer.bs_stack[0].shape == (2, 3)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
