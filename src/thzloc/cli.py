@@ -18,6 +18,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -25,8 +26,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .coverage import coverage_ccdf, evaluate_pose, orientation_field, position_field
-from .errors import ConfigError
+from .coverage import MAX_WORKERS, coverage_ccdf, evaluate_pose, orientation_field, position_field
+from .errors import ConfigError, GeometryError
 from .geometry import EulerAngles, Pose, euler_to_rotation
 from .scenario import (
     PRESET_NAMES,
@@ -60,7 +61,10 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    _require(args.threads >= 1, f"--threads must be at least 1, got {args.threads}")
+    _require(
+        1 <= args.threads <= MAX_WORKERS,
+        f"--threads must be from 1 to {MAX_WORKERS}, got {args.threads}",
+    )
     _require(
         args.seed is None or args.seed >= 0,
         f"--seed must be a non-negative integer, got {args.seed}",
@@ -87,14 +91,20 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=1, help="worker processes")
 
 
-@contextlib.contextmanager
+def _check_out(path: str) -> None:
+    """Refuse an --out file that cannot be written, without opening it."""
+    folder = os.path.dirname(path) or os.curdir
+    target = path if os.path.exists(path) else folder
+    writable = os.path.isdir(folder) and os.access(target, os.W_OK)
+    ok = path == "-" or writable and os.path.basename(path) and not os.path.isdir(path)
+    _require(ok, f"--out {path!r} is not a file that can be written")
+
+
 def _output(path: str):
     """The --out target: stdout for "-", else the file, closed on exit."""
     if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            yield handle
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _fmt(value: float) -> str:
@@ -314,18 +324,9 @@ _COORDINATE_FLAGS = ("--position", "--orientation", "--grid")
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
     merged = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if (
-            token in _COORDINATE_FLAGS
-            and i + 1 < len(argv)
-            and re.match(r"-([\d.]|inf)", argv[i + 1], re.IGNORECASE)
-        ):
-            merged.append(f"{token}={argv[i + 1]}")
-            skip = True
+    for token in argv:
+        if merged and merged[-1] in _COORDINATE_FLAGS and re.match(r"-([\d.]|inf)", token, re.I):
+            merged[-1] += f"={token}"
         else:
             merged.append(token)
     return merged
@@ -336,9 +337,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_merge_negative_values(list(argv)))
     try:
+        _check_out(getattr(args, "out", "-"))
         return args.func(args)
-    except ConfigError as exc:
-        print(f"thzloc: error: {exc}", file=sys.stderr)
+    except (ConfigError, GeometryError) as exc:
+        print(f"thzloc: error: {' '.join(str(exc).split())}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
 

@@ -35,6 +35,8 @@ _RANGES_PER_WORKER = 4
 # Most cells a position or orientation field may hold; the default 5 deg
 # orientation sweep has 5,329.
 MAX_FIELD_CELLS = 10**6
+# Most worker processes a run may ask for; a pool starts all of them at once.
+MAX_WORKERS = 64
 # Relative tolerance of a grid's end point.
 _AXIS_SLACK = 1e-9
 
@@ -105,8 +107,8 @@ def _evaluate_range(config: ScenarioConfig, poses_of, seed: int, start: int, sto
 def _run_ranges(worker, count: int, threads: int) -> list:
     """worker(start, stop) over contiguous ranges covering [0, count),
     concatenated in index order; with threads > 1 in worker processes."""
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    if not 1 <= threads <= MAX_WORKERS:
+        raise ValueError(f"threads must be from 1 to {MAX_WORKERS}, got {threads}")
     if threads == 1:
         return worker(0, count)
     # Imported here: the process pool takes about 24 ms to import, and a
@@ -116,7 +118,7 @@ def _run_ranges(worker, count: int, threads: int) -> list:
     size = max(1, -(-count // (threads * _RANGES_PER_WORKER)))
     starts = range(0, count, size)
     stops = [min(start + size, count) for start in starts]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(starts))) as pool:
         return [item for part in pool.map(worker, starts, stops) for item in part]
 
 

@@ -253,13 +253,13 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where} must be a mapping, got {type(section).__name__}")
     unknown = set(section) - allowed
     if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+        raise ConfigError(f"unknown keys {sorted(unknown, key=repr)} in {where}")
 
 
 def _number(value, where: str) -> float:
     try:
         number = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where} must be a number: {exc}") from exc
     if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite, got {value!r}")

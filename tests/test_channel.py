@@ -121,9 +121,9 @@ def test_unit_phasors_match_extended_precision_reference():
     got = _phasors(turns)
     cos, sin = _extended_phasors(turns)
     error = np.hypot(got.real - cos, got.imag - sin)
-    assert float(error.max()) <= 2.5e-16
+    assert float(error.max()) <= 1.7e-16
     modulus = np.hypot(got.real.astype(np.longdouble), got.imag.astype(np.longdouble))
-    assert float(np.abs(modulus - 1).max()) <= 4.5e-16
+    assert float(np.abs(modulus - 1).max()) <= 1.7e-16
     # The table holds each phasor of a whole step correctly rounded: within
     # half an ulp, up to the reference's own error, with exact quarter turns.
     cos, sin = _extended_phasors(np.arange(_TURN_STEPS) / _TURN_STEPS)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import thzloc
-from thzloc import crb, preset
+from thzloc import cli, crb, preset
 from thzloc.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_NOT_LOCALIZABLE,
@@ -100,7 +100,7 @@ def test_bad_config_file_exit_code(tmp_path, capsys):
         "--position", "0,0,0", "--orientation", "0,0,0",
     )
     assert code == EXIT_CONFIG_ERROR
-    assert "error" in err
+    assert err.count("\n") == 1 and err.startswith("thzloc: error: scenario file is not valid YAML")
 
 
 def test_missing_config_file_exit_code(capsys):
@@ -252,6 +252,24 @@ def test_config_and_preset_are_mutually_exclusive(capsys):
         (["map", "--preset", "planar-2bs", "--grid", "10,-10,1"], "no cells"),
         (["map", "--preset", "planar-2bs", "--grid", "0,1,1e-9"], "more than 1000000"),
         (["orient-sweep", "--preset", "planar-2bs", "--step", "1e-9"], "more than 1000000"),
+        # No pool of 5,000 processes for 10 trials.
+        (["coverage", "--preset", "planar-2bs", "--trials", "10", "--threads", "5000"], "--threads"),
+        # An --out that cannot be written, refused before the run.
+        (
+            ["bounds", "--preset", "planar-2bs", "--position", "1,1,1",
+             "--orientation", "0,0,0", "--out", "/no/such/dir/x.json"],
+            "--out",
+        ),
+        (["map", "--preset", "planar-2bs", "--out", "/no/such/dir/x.csv"], "--out"),
+        (["orient-sweep", "--preset", "planar-2bs", "--out", "."], "--out"),
+        (["coverage", "--preset", "planar-2bs", "--out", os.curdir], "--out"),
+        (["coverage", "--preset", "planar-2bs", "--out", ""], "--out"),
+        # A subarray 0.1 nm from a BS it sees: a degenerate pose, not a crash.
+        (
+            ["bounds", "--preset", "cuboidal-2bs", "--orientation", "0,0,0",
+             "--position", "-10.550000000089444,-10.5,4.999999999955278"],
+            "coincide",
+        ),
     ],
 )
 def test_bad_counts_and_steps_are_config_errors(capsys, argv, flag):
@@ -260,6 +278,25 @@ def test_bad_counts_and_steps_are_config_errors(capsys, argv, flag):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("thzloc: error:")
     assert flag in err and "Traceback" not in err
+
+
+def test_refused_out_is_checked_before_the_run_and_keeps_its_file(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("evaluate_pose", "position_field", "orientation_field", "coverage_ccdf"):
+        monkeypatch.setattr(cli, name, no_run)
+    (tmp_path / "dir").mkdir()
+    for out in (tmp_path / "dir", tmp_path / "missing" / "x.csv", tmp_path / "file" / "x.csv"):
+        (tmp_path / "file").write_text("kept\n")
+        for argv in (["coverage", "--trials", "10"], ["map"], ["orient-sweep"]):
+            code, _, err = run(capsys, *argv, "--preset", "planar-2bs", "--out", str(out))
+            assert code == EXIT_CONFIG_ERROR and err.count("\n") == 1
+    # A refusal for another reason leaves an existing --out file as it was.
+    code, _, _ = run(capsys, "coverage", "--preset", "planar-2bs", "--trials", "0",
+                     "--out", str(tmp_path / "file"))
+    assert code == EXIT_CONFIG_ERROR
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 def test_cli_import_leaves_out_the_process_pool_and_validation():

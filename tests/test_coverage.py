@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -13,7 +14,14 @@ from thzloc import (
     preset,
     sample_pose,
 )
-from thzloc.coverage import MAX_FIELD_CELLS, OEB_THRESHOLDS_DEG, PEB_THRESHOLDS_M, _axis
+from thzloc.coverage import (
+    MAX_FIELD_CELLS,
+    MAX_WORKERS,
+    OEB_THRESHOLDS_DEG,
+    PEB_THRESHOLDS_M,
+    _axis,
+    _run_ranges,
+)
 from thzloc.crb import COMM_ONLY, LOCALIZABLE, NO_LOS
 
 
@@ -100,6 +108,47 @@ def test_worker_count_must_be_positive(threads):
         position_field(cfg, EulerAngles(0, 0, 0), grid=(0.0, 1.0, 1.0), threads=threads)
     with pytest.raises(ValueError, match="threads"):
         orientation_field(cfg, (0.0, 0.0, 0.0), step_deg=180.0, threads=threads)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so that no worker is ever started."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_pool_starts_at_most_one_worker_per_range(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    cfg = preset("planar-2bs")
+    with pytest.raises(ValueError, match="threads"):
+        coverage_ccdf(cfg, trials=10, threads=5000)
+    for call in (
+        lambda threads: position_field(cfg, EulerAngles(0, 0, 0), grid=(0.0, 1.0, 1.0), threads=threads),
+        lambda threads: orientation_field(cfg, (0.0, 0.0, 0.0), step_deg=180.0, threads=threads),
+    ):
+        with pytest.raises(ValueError, match="threads"):
+            call(MAX_WORKERS + 1)
+    assert _RecordingPool.made == []
+    # 10 trials make 10 one-trial ranges, so a pool of 64 starts 10 workers.
+    curve = coverage_ccdf(cfg, trials=10, threads=MAX_WORKERS)
+    assert _RecordingPool.made == [10]
+    np.testing.assert_array_equal(curve.exceedance, coverage_ccdf(cfg, trials=10).exceedance)
+    # Two workers over eight ranges, as the CLI runs a field with --threads 2.
+    assert _run_ranges(lambda start, stop: list(range(start, stop)), 80, 2) == list(range(80))
+    assert _RecordingPool.made == [10, 2]
 
 
 def test_oeb_metric_uses_degree_thresholds():
