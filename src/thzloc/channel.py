@@ -16,9 +16,9 @@ those keys for many paths at once by NumPy's SeedSequence mixing in uint32
 arithmetic from the pool of SeedSequence(seed), cached per seed; a path
 with a spawn entry of 2^32 or more, which SeedSequence splits into several
 words, goes through SeedSequence itself.  keyed_beams reseats one shared
-Philox with a key and turns its uniforms into phase-shifter weights in
-BeamBuffers that many draws reuse, so no generator and no array is built
-per path; thread_buffers keeps one set per shape for each thread.
+Philox with a key and turns its raw words into phase-shifter weights in
+BeamBuffers that many draws reuse, so no generator is built per path;
+thread_buffers keeps one set per shape for each thread.
 """
 
 from __future__ import annotations
@@ -247,7 +247,6 @@ def beam_keys(seed: int, trials, bs_index, sub_index) -> np.ndarray:
 # One Philox reseated for every draw; the lock keeps reseat and fill
 # together when threads share it.
 _PHILOX = np.random.Philox(0)
-_UNIFORMS = np.random.Generator(_PHILOX)
 _PHILOX_LOCK = threading.Lock()
 _ZEROS = np.zeros(4, dtype=np.uint64)
 
@@ -256,23 +255,23 @@ class BeamBuffers:
     """The arrays a beam draw of G transmissions on N_ue + N_bs elements
     writes, so that many draws of one shape reuse them.
 
-    turns holds the uniforms and then the phase remainders, whole and words
-    are the scratch of _unit_phasors, base its table phasors and phasors
-    its result; beams holds the scaled combiner and views the precoder.
+    theta and index are the scratch of _unit_phasors, base its table
+    phasors and phasors its result; beams views the precoder in phasors and
+    the scaled combiner in scaled.
     """
 
     def __init__(self, num_transmissions: int, n_ue: int, n_bs: int):
         shape = (num_transmissions, n_ue + n_bs)
-        self.turns = np.empty(shape)
-        self.whole = np.empty(shape)
-        self.words = np.empty(shape, dtype=np.intp)
+        self.theta = np.empty(shape)
+        self.index = np.empty(shape, dtype=np.intp)
         self.base = np.empty(shape, dtype=complex)
         self.phasors = np.empty(shape, dtype=complex)
-        self.combiner = self.phasors[:, :n_ue]
-        self.combiner_norm = math.sqrt(n_ue)
-        ue = np.empty((num_transmissions, n_ue), dtype=complex)
+        # NumPy's complex division by sqrt(N_ue) multiplies both parts by this.
+        self.combiner = self.phasors.view(np.float64)[:, : 2 * n_ue]
+        self.combiner_scale = 1.0 / math.sqrt(n_ue) if n_ue else 0.0
+        self.scaled = np.empty((num_transmissions, 2 * n_ue))
         # Unit-modulus precoder, one PA per element.
-        self.beams = BeamformerSet(ue=ue, bs=self.phasors[:, n_ue:])
+        self.beams = BeamformerSet(ue=self.scaled.view(complex), bs=self.phasors[:, n_ue:])
 
 
 class _ThreadBuffers(threading.local):
@@ -300,11 +299,11 @@ def thread_buffers(num_transmissions: int, n_ue: int, n_bs: int) -> BeamBuffers:
 def keyed_beams(key: np.ndarray, buffers: BeamBuffers) -> BeamformerSet:
     """Beamformers from the Philox stream with the given key.
 
-    The uniforms u are those of a fresh np.random.Philox with that key;
-    entry u becomes the phasor e^{2 pi i u} (the phase that uniform(0, 2 pi)
-    scales from the same u).  The first N_ue columns, scaled to unit norm,
-    are the combiner, the rest the precoder.  The result is buffers.beams,
-    so it holds until the next draw into them.
+    The words w are those of a fresh np.random.Philox with that key, and
+    entry w becomes the phasor e^{2 pi i u} of Generator.random's uniform
+    u = (w >> 11) * 2^-53, the phase that uniform(0, 2 pi) scales from u.
+    The first N_ue columns, scaled to unit norm, are the combiner, the rest
+    the precoder.  The result is buffers.beams, until the next draw.
     """
     state = {"counter": _ZEROS, "key": key}
     with _PHILOX_LOCK:
@@ -312,14 +311,14 @@ def keyed_beams(key: np.ndarray, buffers: BeamBuffers) -> BeamformerSet:
             "bit_generator": "Philox", "state": state, "buffer": _ZEROS,
             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
-        _UNIFORMS.random(out=buffers.turns)
-    _unit_phasors(buffers.turns, buffers.whole, buffers.words, buffers.base, buffers.phasors)
-    np.divide(buffers.combiner, buffers.combiner_norm, out=buffers.beams.ue)
+        words = _PHILOX.random_raw(buffers.phasors.shape)
+    _unit_phasors(words, buffers.index, buffers.theta, buffers.base, buffers.phasors)
+    np.multiply(buffers.combiner, buffers.combiner_scale, out=buffers.scaled)
     return buffers.beams
 
 
-# Entries of the phasor table, a power of two so that u * _TURN_STEPS is
-# exact.
+# Entries of the phasor table, a power of two so that a Philox word's top
+# bits index it.
 _TURN_STEPS = 4096
 # pi to 40 decimals, for the table's fixed-point arithmetic.
 _PI_E40 = 31415926535897932384626433832795028841971
@@ -352,36 +351,36 @@ def _phasor_table(size: int) -> np.ndarray:
 
 
 _PHASORS = _phasor_table(_TURN_STEPS)
+# A word's top 12 bits index the table; the 41 below them, the rest of u's
+# 53, scale exactly to theta.  uint64 scalars keep NumPy 1.x in uint64.
+_INDEX_SHIFT = np.uint64(52)
+_REMAINDER_MASK = np.uint64(2**52 - 2**11)
+_REMAINDER_THETA = 2.0 * np.pi / _TURN_STEPS * 2.0**-52
 
 
 def _unit_phasors(
-    turns: np.ndarray, whole: np.ndarray, words: np.ndarray, base: np.ndarray, out: np.ndarray
+    words: np.ndarray, index: np.ndarray, theta: np.ndarray, base: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """e^{2 pi i u} of each u in turns, in [0, 1), to within 1.7e-16.
-
-    u * _TURN_STEPS splits exactly into a table index k and a remainder r;
-    the result is the table's e^{2 pi i k / _TURN_STEPS} times e^{i theta},
-    theta = 2 pi r / _TURN_STEPS < 1.6e-3, from Taylor polynomials to
-    theta^4 and theta^5, using IEEE basic operations only.  The result goes
-    to out; turns is overwritten, and whole (float), words (intp) and base
-    (complex), all of turns' shape, are scratch.  No array is allocated,
-    since fresh large temporaries cost page faults on every call.
+    """e^{2 pi i u} of each Philox word w in words, u = (w >> 11) * 2^-53,
+    to within 1.7e-16: the table's e^{2 pi i k / _TURN_STEPS}, k = w >> 52,
+    times e^{i theta}, theta = 2 pi frac(4096 u) / _TURN_STEPS < 1.6e-3,
+    from Taylor polynomials to theta^4 and theta^5 (IEEE basic operations).
+    The result goes to out; words is overwritten, and index (intp), theta
+    (float) and base (complex), all of words' shape, are scratch.  No array
+    is allocated, since fresh large temporaries cost page faults per call.
     """
-    theta = turns
-    theta *= _TURN_STEPS
-    np.floor(theta, out=whole)
-    theta -= whole
-    np.copyto(words, whole, casting="unsafe")
+    np.right_shift(words, _INDEX_SHIFT, out=index.view(np.uint64))
     # Indices lie in [0, _TURN_STEPS); "wrap" takes them as they are and,
     # unlike "raise", writes out without an intermediate buffer.
-    _PHASORS.take(words, out=base, mode="wrap")
-    theta *= 2.0 * np.pi / _TURN_STEPS
-    # sin(theta) and cos(theta) - 1 by Horner's rule: t2 in the floor's
-    # array, sin in the spent indices' 8-byte words, cos_m1 in theta's
-    # array once sin is done.  Contiguous arithmetic runs at twice the
-    # speed of the strided parts of out.
-    t2 = np.multiply(theta, theta, out=whole)
-    sin = np.multiply(t2, 1.0 / 120.0, out=words.view(np.float64))
+    _PHASORS.take(index, out=base, mode="wrap")
+    words &= _REMAINDER_MASK
+    np.multiply(words, _REMAINDER_THETA, out=theta)
+    # sin(theta) and cos(theta) - 1 by Horner's rule: t2 in the spent
+    # words, sin in the spent indices, cos_m1 in theta's array once sin is
+    # done.  Contiguous arithmetic runs at twice the speed of the strided
+    # parts of out.
+    t2 = np.multiply(theta, theta, out=words.view(np.float64))
+    sin = np.multiply(t2, 1.0 / 120.0, out=index.view(np.float64))
     sin -= 1.0 / 6.0
     sin *= t2
     sin *= theta

@@ -100,12 +100,18 @@ def test_beamformer_streams_are_keyed_per_path_and_trial():
     assert not np.array_equal(b00.ue, t1.ue)
 
 
+def _unit(words):
+    """_unit_phasors of a copy of Philox words, with fresh scratch."""
+    words = np.array(words, dtype=np.uint64)
+    shape = words.shape
+    scratch = np.empty(shape, dtype=np.intp), np.empty(shape), np.empty(shape, dtype=complex)
+    return _unit_phasors(words, *scratch, np.empty(shape, dtype=complex))
+
+
 def _phasors(turns):
-    """_unit_phasors of a copy of turns, with fresh scratch."""
-    turns = np.array(turns, dtype=float)
-    shape = turns.shape
-    scratch = np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape, dtype=complex)
-    return _unit_phasors(turns, *scratch, np.empty(shape, dtype=complex))
+    """_unit_phasors of uniforms k * 2^-53, through the words k << 11 that
+    Generator.random turns into them."""
+    return _unit((np.asarray(turns) * 2.0**53).astype(np.uint64) << np.uint64(11))
 
 
 def _extended_phasors(turns):
@@ -113,17 +119,33 @@ def _extended_phasors(turns):
     return np.cos(angle), np.sin(angle)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 56, 4000])
+def test_philox_words_are_the_generator_uniforms(n):
+    # keyed_beams reads the raw words that Generator.random turns into
+    # u = (w >> 11) * 2^-53; a change to either route fails here.
+    keys = [*beam_keys(3, [0, 1, 2**31], [0, 2, 5], [0, 7, 63]), [0, 0], [2**64 - 1] * 2]
+    for key in np.array(keys, dtype=np.uint64):
+        words = np.random.Philox(key=key).random_raw(n)
+        uniforms = np.random.Generator(np.random.Philox(key=key)).random(n)
+        got = (words >> np.uint64(11)) * 2.0**-53
+        np.testing.assert_array_equal(got.view(np.uint64), uniforms.view(np.uint64))
+
+
 @pytest.mark.skipif(not EXTENDED, reason="the reference needs an extended long double")
 def test_unit_phasors_match_extended_precision_reference():
-    ends = np.arange(1, _TURN_STEPS) / _TURN_STEPS
-    edges = [0.0, 1.0 - 2.0**-53, *np.nextafter(ends, 0.0), *ends, *np.nextafter(ends, 1.0)]
-    turns = np.concatenate([np.random.default_rng(5).random(10**5), edges])
-    got = _phasors(turns)
-    cos, sin = _extended_phasors(turns)
+    # Random words, the first and the last, and at each table step its word
+    # and those of the closest uniforms on either side (bit 11 is u's last).
+    steps = np.arange(_TURN_STEPS, dtype=np.uint64) << np.uint64(52)
+    ulp = np.uint64(2**11)
+    random = np.random.default_rng(5).integers(0, 2**64, 10**5, dtype=np.uint64)
+    words = np.concatenate([random, np.uint64([0, 2**64 - 1]), steps - ulp, steps, steps + ulp])
+    got = _unit(words)
+    cos, sin = _extended_phasors((words >> np.uint64(11)).astype(np.longdouble) * 2.0**-53)
     error = np.hypot(got.real - cos, got.imag - sin)
     assert float(error.max()) <= 1.7e-16
     modulus = np.hypot(got.real.astype(np.longdouble), got.imag.astype(np.longdouble))
     assert float(np.abs(modulus - 1).max()) <= 1.7e-16
+    np.testing.assert_array_equal(_unit(steps[:: _TURN_STEPS // 4]), [1, 1j, -1, -1j])
     # The table holds each phasor of a whole step correctly rounded: within
     # half an ulp, up to the reference's own error, with exact quarter turns.
     cos, sin = _extended_phasors(np.arange(_TURN_STEPS) / _TURN_STEPS)
@@ -136,6 +158,7 @@ def test_unit_phasors_keep_shape_and_whole_turns():
     turns = np.array([[0.0, 0.25], [0.5, 0.75]])
     np.testing.assert_array_equal(_phasors(turns), [[1, 1j], [-1, -1j]])
     assert _phasors(np.zeros((3, 0))).shape == (3, 0)
+    assert draw_beamformers(1, 0, 0, 5, 0, 4).ue.shape == (5, 0)
 
 
 def test_one_wide_draw_peaks_under_a_mebibyte():
@@ -216,15 +239,19 @@ def test_negative_key_entries_raise(kwargs):
 
 
 def test_shared_generator_carries_no_state_between_fills():
+    # The combiner's scaling is exact only for N_ue = 4^j; for the others
+    # it must still give the bits of NumPy's complex division.
     keys = beam_keys(4, [0, 1], [0, 0], [0, 0])
-    buffers = BeamBuffers(5, 4, 8)
-    for _ in range(3):
-        for key in keys:
-            beams = keyed_beams(key, buffers)
-            fresh = np.random.Generator(np.random.Philox(key=key)).random(size=(5, 12))
-            phasors = _phasors(fresh)
-            np.testing.assert_array_equal(beams.ue, phasors[:, :4] / 2.0)
-            np.testing.assert_array_equal(beams.bs, phasors[:, 4:])
+    for n_ue in (4, 2, 3, 5, 16, 64):
+        buffers = BeamBuffers(5, n_ue, 8)
+        for _ in range(3):
+            for key in keys:
+                beams = keyed_beams(key, buffers)
+                fresh = np.random.Generator(np.random.Philox(key=key)).random(size=(5, n_ue + 8))
+                phasors = _phasors(fresh)
+                want = phasors[:, :n_ue] / np.sqrt(n_ue)
+                np.testing.assert_array_equal(beams.ue.view(np.uint64), want.view(np.uint64))
+                np.testing.assert_array_equal(beams.bs, phasors[:, n_ue:])
 
 
 def test_threads_sharing_the_generator_get_their_own_streams():
