@@ -20,13 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crb import BoundResult, evaluate_batch
+from .crb import LOCALIZABLE, BoundResult, evaluate_batch
 from .errors import ConfigError
 from .geometry import EulerAngles, Pose, euler_to_rotation
 from .scenario import Scenario, ScenarioConfig
 
 PEB_THRESHOLDS_M = np.logspace(-3.0, 3.0, 60)
 OEB_THRESHOLDS_DEG = np.logspace(-3.0, 2.0, 60)
+# Metric name: (BoundTable column, threshold grid).
+_METRICS = {"peb": ("peb_m", PEB_THRESHOLDS_M), "oeb": ("oeb_deg", OEB_THRESHOLDS_DEG)}
 
 # Poses per evaluate_batch call; bounds the kernel's per-path arrays.
 _POSE_CHUNK = 64
@@ -71,7 +73,7 @@ def evaluate_pose(
     config: ScenarioConfig, pose: Pose, seed: int | None = None, trial: int = 0
 ) -> BoundResult:
     """Bounds for one explicit UE pose under a scenario."""
-    return evaluate_batch(_realized(config), [pose], [trial], seed)[0]
+    return evaluate_batch(_realized(config), [pose], [trial], seed).result(0)
 
 
 @dataclass(frozen=True)
@@ -94,14 +96,14 @@ class CcdfCurve:
 
 
 def _evaluate_range(config: ScenarioConfig, poses_of, seed: int, start: int, stop: int):
-    """Results of poses_of(i) for i in [start, stop), trial i each, fed to
-    the kernel _POSE_CHUNK poses at a time."""
+    """BoundTables of poses_of(i) for i in [start, stop), trial i each, one
+    per _POSE_CHUNK poses fed to the kernel."""
     scn = _realized(config)
-    results = []
+    tables = []
     for first in range(start, stop, _POSE_CHUNK):
         trials = range(first, min(first + _POSE_CHUNK, stop))
-        results += evaluate_batch(scn, [poses_of(t) for t in trials], trials, seed)
-    return results
+        tables.append(evaluate_batch(scn, [poses_of(t) for t in trials], trials, seed))
+    return tables
 
 
 def _run_ranges(worker, count: int, threads: int) -> list:
@@ -120,11 +122,6 @@ def _run_ranges(worker, count: int, threads: int) -> list:
     stops = [min(start + size, count) for start in starts]
     with ProcessPoolExecutor(max_workers=min(threads, len(starts))) as pool:
         return [item for part in pool.map(worker, starts, stops) for item in part]
-
-
-def _trial_values(config, distribution, seed, metric, start, stop) -> list[float]:
-    poses_of = functools.partial(sample_pose, distribution, seed)
-    return [r.metric(metric) for r in _evaluate_range(config, poses_of, seed, start, stop)]
 
 
 def coverage_ccdf(
@@ -148,13 +145,13 @@ def coverage_ccdf(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    thresholds = PEB_THRESHOLDS_M if metric == "peb" else OEB_THRESHOLDS_DEG
-    if metric not in ("peb", "oeb"):
+    if metric not in _METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    distribution = distribution or PoseDistribution()
+    column, thresholds = _METRICS[metric]
     run_seed = config.seed if seed is None else seed
-    worker = functools.partial(_trial_values, config, distribution, run_seed, metric)
-    values = np.array(_run_ranges(worker, trials, threads))
+    poses_of = functools.partial(sample_pose, distribution or PoseDistribution(), run_seed)
+    worker = functools.partial(_evaluate_range, config, poses_of, run_seed)
+    values = np.concatenate([getattr(t, column) for t in _run_ranges(worker, trials, threads)])
     exceedance = np.array([np.count_nonzero(values > t) for t in thresholds]) / trials
     outage = float(np.count_nonzero(np.isinf(values))) / trials
     return CcdfCurve(
@@ -188,7 +185,8 @@ def _axis(start: float, stop: float, step: float) -> np.ndarray:
     # keeps the end point of steps such as 0.1 that binary cannot hold.
     if not step > 0:
         raise ConfigError(f"grid step must be positive, got {step:g}")
-    points = np.floor((stop - start) / step * (1.0 + _AXIS_SLACK)) + 1.0
+    # A Python float, so a count past the float range is inf without warnings.
+    points = float(np.floor((stop - start) / step * (1.0 + _AXIS_SLACK))) + 1.0
     where = f"grid from {start:g} to {stop:g} in steps of {step:g}"
     if not points >= 1.0:
         raise ConfigError(f"{where} has no cells")
@@ -197,28 +195,16 @@ def _axis(start: float, stop: float, step: float) -> np.ndarray:
     return start + step * np.arange(int(points))
 
 
-def _field_cells(config: ScenarioConfig, poses_of, start: int, stop: int) -> list[tuple]:
-    # Each cell gets its own beamformer draw, like one Monte-Carlo trial.
-    cells = []
-    for result in _evaluate_range(config, poses_of, config.seed, start, stop):
-        good = result.localizable
-        cells.append((
-            result.peb_m if good else np.nan,
-            result.oeb_deg if good else np.nan,
-            result.classification,
-            result.num_paths,
-        ))
-    return cells
-
-
 def _assemble_grid(config, axis_names, first, second, poses_of, threads) -> FieldGrid:
-    worker = functools.partial(_field_cells, config, poses_of)
-    cells = _run_ranges(worker, len(first) * len(second), threads)
-    shape = (len(first), len(second))
-    peb = np.array([c[0] for c in cells]).reshape(shape)
-    oeb = np.array([c[1] for c in cells]).reshape(shape)
-    classification = np.array([c[2] for c in cells], dtype=object).reshape(shape)
-    num_paths = np.array([c[3] for c in cells]).reshape(shape)
+    # Each cell gets its own beamformer draw, like one Monte-Carlo trial.
+    worker = functools.partial(_evaluate_range, config, poses_of, config.seed)
+    tables = _run_ranges(worker, len(first) * len(second), threads)
+    peb, oeb, classification, num_paths = (
+        np.concatenate([getattr(t, column) for t in tables]).reshape(len(first), len(second))
+        for column in ("peb_m", "oeb_deg", "classification", "num_paths")
+    )
+    outside = classification != LOCALIZABLE
+    peb[outside] = oeb[outside] = np.nan
     return FieldGrid(axis_names, (first, second), peb, oeb, classification, num_paths)
 
 

@@ -14,10 +14,11 @@ rotation block, converted to degrees through the small-angle relation
 |dR|_F = sqrt(2) * angle.
 
 evaluate_batch(scenario, ue_poses, trials, seed=None) is the one way into
-the evaluation kernel: it takes a realized Scenario whole and runs each
-layer once over all paths of a batch of poses (visibility, angles, state
-Jacobians, beam draws and per-path FIMs, state FIMs, constrained CRBs).
-A single pose is a batch of one (coverage.evaluate_pose).  What depends on
+the evaluation kernel: it takes a realized Scenario whole, runs each layer
+once over all paths of a batch of poses (visibility, angles, state
+Jacobians, beam draws and per-path FIMs, state FIMs, constrained CRBs) and
+returns their columns, a BoundTable.  BoundTable.result(i) builds pose i's
+BoundResult for coverage.evaluate_pose, a batch of one.  What depends on
 the scenario alone (the stacked BS poses and mounts, the element stacks by
 panel size) is built once per Scenario and the tone Gram once per
 SignalConfig.  The beam layer derives the Philox keys of all paths in one
@@ -161,13 +162,13 @@ def state_jacobians(geo: PathGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """
     v, d = geo.v, geo.offset
     dist = geo.distance[:, None]
-    dist3 = dist * dist * dist
     frames = geo.frames  # (P, side, 3, 3): columns b_j, then a_j
     x, y, z = (geo.local[..., j] for j in range(3))  # (P, side)
     q = z / dist
     branch = 1.0 - np.abs(q) < _ELEVATION_TOL
     jac = np.zeros((v.shape[0], 5, STATE_DIM))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dist3 = dist * dist * dist  # inf past 5.6e102 m, where v / dist3 is 0
         # Rows 0 and 2 (azimuths), then rows 1 and 3 (elevations, the
         # arrival one negated since it resolves -v).
         den = x * x + y * y
@@ -383,12 +384,41 @@ class BoundResult:
     def localizable(self) -> bool:
         return self.classification == LOCALIZABLE
 
-    def metric(self, name: str) -> float:
-        if name == "peb":
-            return self.peb_m
-        if name == "oeb":
-            return self.oeb_deg
-        raise ValueError(f"unknown metric {name!r}, expected 'peb' or 'oeb'")
+
+@dataclass(frozen=True)
+class BoundTable:
+    """Bounds of a batch of poses as columns named after BoundResult's
+    fields, one entry per pose, except paths, (P, 2) rows of (bs, subarray),
+    and path_params, (P, 6) rows of PathParams fields, which hold the
+    poses' paths in turn, each pose's in visible_paths order."""
+
+    classification: np.ndarray
+    peb_m: np.ndarray
+    oeb_deg: np.ndarray
+    oeb_raw: np.ndarray
+    condition_number: np.ndarray
+    num_paths: np.ndarray
+    num_visible_bs: np.ndarray
+    paths: np.ndarray
+    path_params: np.ndarray
+
+    def result(self, i: int) -> BoundResult:
+        """The BoundResult of pose i."""
+        start = sum(self.num_paths[:i].tolist())
+        rows = slice(start, start + int(self.num_paths[i]))
+        return BoundResult(
+            classification=self.classification[i],
+            peb_m=float(self.peb_m[i]),
+            oeb_deg=float(self.oeb_deg[i]),
+            oeb_raw=float(self.oeb_raw[i]),
+            num_paths=int(self.num_paths[i]),
+            num_visible_bs=int(self.num_visible_bs[i]),
+            condition_number=float(self.condition_number[i]),
+            paths=tuple(
+                PathObservation(m, n, PathParams(*row))
+                for (m, n), row in zip(self.paths[rows].tolist(), self.path_params[rows].tolist())
+            ),
+        )
 
 
 # Paths whose steering stacks, couplings and FIM terms are held at once.
@@ -447,8 +477,8 @@ def _beam_fims(scenario: Scenario, params, paths, trials, seed):
 
 def evaluate_batch(
     scenario: Scenario, ue_poses: list[Pose], trials: list[int], seed: int | None = None
-) -> list[BoundResult]:
-    """Bounds for a batch of UE poses under a realized scenario.
+) -> BoundTable:
+    """Bounds for a batch of UE poses under a realized scenario, as columns.
 
     Pose i draws its beamformers per (seed, trials[i], bs, subarray), with
     seed the scenario's unless given, so results are reproducible and
@@ -489,32 +519,17 @@ def evaluate_batch(
     fim = state_fims(fims, jacobians[live], counts.cumsum() - counts)
 
     crbs, invertible, conditions = constrained_crbs(fim, constraint_bases(ue[1][poses]))
-    bounds = np.full((4, count), np.inf)
-    peb, oeb_raw, oeb_deg, condition = bounds
+    peb, oeb_raw, oeb_deg, condition = np.full((4, count), np.inf)
     condition[poses] = conditions
     solved = poses[invertible]
     peb[solved], oeb_raw[solved], oeb_deg[solved] = error_bounds_stack(crbs)
 
     has_bound = np.zeros(count, dtype=bool)
     has_bound[solved] = True
-    num_visible_bs = mask.any(axis=2).sum(axis=1).tolist()
-    ends = num_paths.cumsum().tolist()
-    observations = [
-        PathObservation(m, n, PathParams(*row))
-        for m, n, row in zip(paths[1].tolist(), paths[2].tolist(), params.tolist())
-    ]
-    return [
-        BoundResult(
-            classification=classify_localizability(visible_bs, bounded),
-            peb_m=peb_m,
-            oeb_deg=oeb_deg_i,
-            oeb_raw=oeb_raw_i,
-            num_paths=end - start,
-            num_visible_bs=visible_bs,
-            condition_number=condition_i,
-            paths=tuple(observations[start:end]),
-        )
-        for visible_bs, bounded, (peb_m, oeb_raw_i, oeb_deg_i, condition_i), start, end in zip(
-            num_visible_bs, has_bound.tolist(), bounds.T.tolist(), [0] + ends[:-1], ends
-        )
-    ]
+    num_visible_bs = mask.any(axis=2).sum(axis=1)
+    labels = map(classify_localizability, num_visible_bs.tolist(), has_bound.tolist())
+    return BoundTable(
+        classification=np.array(list(labels), dtype=object), peb_m=peb, oeb_deg=oeb_deg,
+        oeb_raw=oeb_raw, condition_number=condition, num_paths=num_paths,
+        num_visible_bs=num_visible_bs, paths=np.array(paths[1:]).T, path_params=params,
+    )

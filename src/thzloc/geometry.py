@@ -185,8 +185,11 @@ def visibility(bs, pose_frames) -> np.ndarray:
     bs_pos, bs_rot = bs
     centers, axes = pose_frames
     v = centers[:, None] - bs_pos[None, :, None]
-    facing_bs = _dot(v, axes[:, None, :, :, 0]) < 0.0
-    facing_ue = _dot(v, bs_rot[None, :, None, :, 0]) > 0.0
+    # Near the float range a sum may overflow to an inf of the right sign;
+    # path_geometry then refuses the distance.
+    with np.errstate(over="ignore"):
+        facing_bs = _dot(v, axes[:, None, :, :, 0]) < 0.0
+        facing_ue = _dot(v, bs_rot[None, :, None, :, 0]) > 0.0
     return facing_bs & facing_ue
 
 
@@ -255,14 +258,18 @@ def path_geometry(bs, mounts, pose_frames, paths) -> PathGeometry:
     the poses' subarray_frames.
 
     Raises:
-        GeometryError: if a subarray center coincides with its BS.
+        GeometryError: if a subarray center coincides with its BS, or lies
+            so far from it that the distance is not a finite float.
     """
     owners, bs_index, sub_index = paths
     centers, axes = pose_frames
     v = centers[owners, sub_index] - bs[0][bs_index]
-    distance = np.sqrt(_dot(v, v))
+    with np.errstate(over="ignore"):
+        distance = np.sqrt(_dot(v, v))
     if (distance < 1e-9).any():
         raise GeometryError("BS and subarray positions coincide")
+    if not np.isfinite(distance).all():
+        raise GeometryError("BS-to-subarray distance exceeds the float range")
     frames = np.empty((v.shape[0], 2, 3, 3))
     frames[:, 0], frames[:, 1] = bs[1][bs_index], axes[owners, sub_index]
     return PathGeometry(

@@ -32,7 +32,6 @@ from thzloc import (
 )
 from thzloc.channel import draw_beamformers, path_gain
 from thzloc.cli import main as cli_main
-from thzloc.coverage import _trial_values
 from thzloc.crb import COMM_ONLY, LOCALIZABLE, NO_LOS
 from thzloc.geometry import PathParams, Subarray, element_grid, path_params, visible_paths
 
@@ -166,7 +165,7 @@ def _bounds_for(config_name, pose, power_shift_db=0.0, transform=None):
         bs_poses = [Pose(rot @ p.position + shift, rot @ p.rotation) for p in bs_poses]
         pose = Pose(rot @ pose.position + shift, rot @ pose.rotation)
     scn = dataclasses.replace(scn, bs_poses=bs_poses, signal=signal)
-    return evaluate_batch(scn, [pose], [0])[0]
+    return evaluate_batch(scn, [pose], [0]).result(0)
 
 
 def test_criterion_04_exact_scalings():
@@ -302,10 +301,16 @@ def test_criterion_06_planar_outage_floor(planar_2bs_coverage):
 
 def _metric_values(config_name, trials):
     # PEB of trial t at the pose sample_pose(..., config.seed, t) with the
-    # beams of trial t, as evaluate_pose gives it, through the coverage
-    # path that feeds the kernel 64 poses per call.
+    # beams of trial t, as evaluate_pose gives it, with the kernel fed 64
+    # poses per call as coverage feeds it.
     config = preset(config_name)
-    return np.array(_trial_values(config, PoseDistribution(), config.seed, "peb", 0, trials))
+    scn = config.realize()
+    values = []
+    for first in range(0, trials, 64):
+        chunk = range(first, min(first + 64, trials))
+        poses = [sample_pose(PoseDistribution(), config.seed, t) for t in chunk]
+        values.append(evaluate_batch(scn, poses, chunk, config.seed).peb_m)
+    return np.concatenate(values)
 
 
 def test_criterion_07_quantile_targets():

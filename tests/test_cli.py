@@ -61,6 +61,18 @@ def test_bounds_non_localizable_exit_code(capsys):
     assert doc["paths"] == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bounds_far_pose_inside_the_float_range_is_a_result(capsys):
+    # |v|^3 in the state Jacobian overflows past 5.6e102 m, |v|^2 only
+    # past 1.3e154 m.
+    code, out, _ = run(
+        capsys, "bounds", "--preset", "cuboidal-2bs",
+        "--position", "1e120,1e120,1", "--orientation", "0,0,0",
+    )
+    assert code == EXIT_NOT_LOCALIZABLE
+    assert json.loads(out)["num_paths"] > 0
+
+
 def test_bounds_rejects_malformed_pose(capsys):
     code, _, err = run(
         capsys, "bounds", "--preset", "planar-2bs",
@@ -270,8 +282,23 @@ def test_config_and_preset_are_mutually_exclusive(capsys):
              "--position", "-10.550000000089444,-10.5,4.999999999955278"],
             "coincide",
         ),
+        # Poses so far out that |v|^2 overflows, the second also v.axis.
+        (
+            ["bounds", "--preset", "cuboidal-2bs", "--orientation", "0,0,0",
+             "--position", "1e200,1e200,1"],
+            "float range",
+        ),
+        (
+            ["bounds", "--preset", "cuboidal-2bs", "--orientation", "30,30,30",
+             "--position=1.7e308,-1.7e308,1"],
+            "float range",
+        ),
+        (["map", "--preset", "cuboidal-2bs", "--grid=0,1e300,1e299"], "float range"),
+        # A cell count past the float range.
+        (["orient-sweep", "--preset", "planar-2bs", "--step", "1e-300"], "inf cells"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_counts_and_steps_are_config_errors(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_CONFIG_ERROR

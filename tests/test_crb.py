@@ -252,7 +252,7 @@ def test_classification_labels():
 def test_evaluate_batch_end_to_end():
     scn = preset("cuboidal-2bs").realize()
     pose = Pose(np.array([1.0, 2.0, 0.0]), euler_to_rotation(EulerAngles(0, -90, 45)))
-    result = evaluate_batch(scn, [pose], [0])[0]
+    result = evaluate_batch(scn, [pose], [0]).result(0)
     assert result.classification == LOCALIZABLE
     assert result.num_visible_bs == 2
     assert np.isfinite(result.peb_m) and result.peb_m > 0

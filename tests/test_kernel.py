@@ -1,11 +1,13 @@
 """The batched evaluation kernel against its per-path layers and a reference.
 
 evaluate_batch(scenario, ue_poses, trials, seed=None) is the one way into
-the kernel: it takes a realized Scenario and runs every layer once over all
-paths of a batch of poses.  evaluate_pose and the per-path public functions
-are batches of one through the same layers.  These tests pin four things:
-a pose's result does not depend on the batch it is evaluated in (bit for
-bit, against the per-path composition too), the entry's seed and trial
+the kernel: it takes a realized Scenario, runs every layer once over all
+paths of a batch of poses and returns a BoundTable of columns, whose
+result(i) is pose i's BoundResult.  evaluate_pose and the per-path public
+functions are batches of one through the same layers.  These tests pin
+five things: a pose's result does not depend on the batch it is evaluated
+in (bit for bit, against the per-path composition too), the table's
+columns match the results built from them, the entry's seed and trial
 arguments, the beam buffers each thread keeps from call to call, and the
 separable per-path FIM's agreement with the full (G, K, 5) signal-gradient
 tensor that it replaces.
@@ -71,6 +73,10 @@ def _poses(scn, count, seed):
     return poses + [_branch_point_pose(scn)]
 
 
+def _results(table):
+    return [table.result(i) for i in range(table.peb_m.size)]
+
+
 def _composed(scn, pose, seed, trial):
     """BoundResult from the per-path public functions, called in the order
     of the benchmark's traced copy of the pipeline."""
@@ -119,7 +125,7 @@ def test_results_do_not_depend_on_the_batch(name):
     seed, count = 11, 24
     poses = _poses(scn, count, seed)
     trials = list(range(count))
-    whole = evaluate_batch(scn, poses, trials, seed)
+    whole = _results(evaluate_batch(scn, poses, trials, seed))
     assert not whole[-1].localizable and math.isinf(whole[-1].peb_m)
     assert whole[-1].num_paths == len(whole[-1].paths) > 0
     for size in (1, 7):
@@ -127,7 +133,8 @@ def test_results_do_not_depend_on_the_batch(name):
         backwards = trials[::-1]
         for start in range(0, count, size):
             part = backwards[start : start + size]
-            for t, result in zip(part, evaluate_batch(scn, [poses[t] for t in part], part, seed)):
+            table = evaluate_batch(scn, [poses[t] for t in part], part, seed)
+            for t, result in zip(part, _results(table)):
                 pieces[t] = result
         assert [pieces[t] for t in trials] == whole, f"batches of {size}"
     composed = [_composed(scn, pose, seed, t) for t, pose in zip(trials, poses)]
@@ -138,11 +145,11 @@ def test_seed_defaults_to_the_scenario_seed():
     config = preset("cuboidal-3bs")
     scn = config.realize()
     pose, trial = sample_pose(PoseDistribution(), 5, 0), 4
-    result = evaluate_batch(scn, [pose], [trial])[0]
+    result = evaluate_batch(scn, [pose], [trial]).result(0)
     assert result.localizable
     assert result == evaluate_pose(config, pose, trial=trial)
-    assert result == evaluate_batch(scn, [pose], [trial], scn.seed)[0]
-    assert scn.seed != 0 and result != evaluate_batch(scn, [pose], [trial], 0)[0]
+    assert result == evaluate_batch(scn, [pose], [trial], scn.seed).result(0)
+    assert scn.seed != 0 and result != evaluate_batch(scn, [pose], [trial], 0).result(0)
 
 
 def test_trials_must_be_integers():
@@ -162,7 +169,7 @@ def test_trials_and_poses_must_match_in_length():
         evaluate_batch(scn, poses, range(2))
     # Also when the pose that lacks a trial has no LOS and draws no beams.
     above = Pose(np.array([0.0, 0.0, 50.0]), np.eye(3))
-    assert evaluate_batch(scn, [above], [0])[0].classification == NO_LOS
+    assert evaluate_batch(scn, [above], [0]).result(0).classification == NO_LOS
     with pytest.raises(ValueError, match="2 UE poses but 1 trials"):
         evaluate_batch(scn, [poses[0], above], [0])
 
@@ -172,7 +179,7 @@ def test_a_second_call_draws_into_the_same_beam_buffers():
     # one reuses the set its thread made on the first call.
     scn = SCENARIOS["planar-2bs-wide"].realize()
     pose = sample_pose(PoseDistribution(), 5, 1)
-    first = evaluate_batch(scn, [pose], [0])[0]
+    first = evaluate_batch(scn, [pose], [0]).result(0)
     assert first.num_paths > 0
     tracemalloc.start()
     try:
@@ -187,13 +194,13 @@ def test_threads_evaluating_at_once_match_serial_results():
     # Each thread draws into its own beam buffers.
     scn = SCENARIOS["planar-2bs-wide"].realize()
     poses = [sample_pose(PoseDistribution(), 3, t) for t in range(6)]
-    serial = [evaluate_batch(scn, [pose], [t])[0] for t, pose in enumerate(poses)]
+    serial = [evaluate_batch(scn, [pose], [t]).result(0) for t, pose in enumerate(poses)]
     assert sum(result.num_paths for result in serial) > 0
     mismatches = []
 
     def work():
         for t, pose in enumerate(poses):
-            if evaluate_batch(scn, [pose], [t])[0] != serial[t]:
+            if evaluate_batch(scn, [pose], [t]).result(0) != serial[t]:
                 mismatches.append(t)
 
     interval = sys.getswitchinterval()
@@ -217,9 +224,8 @@ def _resized(panels, shapes):
     )
 
 
-def test_mixed_panel_sizes_match_the_per_path_composition():
-    # The kernel steers each block's paths once per panel size.  Here the
-    # BS panels have three sizes, two of them equal in count but not in
+def _mixed_panels():
+    # The BS panels have three sizes, two of them equal in count but not in
     # shape (4x4 and 2x8), and the subarrays two sizes.
     config = preset("cuboidal-4bs")
     config = dataclasses.replace(
@@ -229,12 +235,36 @@ def test_mixed_panel_sizes_match_the_per_path_composition():
     )
     scn = config.realize()
     assert [e.shape[0] for e in scn.bs_elements] == [16, 64, 16, 36]
+    return scn
+
+
+def test_mixed_panel_sizes_match_the_per_path_composition():
+    # The kernel steers each block's paths once per panel size.
+    scn = _mixed_panels()
     seed, count = 13, 40
     poses = _poses(scn, count, seed)
     trials = list(range(count))
-    whole = evaluate_batch(scn, poses, trials, seed)
+    whole = _results(evaluate_batch(scn, poses, trials, seed))
     assert sum(result.localizable for result in whole) > count // 2
     assert [_composed(scn, pose, seed, t) for t, pose in zip(trials, poses)] == whole
+
+
+def test_table_columns_match_the_results_they_build():
+    scn = _mixed_panels()
+    seed, count = 13, 40
+    table = evaluate_batch(scn, _poses(scn, count, seed), list(range(count)), seed)
+    results = _results(table)
+    for name in (
+        "classification", "peb_m", "oeb_deg", "oeb_raw",
+        "condition_number", "num_paths", "num_visible_bs",
+    ):
+        assert getattr(table, name).tolist() == [getattr(r, name) for r in results], name
+    observations = [obs for result in results for obs in result.paths]
+    assert len(observations) == table.paths.shape[0] > count
+    assert table.paths.tolist() == [[obs.bs_index, obs.subarray_index] for obs in observations]
+    assert table.path_params.tolist() == [
+        list(dataclasses.astuple(obs.params)) for obs in observations
+    ]
 
 
 @pytest.mark.parametrize(
@@ -303,7 +333,7 @@ def test_kernel_matches_tensor_reference(name):
     scn = SCENARIOS[name].realize()
     seed = 29
     poses = [sample_pose(PoseDistribution(), seed, t) for t in range(REFERENCE_POSES)]
-    results = evaluate_batch(scn, poses, list(range(REFERENCE_POSES)), seed)
+    results = _results(evaluate_batch(scn, poses, list(range(REFERENCE_POSES)), seed))
     fim_errors, worst = [], 0.0
     for trial, (pose, result) in enumerate(zip(poses, results)):
         label, peb, oeb, condition = _reference(scn, pose, seed, trial, fim_errors)

@@ -5,8 +5,9 @@
 OLD_SRC and NEW_SRC are directories that hold a `thzloc` package, such as
 the `src` folder of two checkouts.  Each tree runs in its own Python
 process and evaluates the same N random poses (default 1,500) of every
-preset and of perfbench/planar-2bs-wide.yaml through evaluate_batch, 64
-poses per call.  For each scenario the script prints whether the
+preset and of perfbench/planar-2bs-wide.yaml through evaluate_pose, one
+pose per call, so trees whose evaluate_batch returns a list of results and
+trees whose evaluate_batch returns a table of columns compare alike.  For each scenario the script prints whether the
 classifications and path counts are equal; over the poses with a finite
 PEB in both trees, the worst max(|dPEB|/PEB, |dOEB|/OEB) divided by the
 condition number; and how many of those PEB and OEB values moved in the
@@ -28,7 +29,6 @@ import numpy as np
 
 WIDE = Path(__file__).resolve().parents[1] / "perfbench" / "planar-2bs-wide.yaml"
 POSE_SEED, BEAM_SEED = 7, 11
-CHUNK = 64
 LIMIT = 1e-15
 COLUMNS = ("classification", "num_paths", "peb_m", "oeb_deg", "condition_number")
 
@@ -36,19 +36,18 @@ COLUMNS = ("classification", "num_paths", "peb_m", "oeb_deg", "condition_number"
 def dump(out_path: str, poses: int) -> None:
     """Write every scenario's results on `poses` poses to an .npz file, with
     the thzloc that comes first on sys.path."""
-    from thzloc import (
-        PRESET_NAMES, PoseDistribution, evaluate_batch, load_config, preset, sample_pose,
-    )
+    from thzloc import PRESET_NAMES, PoseDistribution, evaluate_pose, load_config, preset, sample_pose
 
     scenarios = [(name, preset(name)) for name in PRESET_NAMES]
     scenarios.append(("planar-2bs-wide", load_config(WIDE)))
     arrays = {}
     for name, config in scenarios:
-        scenario, results = config.realize(), []
-        for first in range(0, poses, CHUNK):
-            trials = range(first, min(first + CHUNK, poses))
-            batch = [sample_pose(PoseDistribution(), POSE_SEED, t) for t in trials]
-            results += evaluate_batch(scenario, batch, trials, BEAM_SEED)
+        results = [
+            evaluate_pose(
+                config, sample_pose(PoseDistribution(), POSE_SEED, t), seed=BEAM_SEED, trial=t
+            )
+            for t in range(poses)
+        ]
         for column in COLUMNS:
             arrays[f"{name}:{column}"] = np.array([getattr(r, column) for r in results])
     np.savez(out_path, **arrays)
