@@ -11,14 +11,14 @@ symmetric grid around the carrier, f_k = (k - (K + 1) / 2) * W / K for
 k = 1..K, so the grid never contains the carrier itself for even K.
 
 The beams of a path come from the Philox stream keyed by
-SeedSequence(seed, spawn_key=(trial, bs, subarray)).  beam_keys derives
-those keys for many paths at once by NumPy's SeedSequence mixing in uint32
-arithmetic from the pool of SeedSequence(seed), cached per seed; a path
-with a spawn entry of 2^32 or more, which SeedSequence splits into several
-words, goes through SeedSequence itself.  keyed_beams reseats one shared
-Philox with a key and turns its raw words into phase-shifter weights in
-BeamBuffers that many draws reuse, so no generator is built per path;
-thread_buffers keeps one set per shape for each thread.
+SeedSequence(seed, spawn_key=(trial, bs, subarray)), a trial's pose from
+(trial,).  spawn_keys derives such keys many at once by NumPy's
+SeedSequence mixing in uint32 arithmetic from the pool of SeedSequence(seed),
+cached per seed; an entry of 2^32 or more, which SeedSequence splits into
+several words, goes through SeedSequence itself.  keyed_words reseats one
+shared Philox with a key and reads its raw words, so no generator is built
+per stream; keyed_beams makes them phase-shifter weights in BeamBuffers,
+one set per shape and thread from thread_buffers.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def draw_beamformers(
     on how many other BSs or subarrays exist.  That keeps random draws
     common when comparing nested BS sets.
     """
-    key = beam_keys(seed, [trial], [bs_index], [subarray_index])[0]
+    key = spawn_keys(seed, [trial], [bs_index], [subarray_index])[0]
     return keyed_beams(key, BeamBuffers(num_transmissions, n_ue, n_bs))
 
 
@@ -149,8 +149,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
-# Spawn key words per path: (trial, bs, subarray).
-_SPAWN_WORDS = 3
 
 
 def _hash_chain(start: int, mult: int, count: int) -> list[int]:
@@ -162,11 +160,11 @@ def _hash_chain(start: int, mult: int, count: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=16)
-def _seed_prefix(seed: int):
+def _seed_prefix(seed: int, spawn_words: int):
     """SeedSequence state of seed once its own words are mixed in.
 
     Returns the (1, 4) pool and the (xor, multiplier) hash constants, each
-    (3, 1, 4), that the three spawn words meet.  The pool is that of
+    (spawn_words, 1, 4), that the spawn words meet.  The pool is that of
     SeedSequence(seed): its words, zero-padded to the pool size, mix alike
     with or without a spawn key.  The hash constant advances once per hash
     whatever the words are: 16 hashes for the pool, 4 for each seed word
@@ -174,9 +172,9 @@ def _seed_prefix(seed: int):
     """
     words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
     hashes = _POOL_SIZE * words
-    chain = _hash_chain(_INIT_A, _MULT_A, hashes + _SPAWN_WORDS * _POOL_SIZE)[hashes:]
+    chain = _hash_chain(_INIT_A, _MULT_A, hashes + spawn_words * _POOL_SIZE)[hashes:]
     chain = np.array(chain, dtype=np.uint32)
-    shape = (_SPAWN_WORDS, 1, _POOL_SIZE)
+    shape = (spawn_words, 1, _POOL_SIZE)
     pool = np.random.SeedSequence(seed).pool[None]
     prefix = pool, chain[:-1].reshape(shape), chain[1:].reshape(shape)
     for array in prefix:  # shared by every caller through the cache
@@ -184,45 +182,35 @@ def _seed_prefix(seed: int):
     return prefix
 
 
-# generate_state's hash constants for the four words of a Philox key.
-_STATE_CHAIN = np.array(_hash_chain(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint32)
+# generate_state's hash constants for a key's 4 words, a row like the pool.
+_STATE_CHAIN = np.array([_hash_chain(_INIT_B, _MULT_B, _POOL_SIZE)], dtype=np.uint32)
 _SPAWN_LIMIT = 1 << 32
 
 
-def _spawn_entries(trials, bs_index, sub_index) -> np.ndarray:
-    """(3, P) spawn key entries as an integer array; as Python ints in an
-    object array when one does not fit in 64 bits."""
-    entries = np.array((trials, bs_index, sub_index))
-    if entries.dtype.kind in "iu":
-        return entries
-    rows = (trials, bs_index, sub_index)
-    return np.array([[operator.index(v) for v in row] for row in rows], dtype=object)
-
-
 def _mixed_keys(seed: int, words: np.ndarray) -> np.ndarray:
-    # SeedSequence's mixing of the (3, P) uint32 spawn words into the
+    # SeedSequence's mixing of the (W, P) uint32 spawn words into the
     # seed's pool, then generate_state: (P, 2) uint64 keys.
-    pool, xor, mult = _seed_prefix(seed)
+    pool, xor, mult = _seed_prefix(seed, words.shape[0])
     hashes = (words[:, :, None] ^ xor) * mult
     hashes ^= hashes >> 16
     hashes *= _MIX_R
     for word_hashes in hashes:
         pool = _MIX_L * pool - word_hashes
         pool ^= pool >> 16
-    state = (pool ^ _STATE_CHAIN[:-1]) * _STATE_CHAIN[1:]
+    state = (pool ^ _STATE_CHAIN[:, :-1]) * _STATE_CHAIN[:, 1:]
     state ^= state >> 16
     # Each key word is two state words, the first the low half.
     return state.astype("<u4", copy=False).view("<u8")
 
 
-def beam_keys(seed: int, trials, bs_index, sub_index) -> np.ndarray:
-    """Philox keys of many paths' beam streams, shape (P, 2) uint64.
+def spawn_keys(seed: int, *spawn_rows) -> np.ndarray:
+    """Philox keys of many streams, shape (P, 2) uint64.
 
-    Row p equals SeedSequence(seed, spawn_key=(trials[p], bs_index[p],
-    sub_index[p])).generate_state(2, np.uint64), and it is computed by the
-    same mixing over all paths at once.  SeedSequence splits an entry of
-    2^32 or more into several words, so such a path goes through
-    SeedSequence itself.
+    Each spawn row holds one entry per stream: (trials,) for poses,
+    (trials, bs_index, sub_index) for beams.  Row p equals SeedSequence(seed,
+    spawn_key=(entries p of the rows)).generate_state(2, np.uint64), by the
+    same mixing for all streams at once, and through SeedSequence itself
+    where an entry of 2^32 or more splits into several words.
 
     Raises:
         ValueError: for a negative seed or spawn entry.
@@ -230,11 +218,16 @@ def beam_keys(seed: int, trials, bs_index, sub_index) -> np.ndarray:
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    spawn = _spawn_entries(trials, bs_index, sub_index)
-    if spawn.min(initial=0) < 0:
+    spawn = np.array(spawn_rows)
+    if spawn.dtype.kind in "iu":
+        # The cast keeps exactly the entries from 0 to 2^32 - 1.
+        words = spawn.astype(np.uint32)
+        if not np.count_nonzero(words != spawn):
+            return _mixed_keys(seed, words)
+    else:  # Python ints, where one does not fit in 64 bits
+        spawn = np.array([[operator.index(v) for v in row] for row in spawn_rows], dtype=object)
+    if np.count_nonzero(spawn < 0):
         raise ValueError("trial, BS and subarray indices must be non-negative")
-    if spawn.max(initial=0) < _SPAWN_LIMIT:
-        return _mixed_keys(seed, spawn.astype(np.uint32))
     fits = (spawn < _SPAWN_LIMIT).all(axis=0)
     keys = np.empty((fits.size, 2), dtype=np.uint64)
     keys[fits] = _mixed_keys(seed, spawn[:, fits].astype(np.uint32))
@@ -248,7 +241,8 @@ def beam_keys(seed: int, trials, bs_index, sub_index) -> np.ndarray:
 # together when threads share it.
 _PHILOX = np.random.Philox(0)
 _PHILOX_LOCK = threading.Lock()
-_ZEROS = np.zeros(4, dtype=np.uint64)
+# A fresh stream's counter and buffer; the state setter reads tuples faster.
+_ZEROS = (0, 0, 0, 0)
 
 
 class BeamBuffers:
@@ -296,22 +290,26 @@ def thread_buffers(num_transmissions: int, n_ue: int, n_bs: int) -> BeamBuffers:
     return sets[shape]
 
 
-def keyed_beams(key: np.ndarray, buffers: BeamBuffers) -> BeamformerSet:
-    """Beamformers from the Philox stream with the given key.
-
-    The words w are those of a fresh np.random.Philox with that key, and
-    entry w becomes the phasor e^{2 pi i u} of Generator.random's uniform
-    u = (w >> 11) * 2^-53, the phase that uniform(0, 2 pi) scales from u.
-    The first N_ue columns, scaled to unit norm, are the combiner, the rest
-    the precoder.  The result is buffers.beams, until the next draw.
-    """
+def keyed_words(key, shape) -> np.ndarray:
+    """The first raw words of the Philox stream with the given two-word key,
+    in the given shape: those of np.random.Philox(key=key).random_raw(shape)."""
     state = {"counter": _ZEROS, "key": key}
     with _PHILOX_LOCK:
         _PHILOX.state = {
             "bit_generator": "Philox", "state": state, "buffer": _ZEROS,
             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
-        words = _PHILOX.random_raw(buffers.phasors.shape)
+        return _PHILOX.random_raw(shape)
+
+
+def keyed_beams(key: np.ndarray, buffers: BeamBuffers) -> BeamformerSet:
+    """Beamformers from the Philox stream with the given key: word w
+    becomes the phasor e^{2 pi i u} of Generator.random's u = (w >> 11) *
+    2^-53, the phase that uniform(0, 2 pi) scales from u.  The first N_ue
+    columns, scaled to unit norm, are the combiner, the rest the precoder;
+    the result is buffers.beams, until the next draw.
+    """
+    words = keyed_words(key, buffers.phasors.shape)
     _unit_phasors(words, buffers.index, buffers.theta, buffers.base, buffers.phasors)
     np.multiply(buffers.combiner, buffers.combiner_scale, out=buffers.scaled)
     return buffers.beams
@@ -392,13 +390,3 @@ def _unit_phasors(
     out *= base
     out += base
     return out
-
-
-def beam_couplings(beams: BeamformerSet, steer_ue: np.ndarray, steer_bs: np.ndarray):
-    """Per-transmission couplings of the beams with steering stacks.
-
-    steer_ue and steer_bs are (N, 3) slices of steering_stack.  Returns
-    (ue, bs), each (G, 3): the combiner (precoder) times a, da/daz and
-    da/del of the arrival (departure) direction.
-    """
-    return beams.ue @ steer_ue, beams.bs @ steer_bs

@@ -217,13 +217,7 @@ def cmd_coverage(args) -> int:
     config = _load_scenario(args)
     _require(args.trials >= 1, f"--trials must be at least 1, got {args.trials}")
     started = time.monotonic()
-    curve = coverage_ccdf(
-        config,
-        trials=args.trials,
-        metric=args.metric,
-        seed=args.seed,
-        threads=args.threads,
-    )
+    curve = coverage_ccdf(config, trials=args.trials, metric=args.metric, threads=args.threads)
     unit = "m" if args.metric == "peb" else "deg"
     with _output(args.out) as handle:
         _write_rows(

@@ -7,10 +7,10 @@ grid.  Poses without a computable bound (no visible path, or singular
 information) carry bound +inf and accumulate in the curve's floor, the
 outage fraction.
 
-Per-trial randomness is counter-based: trial t draws its pose from
-(seed, t) and its beamformers from (seed, t, bs, subarray), so any trial
-can be recomputed in isolation and adding a BS leaves all other draws
-untouched.
+Per-trial randomness is counter-based: trial t draws its pose from the
+beam layer's keyed Philox with spawn key (t,) and its beamformers with
+(t, bs, subarray), so any trial can be recomputed in isolation and adding
+a BS leaves all other draws untouched.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import keyed_words, spawn_keys
 from .crb import LOCALIZABLE, BoundResult, evaluate_batch
 from .errors import ConfigError
 from .geometry import EulerAngles, Pose, euler_to_rotation
@@ -52,16 +53,34 @@ class PoseDistribution:
     z_m: tuple[float, float] = (0.0, 5.0)
     angles_deg: tuple[float, float] = (0.0, 360.0)
 
+    @functools.cached_property
+    def _low_and_span(self) -> np.ndarray:
+        low, high = np.array((self.x_m, self.y_m, self.z_m) + (self.angles_deg,) * 3, float).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = high - low
+        if not np.isfinite(span).all():
+            raise OverflowError(f"pose ranges {self} exceed the float range")
+        if np.signbit(span).any():
+            raise ValueError(f"pose ranges {self} need low <= high")
+        return np.array([[low], [span]])
+
+
+def sample_poses(distribution: PoseDistribution, seed: int, trials) -> list[Pose]:
+    """Poses of the given trials: trial t reads six words w of the keyed
+    Philox with spawn key (t,), and x, y, z, alpha, beta and gamma are
+    low + (high - low) * ((w >> 11) * 2^-53), as Generator.uniform draws
+    and refuses them, so each pose depends on (seed, trial) alone."""
+    keys = spawn_keys(seed, trials)
+    low, span = distribution._low_and_span
+    words = np.array([keyed_words(key, 6) for key in keys.tolist()], dtype=np.uint64).reshape(-1, 6)
+    values = low + span * ((words >> np.uint64(11)) * 2.0**-53)
+    rotations = euler_to_rotation(EulerAngles(*values.T[3:]))
+    return [Pose(position, rotation) for position, rotation in zip(values[:, :3], rotations)]
+
 
 def sample_pose(distribution: PoseDistribution, seed: int, trial: int) -> Pose:
-    """Pose of one trial, reproducible from (seed, trial) alone."""
-    key = np.random.SeedSequence(seed, spawn_key=(trial,))
-    rng = np.random.Generator(np.random.Philox(key))
-    x = rng.uniform(*distribution.x_m)
-    y = rng.uniform(*distribution.y_m)
-    z = rng.uniform(*distribution.z_m)
-    angles = EulerAngles(*(rng.uniform(*distribution.angles_deg) for _ in range(3)))
-    return Pose(np.array([x, y, z]), euler_to_rotation(angles))
+    """Pose of one trial from the beam layer's keyed Philox, spawn key (trial,)."""
+    return sample_poses(distribution, seed, [trial])[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -96,13 +115,13 @@ class CcdfCurve:
 
 
 def _evaluate_range(config: ScenarioConfig, poses_of, seed: int, start: int, stop: int):
-    """BoundTables of poses_of(i) for i in [start, stop), trial i each, one
-    per _POSE_CHUNK poses fed to the kernel."""
+    """BoundTables of the poses of [start, stop), trial i for index i, one
+    per _POSE_CHUNK poses; poses_of(indices) builds a chunk's poses."""
     scn = _realized(config)
     tables = []
     for first in range(start, stop, _POSE_CHUNK):
         trials = range(first, min(first + _POSE_CHUNK, stop))
-        tables.append(evaluate_batch(scn, [poses_of(t) for t in trials], trials, seed))
+        tables.append(evaluate_batch(scn, poses_of(trials), trials, seed))
     return tables
 
 
@@ -149,7 +168,7 @@ def coverage_ccdf(
         raise ValueError(f"unknown metric {metric!r}")
     column, thresholds = _METRICS[metric]
     run_seed = config.seed if seed is None else seed
-    poses_of = functools.partial(sample_pose, distribution or PoseDistribution(), run_seed)
+    poses_of = functools.partial(sample_poses, distribution or PoseDistribution(), run_seed)
     worker = functools.partial(_evaluate_range, config, poses_of, run_seed)
     values = np.concatenate([getattr(t, column) for t in _run_ranges(worker, trials, threads)])
     exceedance = np.array([np.count_nonzero(values > t) for t in thresholds]) / trials
@@ -208,11 +227,9 @@ def _assemble_grid(config, axis_names, first, second, poses_of, threads) -> Fiel
     return FieldGrid(axis_names, (first, second), peb, oeb, classification, num_paths)
 
 
-def _position_pose(xs, ys, orientation, z_m, index):
-    rotation = euler_to_rotation(orientation)
-    x = xs[index // len(ys)]
-    y = ys[index % len(ys)]
-    return Pose(np.array([x, y, z_m]), rotation)
+def _position_poses(xs, ys, rotation, z_m, cells):
+    rows, cols = np.divmod(np.asarray(cells), len(ys))
+    return [Pose(np.array([x, y, z_m]), rotation) for x, y in zip(xs[rows], ys[cols])]
 
 
 def position_field(
@@ -225,17 +242,14 @@ def position_field(
     """Bounds over an x-y grid at fixed height and orientation."""
     xs = _axis(*grid)
     ys = xs.copy()
-    poses_of = functools.partial(_position_pose, xs, ys, orientation, z_m)
+    poses_of = functools.partial(_position_poses, xs, ys, euler_to_rotation(orientation), z_m)
     return _assemble_grid(config, ("x_m", "y_m"), xs, ys, poses_of, threads)
 
 
-def _orientation_pose(betas, gammas, position, alpha_deg, index):
-    beta = betas[index // len(gammas)]
-    gamma = gammas[index % len(gammas)]
-    return Pose(
-        np.asarray(position, dtype=float),
-        euler_to_rotation(EulerAngles(alpha_deg, beta, gamma)),
-    )
+def _orientation_poses(betas, gammas, position, alpha_deg, cells):
+    rows, cols = np.divmod(np.asarray(cells), len(gammas))
+    rotations = euler_to_rotation(EulerAngles(alpha_deg, betas[rows], gammas[cols]))
+    return [Pose(position, rotation) for rotation in rotations]
 
 
 def orientation_field(
@@ -248,7 +262,7 @@ def orientation_field(
     """Bounds over a beta-gamma orientation grid at a fixed position."""
     betas = _axis(0.0, 360.0, step_deg)
     gammas = betas.copy()
-    poses_of = functools.partial(_orientation_pose, betas, gammas, position, alpha_deg)
+    poses_of = functools.partial(_orientation_poses, betas, gammas, position, alpha_deg)
     return _assemble_grid(
         config, ("beta_deg", "gamma_deg"), betas, gammas, poses_of, threads
     )

@@ -41,10 +41,9 @@ import numpy as np
 from .channel import (
     BeamformerSet,
     SignalConfig,
-    beam_couplings,
-    beam_keys,
     keyed_beams,
     path_gain,
+    spawn_keys,
     steering_stack,
     thread_buffers,
 )
@@ -117,7 +116,7 @@ def path_fims(
     The derivative of the mean signal in parameter i is separable,
     dmu[g, k, i] = c_i[g] t_i[k], so the information is
     (2 / sigma^2) Re[(C^H C) o (T^H T)] with C the (G, 5) couplings of the
-    beams (beam_couplings) and T the (K, 5) subcarrier factors.
+    beams with the steering stacks and T the (K, 5) subcarrier factors.
     """
     c = ue_couplings[..., _UE_TERMS] * bs_couplings[..., _BS_TERMS]
     c *= np.asarray(gains)[:, None, None]
@@ -137,7 +136,7 @@ def path_fim(
     lam = config.wavelength_m
     steer_bs = steering_stack(bs_elements_m, [params.aod_az], [params.aod_el], lam)
     steer_ue = steering_stack(sub_elements_m, [params.aoa_az], [params.aoa_el], lam)
-    ue, bs = beam_couplings(beams, steer_ue[0], steer_bs[0])
+    ue, bs = beams.ue @ steer_ue[0], beams.bs @ steer_bs[0]
     return path_fims(ue[None], bs[None], np.array([gain]), config)[0]
 
 
@@ -455,7 +454,7 @@ def _beam_fims(scenario: Scenario, params, paths, trials, seed):
     lam = signal.wavelength_m
     g = signal.num_transmissions
     owners, bs_index, sub_index = paths
-    keys = beam_keys(seed, [trials[o] for o in owners.tolist()], bs_index, sub_index)
+    keys = spawn_keys(seed, [trials[o] for o in owners.tolist()], bs_index, sub_index)
     fims = [np.zeros((0, 5, 5))]
     for first in range(0, params.shape[0], _PATH_BLOCK):
         block = slice(first, first + _PATH_BLOCK)
@@ -470,7 +469,7 @@ def _beam_fims(scenario: Scenario, params, paths, trials, seed):
         bs_c = np.empty((angles.shape[0], g, 3), dtype=complex)
         for p, (key, ue, bs) in enumerate(zip(keys[block], steer_ue, steer_bs)):
             beams = keyed_beams(key, thread_buffers(g, ue.shape[0], bs.shape[0]))
-            ue_c[p], bs_c[p] = beam_couplings(beams, ue, bs)
+            ue_c[p], bs_c[p] = beams.ue @ ue, beams.bs @ bs
         fims.append(path_fims(ue_c, bs_c, path_gain(angles[:, 5], lam), signal))
     return np.concatenate(fims)
 

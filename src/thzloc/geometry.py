@@ -23,46 +23,49 @@ from .errors import GeometryError
 SPEED_OF_LIGHT = 299792458.0
 
 
-def _sind(deg: float) -> float:
-    # Exact at multiples of 90 so axis-aligned presets stay exact.
-    if deg % 90.0 == 0.0:
-        return float([0.0, 1.0, 0.0, -1.0][int(deg / 90.0) % 4])
-    return float(np.sin(np.deg2rad(deg)))
-
-
-def _cosd(deg: float) -> float:
-    if deg % 90.0 == 0.0:
-        return float([1.0, 0.0, -1.0, 0.0][int(deg / 90.0) % 4])
-    return float(np.cos(np.deg2rad(deg)))
-
-
 @dataclass(frozen=True)
 class EulerAngles:
-    """Z-Y-X Euler angles in degrees."""
+    """Z-Y-X Euler angles in degrees; each field a number or an array."""
 
-    alpha: float
-    beta: float
-    gamma: float
-
-
-def rot_x(deg: float) -> np.ndarray:
-    c, s = _cosd(deg), _sind(deg)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
+    gamma: float | np.ndarray
 
 
-def rot_y(deg: float) -> np.ndarray:
-    c, s = _cosd(deg), _sind(deg)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_z(deg: float) -> np.ndarray:
-    c, s = _cosd(deg), _sind(deg)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+# sin and cos of k quarter turns; k < 0 indexes from the end, as k mod 4.
+_QUARTER = np.array([[0.0, 1.0, 0.0, -1.0], [1.0, 0.0, -1.0, 0.0]])
+# Rx, Ry, Rz entries as indices 3 k + i: value k of (0, 1, cos, sin, -sin), angle i.
+_ENTRY = 3 * np.array([[[1, 0, 0], [0, 2, 4], [0, 3, 2]],
+                       [[2, 0, 3], [0, 1, 0], [4, 0, 2]],
+                       [[2, 4, 0], [3, 2, 0], [0, 0, 1]]]) + np.arange(3)[:, None, None]
 
 
 def euler_to_rotation(angles: EulerAngles) -> np.ndarray:
-    """Compose a rotation matrix from Z-Y-X Euler angles in degrees."""
-    return rot_z(angles.gamma) @ rot_y(angles.beta) @ rot_x(angles.alpha)
+    """Compose rotation matrices from Z-Y-X Euler angles in degrees.
+
+    The fields broadcast together; the result is Rz(gamma) @ Ry(beta) @
+    Rx(alpha), (3, 3) for numbers and (..., 3, 3) for arrays, with exact
+    sines and cosines at multiples of 90 degrees.
+    """
+    try:
+        deg = np.array((angles.alpha, angles.beta, angles.gamma), dtype=float)
+    except ValueError:  # fields of different shapes
+        deg = np.array(np.broadcast_arrays(angles.alpha, angles.beta, angles.gamma), dtype=float)
+    shape, deg = deg.shape[1:], deg.reshape(3, -1)
+    entries = np.zeros((5,) + deg.shape)
+    entries[1] = 1.0
+    rad = np.deg2rad(deg)
+    cos, sin = np.cos(rad, out=entries[2]), np.sin(rad, out=entries[3])
+    remainder = np.fmod(deg, 90.0)
+    if np.count_nonzero(remainder) < remainder.size:
+        exact = remainder == 0.0
+        # Mod 4 in float first: a quarter-turn count may not fit an int.
+        sin[exact], cos[exact] = _QUARTER[:, np.fmod(deg[exact] / 90.0, 4.0).astype(int)]
+    np.negative(sin, out=entries[4])
+    # matmul forms each product of a stack as it would a lone pair.
+    rot = entries.reshape(15, -1).take(_ENTRY, axis=0).transpose(0, 3, 1, 2)
+    rx, ry, rz = np.ascontiguousarray(rot)
+    return (rz @ ry @ rx).reshape(shape + (3, 3))
 
 
 @dataclass(frozen=True)

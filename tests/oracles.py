@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from thzloc.channel import BeamformerSet, SignalConfig, steering_stack
-from thzloc.geometry import PathParams
+from thzloc.geometry import EulerAngles, PathParams, Pose
 from thzloc.oracles import (  # noqa: F401  (re-exported)
     C_LIGHT,
     constraint_jacobian_oracle,
@@ -72,6 +72,58 @@ def rot_z_oracle(deg):
 def euler_matrix_oracle(alpha, beta, gamma):
     """Z-Y-X composition, all angles in degrees."""
     return rot_z_oracle(gamma) @ rot_y_oracle(beta) @ rot_x_oracle(alpha)
+
+
+# The package's scalar rotation code before its array form: the bit
+# reference for euler_to_rotation, exact at multiples of 90 degrees.
+
+
+def _sind(deg: float) -> float:
+    # Exact at multiples of 90 so axis-aligned presets stay exact.
+    if deg % 90.0 == 0.0:
+        return float([0.0, 1.0, 0.0, -1.0][int(deg / 90.0) % 4])
+    return float(np.sin(np.deg2rad(deg)))
+
+
+def _cosd(deg: float) -> float:
+    if deg % 90.0 == 0.0:
+        return float([1.0, 0.0, -1.0, 0.0][int(deg / 90.0) % 4])
+    return float(np.cos(np.deg2rad(deg)))
+
+
+def rot_x(deg: float) -> np.ndarray:
+    c, s = _cosd(deg), _sind(deg)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def rot_y(deg: float) -> np.ndarray:
+    c, s = _cosd(deg), _sind(deg)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def rot_z(deg: float) -> np.ndarray:
+    c, s = _cosd(deg), _sind(deg)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def euler_rotation_reference(angles: EulerAngles) -> np.ndarray:
+    """Compose a rotation matrix from Z-Y-X Euler angles in degrees."""
+    return rot_z(angles.gamma) @ rot_y(angles.beta) @ rot_x(angles.alpha)
+
+
+# --- poses -------------------------------------------------------------------
+
+
+def sample_pose_oracle(distribution, seed: int, trial: int) -> Pose:
+    """Pose of one trial through its own SeedSequence, Philox and
+    Generator: the bit reference for coverage.sample_poses."""
+    key = np.random.SeedSequence(seed, spawn_key=(trial,))
+    rng = np.random.Generator(np.random.Philox(key))
+    x = rng.uniform(*distribution.x_m)
+    y = rng.uniform(*distribution.y_m)
+    z = rng.uniform(*distribution.z_m)
+    angles = EulerAngles(*(rng.uniform(*distribution.angles_deg) for _ in range(3)))
+    return Pose(np.array([x, y, z]), euler_rotation_reference(angles))
 
 
 # --- beamformers --------------------------------------------------------------

@@ -12,9 +12,10 @@ from thzloc.channel import (
     _TURN_STEPS,
     BeamBuffers,
     _unit_phasors,
-    beam_keys,
     keyed_beams,
+    keyed_words,
     path_gain,
+    spawn_keys,
     steering_stack,
 )
 from thzloc.geometry import PathParams, element_grid
@@ -121,11 +122,12 @@ def _extended_phasors(turns):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 56, 4000])
 def test_philox_words_are_the_generator_uniforms(n):
-    # keyed_beams reads the raw words that Generator.random turns into
+    # keyed_words reads the raw words that Generator.random turns into
     # u = (w >> 11) * 2^-53; a change to either route fails here.
-    keys = [*beam_keys(3, [0, 1, 2**31], [0, 2, 5], [0, 7, 63]), [0, 0], [2**64 - 1] * 2]
+    keys = [*spawn_keys(3, [0, 1, 2**31], [0, 2, 5], [0, 7, 63]), [0, 0], [2**64 - 1] * 2]
     for key in np.array(keys, dtype=np.uint64):
         words = np.random.Philox(key=key).random_raw(n)
+        np.testing.assert_array_equal(keyed_words(key, n), words)
         uniforms = np.random.Generator(np.random.Philox(key=key)).random(n)
         got = (words >> np.uint64(11)) * 2.0**-53
         np.testing.assert_array_equal(got.view(np.uint64), uniforms.view(np.uint64))
@@ -186,13 +188,19 @@ def test_beam_keys_mirror_seed_sequence():
         trials, bs_index = rng.integers(0, 2**32, (2, 1000))
         sub_index = rng.integers(0, 64, 1000)
         want = [_seed_sequence_key(seed, *entries) for entries in zip(trials, bs_index, sub_index)]
-        np.testing.assert_array_equal(beam_keys(seed, trials, bs_index, sub_index), want)
+        np.testing.assert_array_equal(spawn_keys(seed, trials, bs_index, sub_index), want)
+        # The pose streams' spawn keys (trial,) go through the same mixing.
+        want = [
+            np.random.SeedSequence(seed, spawn_key=(t,)).generate_state(2, np.uint64)
+            for t in trials[:100].tolist()
+        ]
+        np.testing.assert_array_equal(spawn_keys(seed, trials[:100]), want)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**128 + 1, 2**200 + 12345])
 def test_beam_keys_take_seeds_of_any_size(seed):
     spawn = [(0, 0, 0), (5, 1, 2), (2**32 - 1, 3, 7)]
-    keys = beam_keys(seed, *zip(*spawn))
+    keys = spawn_keys(seed, *zip(*spawn))
     np.testing.assert_array_equal(keys, [_seed_sequence_key(seed, *entries) for entries in spawn])
 
 
@@ -226,7 +234,7 @@ def test_trial_boundary_between_the_mixing_and_seed_sequence(monkeypatch):
     # One batch mixes both routes, row by row.
     spawn = [(2**32 - 1, 1, 2), (2**32, 1, 2), (3, 0, 0), (2**70, 2, 1)]
     want = [_seed_sequence_key(9, *entries) for entries in spawn]
-    np.testing.assert_array_equal(beam_keys(9, *zip(*spawn)), want)
+    np.testing.assert_array_equal(spawn_keys(9, *zip(*spawn)), want)
 
 
 @pytest.mark.parametrize(
@@ -241,7 +249,7 @@ def test_negative_key_entries_raise(kwargs):
 def test_shared_generator_carries_no_state_between_fills():
     # The combiner's scaling is exact only for N_ue = 4^j; for the others
     # it must still give the bits of NumPy's complex division.
-    keys = beam_keys(4, [0, 1], [0, 0], [0, 0])
+    keys = spawn_keys(4, [0, 1], [0, 0], [0, 0])
     for n_ue in (4, 2, 3, 5, 16, 64):
         buffers = BeamBuffers(5, n_ue, 8)
         for _ in range(3):
@@ -257,7 +265,7 @@ def test_shared_generator_carries_no_state_between_fills():
 def test_threads_sharing_the_generator_get_their_own_streams():
     # Reseat and fill happen under one lock, so a thread never fills from
     # a key another thread just set.
-    keys = beam_keys(6, list(range(8)), [0] * 8, [0] * 8)
+    keys = spawn_keys(6, list(range(8)), [0] * 8, [0] * 8)
     fresh = [
         _phasors(np.random.Generator(np.random.Philox(key=key)).random(size=(4, 10)))
         for key in keys

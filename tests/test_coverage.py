@@ -21,8 +21,11 @@ from thzloc.coverage import (
     PEB_THRESHOLDS_M,
     _axis,
     _run_ranges,
+    sample_poses,
 )
 from thzloc.crb import COMM_ONLY, LOCALIZABLE, NO_LOS
+
+from oracles import sample_pose_oracle
 
 
 def test_sample_pose_is_reproducible_and_in_range():
@@ -47,6 +50,60 @@ def test_sample_pose_ignores_trial_order():
         sample_pose(dist, seed=4, trial=0).position,
         sample_pose(dist, seed=4, trial=1).position,
     )
+
+
+def _assert_same_poses(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.position.view(np.uint64), b.position.view(np.uint64))
+        np.testing.assert_array_equal(a.rotation.view(np.uint64), b.rotation.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2**70 + 3])
+def test_sample_poses_match_the_generator_oracle(seed):
+    dist = PoseDistribution()
+    want = [sample_pose_oracle(dist, seed, t) for t in range(700)]
+    _assert_same_poses(sample_poses(dist, seed, range(700)), want)
+
+
+def test_sample_poses_match_the_oracle_at_trial_word_boundaries():
+    trials = [2**32 - 1, 2**32, 2**40, 2**64 + 5]
+    for dist in (PoseDistribution(), PoseDistribution((0, 3), (-2, 2), (1, 4), (0, 360))):
+        want = [sample_pose_oracle(dist, 7, t) for t in trials]
+        _assert_same_poses(sample_poses(dist, 7, trials), want)
+        _assert_same_poses([sample_pose(dist, 7, t) for t in trials], want)
+
+
+def test_a_chunk_gives_the_poses_of_smaller_batches():
+    dist = PoseDistribution()
+    chunk = sample_poses(dist, 3, range(64))
+    for size in (1, 7):
+        starts = range(0, 64, size)[::-1]
+        parts = {s: sample_poses(dist, 3, range(s, min(s + size, 64))) for s in starts}
+        _assert_same_poses([p for s in sorted(parts) for p in parts[s]], chunk)
+
+
+@pytest.mark.parametrize(
+    "dist, seed, trial",
+    [
+        (PoseDistribution(x_m=(1.0, -1.0)), 1, 0),
+        (PoseDistribution(angles_deg=(360, 0)), 1, 0),
+        (PoseDistribution(x_m=(0.0, -0.0)), 1, 0),
+        (PoseDistribution(z_m=(0.0, math.inf)), 1, 0),
+        (PoseDistribution(y_m=(-1e308, 1e308)), 1, 0),
+        (PoseDistribution(x_m=(math.nan, 1.0)), 1, 0),
+        (PoseDistribution(angles_deg=(0.0, math.nan)), 1, 0),
+        (PoseDistribution(), 1, -1),
+        (PoseDistribution(), 1, 1.5),
+        (PoseDistribution(), -1, 0),
+    ],
+)
+def test_sample_poses_refuse_what_the_oracle_refuses(dist, seed, trial):
+    with pytest.raises(Exception) as want:
+        sample_pose_oracle(dist, seed, trial)
+    assert want.type in (ValueError, OverflowError, TypeError)
+    with pytest.raises(want.type):
+        sample_poses(dist, seed, [trial])
 
 
 def test_threshold_grids():

@@ -14,9 +14,7 @@ from thzloc import (
     path_params,
     visible_paths,
 )
-from thzloc.geometry import rot_x, rot_y, rot_z
-
-from oracles import euler_matrix_oracle, forward_model_oracle
+from oracles import euler_matrix_oracle, euler_rotation_reference, forward_model_oracle
 
 angles = st.floats(min_value=-720.0, max_value=720.0, allow_nan=False)
 
@@ -31,9 +29,46 @@ def test_euler_matrix_matches_oracle(alpha, beta, gamma):
 
 def test_single_axis_rotations_match_oracle():
     for deg in (-37.0, 0.0, 12.5, 90.0, 180.0, 270.0, 361.0):
-        np.testing.assert_allclose(rot_x(deg), euler_matrix_oracle(deg, 0, 0), atol=1e-15)
-        np.testing.assert_allclose(rot_y(deg), euler_matrix_oracle(0, deg, 0), atol=1e-15)
-        np.testing.assert_allclose(rot_z(deg), euler_matrix_oracle(0, 0, deg), atol=1e-15)
+        for angles in ((deg, 0, 0), (0, deg, 0), (0, 0, deg)):
+            got = euler_to_rotation(EulerAngles(*angles))
+            np.testing.assert_allclose(got, euler_matrix_oracle(*angles), atol=1e-15)
+
+
+def _bits(array):
+    return np.asarray(array, dtype=float).view(np.uint64)
+
+
+def test_array_angles_give_the_scalar_reference_bits():
+    rng = np.random.default_rng(21)
+    triples = np.concatenate([
+        rng.uniform(-720.0, 720.0, (2000, 3)),
+        90.0 * rng.integers(-12, 13, (200, 3)),
+        5.0 * rng.integers(-144, 145, (2000, 3)),
+        # Quarter-turn counts past any integer type, and signed zeros.
+        [[90.0 * 2.0**1000, -90.0 * 2.0**1000, 0.0], [-0.0, 0.0, -90.0]],
+    ])
+    want = [euler_rotation_reference(EulerAngles(*map(float, t))) for t in triples]
+    got = euler_to_rotation(EulerAngles(*triples.T))
+    assert got.shape == (len(triples), 3, 3)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    # One triple alone, as numbers or 0-d arrays, gives (3, 3) and the same bits.
+    for t, r in zip(triples[-300:], want[-300:]):
+        one = euler_to_rotation(EulerAngles(*map(float, t)))
+        assert one.shape == (3, 3)
+        np.testing.assert_array_equal(_bits(one), _bits(r))
+    np.testing.assert_array_equal(
+        _bits(euler_to_rotation(EulerAngles(*map(np.asarray, triples[0])))), _bits(want[0])
+    )
+
+
+def test_euler_fields_broadcast():
+    betas = np.array([[0.0, 30.0, 90.0], [-45.0, 180.0, 7.5]])
+    got = euler_to_rotation(EulerAngles(10.0, betas, betas[0]))
+    assert got.shape == (2, 3, 3, 3)
+    for i, j in np.ndindex(betas.shape):
+        want = euler_rotation_reference(EulerAngles(10.0, betas[i, j], betas[0, j]))
+        np.testing.assert_array_equal(_bits(got[i, j]), _bits(want))
+    assert euler_to_rotation(EulerAngles(0.0, np.zeros(0), 0.0)).shape == (0, 3, 3)
 
 
 def test_axis_aligned_rotations_are_exact():

@@ -118,7 +118,6 @@ def _stop(*args, **kwargs):
     raise _Evaluated
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
