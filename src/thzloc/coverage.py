@@ -65,6 +65,9 @@ class PoseDistribution:
         return np.array([[low], [span]])
 
 
+_POSES = PoseDistribution()
+
+
 def sample_poses(distribution: PoseDistribution, seed: int, trials) -> list[Pose]:
     """Poses of the given trials: trial t reads six words w of the keyed
     Philox with spawn key (t,), and x, y, z, alpha, beta and gamma are
@@ -148,18 +151,16 @@ def coverage_ccdf(
     trials: int,
     metric: str = "peb",
     seed: int | None = None,
-    distribution: PoseDistribution | None = None,
     threads: int = 1,
 ) -> CcdfCurve:
-    """Monte-Carlo CCDF of PEB (meters) or OEB (degrees).
+    """Monte-Carlo CCDF of PEB (meters) or OEB (degrees) over poses drawn
+    from the default PoseDistribution().
 
     Args:
         config: scenario to evaluate.
         trials: number of random poses.
         metric: 'peb' or 'oeb'; selects the threshold grid as well.
         seed: overrides the scenario seed when given.
-        distribution: pose ranges; defaults to x,y in (-10,10), z in (0,5),
-            all three Euler angles in (0,360).
         threads: worker processes; results are independent of this value.
     """
     if trials < 1:
@@ -168,7 +169,7 @@ def coverage_ccdf(
         raise ValueError(f"unknown metric {metric!r}")
     column, thresholds = _METRICS[metric]
     run_seed = config.seed if seed is None else seed
-    poses_of = functools.partial(sample_poses, distribution or PoseDistribution(), run_seed)
+    poses_of = functools.partial(sample_poses, _POSES, run_seed)
     worker = functools.partial(_evaluate_range, config, poses_of, run_seed)
     values = np.concatenate([getattr(t, column) for t in _run_ranges(worker, trials, threads)])
     exceedance = np.array([np.count_nonzero(values > t) for t in thresholds]) / trials

@@ -1,14 +1,13 @@
 """Constrained Cramer-Rao bounds on UE position and orientation.
 
 The estimation state is r = [p (3), rho (1), vec(R) (9)] with vec stacking
-the columns of the UE rotation matrix, 13 entries total.  Information flows
-per visible path from the five channel parameters (ETA_NAMES order) through
-the chain rule into r-space, is summed over paths, and is then restricted
-to the orthonormality constraint manifold of R:
-
-    CRB = M (M^T I(r) M)^{-1} M^T,
-
-where the columns of M span the null space of the constraint Jacobian.
+the columns of the UE rotation matrix, 13 entries total.  The columns of
+the constraint basis M span the tangent space of R's orthonormality
+constraint: [p, rho] and the turns dR = R [omega]_x / sqrt(2).  Information
+flows per visible path from the five channel parameters (ETA_NAMES order)
+through the chain rule into those 7 coordinates [p, rho, omega] (5x7
+Jacobians) and is summed over paths into F (7x7); the constrained bound is
+M F^{-1} M^T, which is M (M^T I(r) M)^{-1} M^T for the information I(r) in r.
 PEB is the root-trace of the position block; OEB is the root-trace of the
 rotation block, converted to degrees through the small-angle relation
 |dR|_F = sqrt(2) * angle.
@@ -140,22 +139,28 @@ def path_fim(
     return path_fims(ue[None], bs[None], np.array([gain]), config)[0]
 
 
-def _vec_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # vec(x y^T) with column-major stacking, matching the vec(R) part of
-    # the state, over the leading axes.
-    outer = y[..., :, None] * x[..., None, :]
-    return outer.reshape(outer.shape[:-2] + (9,))
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    # a x b over the leading axes into out, one component at a time.
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 def state_jacobians(geo: PathGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jacobians of many paths' channel parameters in the 13-entry state.
+    """Jacobians of many paths' channel parameters in the tangent
+    coordinates [p, rho, omega].
 
     The departure angles resolve v on the BS axes b_j, the arrival angles
-    -v on the subarray axes a_j, which move with R; both sides share the
-    azimuth and elevation forms, so each is computed for both at once.
+    -v on the subarray axes a_j = R n_j; both sides share the azimuth and
+    elevation forms, so each is computed for both at once.  The turn
+    dR = R [omega]_x / sqrt(2) moves v by R (omega x d) / sqrt(2), so a row
+    with position gradient g has the rotation columns R^T g x (-d) / sqrt(2).
+    The arrival angles also see their axes turn, which adds
+    R^T g x R^T v / sqrt(2), as their gradient through the a_j differs from
+    g by a multiple of v; so their lever is R^T v - d in place of -d.
 
     Returns:
-        (jacobians (P, 5, 13), departure (P,), arrival (P,)), the last two
+        (jacobians (P, 5, 7), departure (P,), arrival (P,)), the last two
         flagging paths whose departure or arrival elevation sits at the
         arcsin branch point, where the Jacobian is undefined.
     """
@@ -165,7 +170,7 @@ def state_jacobians(geo: PathGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarr
     x, y, z = (geo.local[..., j] for j in range(3))  # (P, side)
     q = z / dist
     branch = 1.0 - np.abs(q) < _ELEVATION_TOL
-    jac = np.zeros((v.shape[0], 5, STATE_DIM))
+    jac = np.zeros((v.shape[0], 5, CONSTRAINED_DIM))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         dist3 = dist * dist * dist  # inf past 5.6e102 m, where v / dist3 is 0
         # Rows 0 and 2 (azimuths), then rows 1 and 3 (elevations, the
@@ -178,36 +183,23 @@ def state_jacobians(geo: PathGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarr
             frames[..., 2] / dist[..., None] - z[..., None] * v[:, None] / dist3[..., None]
         )
         jac[:, 3, 0:3] *= -1.0
+        jac[:, 4, 0:3] = v / (SPEED_OF_LIGHT * dist)
 
-        # vec(R) columns: x_j d^T for the departure rows, and for the
-        # arrival rows v n_j^T + a_j d^T (n_j the mounting axes), the
-        # derivative of v resolved on a_j.
-        outer_d = _vec_outer(
-            np.concatenate([jac[:, 0:2, 0:3], _transpose(frames[:, 1]), v[:, None]], axis=1),
-            d[:, None],
-        )
-        jac[:, 0:2, 4:] = outer_d[:, 0:2]
-        d_a, d_b, d_c = (
-            _vec_outer(v[:, None], _transpose(geo.mount_rotation)) + outer_d[:, 2:5]
-        ).swapaxes(0, 1)
-        big_a, big_b, big_c = x[:, 1, None], y[:, 1, None], z[:, 1, None]
-        jac[:, 2, 4:] = (big_a * d_b - big_b * d_a) / den[:, 1, None]
-        outer_vd = outer_d[:, 5]
-        jac[:, 3, 4:] = -s[:, 1, None] * (d_c / dist - big_c * (outer_vd / dist) / (dist * dist))
-
-    # Delay.
-    jac[:, 4, 0:3] = v / (SPEED_OF_LIGHT * dist)
+        # R = A R_n^T, and each row's rotation columns are R^T g x lever.
+        rotation = frames[:, 1] @ _transpose(geo.mount_rotation)
+        lever = np.repeat(d[:, None] * -_HALF_SQRT2, 5, axis=1)
+        lever[:, 2:4] += (v[:, None] @ rotation) * _HALF_SQRT2
+        _cross(jac[:, :, 0:3] @ rotation, lever, jac[:, :, 4:])
     jac[:, 4, 3] = 1.0
-    jac[:, 4, 4:] = outer_vd / (SPEED_OF_LIGHT * dist)
     return jac, branch[:, 0], branch[:, 1]
 
 
 def state_jacobian(bs_pose: Pose, ue_pose: Pose, subarray: Subarray) -> np.ndarray:
-    """Jacobian of one path's channel parameters in the 13-entry state.
+    """Jacobian of one path's channel parameters in the tangent coordinates.
 
-    Rows follow ETA_NAMES; columns are [p, rho, vec(R)].  The entries of R
-    are differentiated as free variables; the orthonormality constraint is
-    applied later through the null-space basis.
+    Rows follow ETA_NAMES; columns are [p, rho, omega], omega the rotation
+    dR = R [omega]_x / sqrt(2), so the 13-entry Jacobian in [p, rho,
+    vec(R)] times constraint_basis(R) gives the same matrix.
 
     Raises:
         GeometryError: at |elevation| = 90 deg where azimuth is undefined.
@@ -221,14 +213,14 @@ def state_jacobian(bs_pose: Pose, ue_pose: Pose, subarray: Subarray) -> np.ndarr
 
 
 def state_fims(path_fims: np.ndarray, jacobians: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """(len(starts), 13, 13) information in the state.
+    """(len(starts), 7, 7) information in the tangent coordinates.
 
     Path p adds J_p^T F_p J_p; pose i sums the paths from starts[i] up to
     the next start one after another, so each pose has at least one path.
     (np.add.reduceat would sum them pairwise, np.add.at is slow.)
     """
     terms = _transpose(jacobians) @ path_fims @ jacobians
-    fim = np.empty((starts.size, STATE_DIM, STATE_DIM))
+    fim = np.empty((starts.size,) + terms.shape[1:])
     ends = starts[1:].tolist() + [terms.shape[0]]
     for i, (start, end) in enumerate(zip(starts.tolist(), ends)):
         np.add.reduce(terms[start:end], axis=0, out=fim[i])
@@ -236,12 +228,12 @@ def state_fims(path_fims: np.ndarray, jacobians: np.ndarray, starts: np.ndarray)
 
 
 def state_fim(path_fims: list[np.ndarray], jacobians: list[np.ndarray]) -> np.ndarray:
-    """13x13 information in the state, summed over paths."""
+    """7x7 information in the tangent coordinates, summed over paths."""
     if len(path_fims) != len(jacobians):
         raise ValueError(f"{len(path_fims)} path FIMs for {len(jacobians)} Jacobians")
     return state_fims(
         np.array(path_fims, dtype=float).reshape(-1, 5, 5),
-        np.array(jacobians, dtype=float).reshape(-1, 5, STATE_DIM),
+        np.array(jacobians, dtype=float).reshape(-1, 5, CONSTRAINED_DIM),
         np.zeros(1, dtype=int),
     )[0]
 
@@ -255,10 +247,11 @@ def constraint_bases(rotations: np.ndarray) -> np.ndarray:
     c1, c2, c3 = (rotations * _HALF_SQRT2).transpose(2, 0, 1)  # columns of R
     basis = np.zeros((rotations.shape[0], STATE_DIM, CONSTRAINED_DIM))
     basis[:, :4, :4] = _EYE4
-    basis[:, 4:7, 4] = -c3
-    basis[:, 10:13, 4] = c1
-    basis[:, 7:10, 5] = -c3
-    basis[:, 10:13, 5] = c2
+    # vec(R [omega]_x) / sqrt(2) for omega = e_x, e_y, e_z.
+    basis[:, 7:10, 4] = c3
+    basis[:, 10:13, 4] = -c2
+    basis[:, 4:7, 5] = -c3
+    basis[:, 10:13, 5] = c1
     basis[:, 4:7, 6] = c2
     basis[:, 7:10, 6] = -c1
     return basis
@@ -278,18 +271,17 @@ def constraint_basis(rotation: np.ndarray) -> np.ndarray:
 def constrained_crbs(
     fims: np.ndarray, bases: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """constrained_crb over a stack of B information matrices.
+    """constrained_crb over a stack of B (7, 7) information matrices.
 
     Returns:
         (crbs (n, 13, 13) of the n invertible ones in order, invertible
         (B,), conditions (B,)).
     """
-    reduced = _symmetric(_transpose(bases) @ fims @ bases)
-    diag = reduced.diagonal(axis1=1, axis2=2)
+    diag = fims.diagonal(axis1=1, axis2=2)
     # Finite and positive, which NaN is not.
     usable = ((diag > 0.0) & (diag < np.inf)).all(axis=1).nonzero()[0]
     scale = 1.0 / np.sqrt(diag[usable])
-    balanced = _symmetric(scale[:, :, None] * reduced[usable] * scale[:, None, :])
+    balanced = _symmetric(scale[:, :, None] * fims[usable] * scale[:, None, :])
     eigvals, eigvecs = np.linalg.eigh(balanced)
     smallest, largest = eigvals[:, 0], eigvals[:, -1]
     positive = (smallest > 0.0) & np.isfinite(eigvals).all(axis=1)
@@ -300,20 +292,21 @@ def constrained_crbs(
     keep = positive & (ratio <= CONDITION_LIMIT)
     vals, vecs, scale = eigvals[keep], eigvecs[keep], scale[keep]
     inv_balanced = (vecs / vals[:, None, :]) @ _transpose(vecs)
-    inv_reduced = scale[:, :, None] * inv_balanced * scale[:, None, :]
+    inverse = scale[:, :, None] * inv_balanced * scale[:, None, :]
     invertible = np.zeros(fims.shape[0], dtype=bool)
     invertible[usable[keep]] = True
     basis = bases[invertible]
-    return _symmetric(basis @ inv_reduced @ _transpose(basis)), invertible, conditions
+    return _symmetric(basis @ inverse @ _transpose(basis)), invertible, conditions
 
 
 def constrained_crb(fim: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """Constrained CRB M (M^T I M)^{-1} M^T with a singularity check.
+    """Constrained CRB M F^{-1} M^T of the 7x7 information F in the
+    tangent coordinates, with a singularity check.
 
-    The 7x7 reduced information mixes units (meters, seconds, dimensionless
-    rotation entries), so the condition number is measured after Jacobi
-    equilibration D^{-1/2} A D^{-1/2}; that leaves the inverse unchanged
-    while making the threshold scale-free.
+    F mixes units (meters, seconds, dimensionless rotation angles), so the
+    condition number is measured after Jacobi equilibration
+    D^{-1/2} F D^{-1/2}; that leaves the inverse unchanged while making the
+    threshold scale-free.
 
     Returns:
         (crb, condition) with crb None when the information is singular.

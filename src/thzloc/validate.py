@@ -1,11 +1,11 @@
 """Built-in consistency checks exposed through the validate command.
 
-These are runtime self-diagnostics: spot checks of the analytic state
-Jacobian and of the kernel's per-path FIM against the finite-difference
-oracles of thzloc.oracles (the ones the test suite uses), algebraic
-identities of the constraint basis, exact scaling
-laws, and config round-trips.  They complement the test suite and run
-against whatever scenario the user supplies.
+These are runtime self-diagnostics: spot checks of the analytic tangent
+state Jacobian and of the kernel's per-path FIM against the
+finite-difference oracles of thzloc.oracles (the ones the test suite
+uses), algebraic identities of the constraint basis, exact scaling laws,
+and config round-trips.  They complement the test suite and run against
+whatever scenario the user supplies.
 """
 
 from __future__ import annotations
@@ -54,12 +54,12 @@ def _relative_error(analytic: np.ndarray, numeric: np.ndarray, axis) -> float:
     return float(np.max(np.abs(analytic - numeric).max(axis=axis) / scale))
 
 
-# Column blocks of the state: position, clock bias, vec(R).
-_STATE_BLOCKS = (slice(0, 3), slice(3, 4), slice(4, 13))
+# Column blocks of the tangent coordinates: position, clock bias, rotation.
+_STATE_BLOCKS = (slice(0, 3), slice(3, 4), slice(4, 7))
 
 
 def state_jacobian_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Largest error of a 5x13 state Jacobian over its (row, column block)
+    """Largest error of a 5x7 state Jacobian over its (row, column block)
     pieces, each relative to the largest magnitude of its numeric piece.
 
     Per block, because one row mixes scales: the delay row holds the
@@ -78,7 +78,7 @@ def check_state_jacobian(trials: int, rng) -> tuple[bool, str]:
         numeric = state_jacobian_fd(
             bs.position, bs.rotation, pack_state(ue.position, 0.0, ue.rotation),
             sub.offset, sub.rotation,
-        )
+        ) @ constraint_basis(ue.rotation)
         worst = max(worst, state_jacobian_error(state_jacobian(bs, ue, sub), numeric))
     return worst < 1e-5, f"max relative error {worst:.2e} over {trials} geometries"
 

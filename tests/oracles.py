@@ -9,7 +9,11 @@ test modules and the benchmark checks use are re-exported here.  The one
 exception to the rule is ``signal_gradient``, the full (G, K, 5) signal
 derivative tensor that the kernel's separable per-path FIM replaced; it
 builds on the package's ``steering_stack`` and serves as the reference
-that the separable form is checked against.
+that the separable form is checked against.  The other is the package's
+former vectorized 13-entry state Jacobian, which the tangent-space one
+replaced; it is kept in any floating dtype, with a constraint basis and a
+Gauss-Jordan inverse of the same dtype, as the extended-precision
+reference of the bounds.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 import numpy as np
 
 from thzloc.channel import BeamformerSet, SignalConfig, steering_stack
-from thzloc.geometry import EulerAngles, PathParams, Pose
+from thzloc.geometry import SPEED_OF_LIGHT, EulerAngles, PathGeometry, PathParams, Pose
 from thzloc.oracles import (  # noqa: F401  (re-exported)
     C_LIGHT,
     constraint_jacobian_oracle,
@@ -312,3 +316,82 @@ def signal_gradient(
     dmu[:, :, 3] = amp * ((beams.ue @ da_ue_el) * g_bs)[:, None] * tone[None, :]
     dmu[:, :, 4] = mu * (-2j * np.pi * f_k)[None, :]
     return mu, dmu
+
+
+# --- the 13-entry state Jacobian ----------------------------------------------
+
+
+def _vec_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # vec(x y^T) with column-major stacking, matching the vec(R) part of
+    # the state, over the leading axes.
+    outer = y[..., :, None] * x[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (9,))
+
+
+def state_jacobians_13(geo: PathGeometry, dtype) -> np.ndarray:
+    """(P, 5, 13) Jacobians of the channel parameters in [p, rho, vec(R)],
+    the entries of R differentiated as free variables, computed in dtype.
+
+    The departure angles resolve v on the BS axes b_j, the arrival angles
+    -v on the subarray axes a_j; the vec(R) columns are x_j d^T for the
+    departure rows and v n_j^T + a_j d^T (n_j the mounting axes) for the
+    derivative of v resolved on a_j.
+    """
+    v, d, distance, frames, local, mount = (
+        np.asarray(a, dtype=dtype)
+        for a in (geo.v, geo.offset, geo.distance, geo.frames, geo.local, geo.mount_rotation)
+    )
+    dist = distance[:, None]
+    x, y, z = (local[..., j] for j in range(3))
+    q = z / dist
+    jac = np.zeros((v.shape[0], 5, 13), dtype=dtype)
+    den = x * x + y * y
+    azimuth = x[..., None] * frames[..., 1] - y[..., None] * frames[..., 0]
+    jac[:, 0:4:2, 0:3] = azimuth / den[..., None]
+    s = 1 / np.sqrt(1 - q * q)
+    jac[:, 1:4:2, 0:3] = s[..., None] * (
+        frames[..., 2] / dist[..., None] - z[..., None] * v[:, None] / (dist * dist * dist)[..., None]
+    )
+    jac[:, 3, 0:3] *= -1
+    outer_d = _vec_outer(
+        np.concatenate([jac[:, 0:2, 0:3], frames[:, 1].swapaxes(-1, -2), v[:, None]], axis=1),
+        d[:, None],
+    )
+    jac[:, 0:2, 4:] = outer_d[:, 0:2]
+    d_a, d_b, d_c = (_vec_outer(v[:, None], mount.swapaxes(-1, -2)) + outer_d[:, 2:5]).swapaxes(0, 1)
+    big_a, big_b, big_c = x[:, 1, None], y[:, 1, None], z[:, 1, None]
+    jac[:, 2, 4:] = (big_a * d_b - big_b * d_a) / den[:, 1, None]
+    outer_vd = outer_d[:, 5]
+    jac[:, 3, 4:] = -s[:, 1, None] * (d_c / dist - big_c * (outer_vd / dist) / (dist * dist))
+    jac[:, 4, 0:3] = v / (SPEED_OF_LIGHT * dist)
+    jac[:, 4, 3] = 1
+    jac[:, 4, 4:] = outer_vd / (SPEED_OF_LIGHT * dist)
+    return jac
+
+
+def tangent_basis_reference(rotations: np.ndarray) -> np.ndarray:
+    """(B, 13, 7) bases in the dtype of the (B, 3, 3) rotations: the
+    identity on [p, rho], and column 4 + k vec(R [e_k]_x) / sqrt(2)."""
+    dtype = rotations.dtype
+    axes = np.eye(3, dtype=dtype)
+    basis = np.zeros((rotations.shape[0], 13, 7), dtype=dtype)
+    basis[:, :4, :4] = np.eye(4, dtype=dtype)
+    for k in range(3):
+        turn = rotations @ np.cross(axes[k], axes).T / np.sqrt(dtype.type(2))
+        basis[:, 4:, 4 + k] = turn.swapaxes(-1, -2).reshape(-1, 9)
+    return basis
+
+
+def gauss_jordan_inverse(matrix: np.ndarray) -> np.ndarray:
+    """Inverse of a square matrix by Gauss-Jordan elimination with partial
+    pivoting, in the matrix's own dtype (np.linalg has no long double)."""
+    n = matrix.shape[0]
+    work = np.concatenate([matrix, np.eye(n, dtype=matrix.dtype)], axis=1)
+    for col in range(n):
+        pivot = col + int(np.argmax(np.abs(work[col:, col])))
+        work[[col, pivot]] = work[[pivot, col]]
+        work[col] /= work[col, col]
+        for row in range(n):
+            if row != col:
+                work[row] -= work[row, col] * work[col]
+    return work[:, n:]

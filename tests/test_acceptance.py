@@ -92,7 +92,7 @@ def test_criterion_01_state_jacobian_vs_finite_differences():
             got = state_jacobian(bs, ue, sub)
             want = state_jacobian_fd(
                 bs.position, bs.rotation, state, sub.offset, sub.rotation
-            )
+            ) @ constraint_basis(ue.rotation)
             for row in range(5):
                 # Relative per entry, with a floor tied to the row scale so
                 # exact zeros (structural ones) do not divide by zero.

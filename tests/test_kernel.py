@@ -10,7 +10,8 @@ in (bit for bit, against the per-path composition too), the table's
 columns match the results built from them, the entry's seed and trial
 arguments, the beam buffers each thread keeps from call to call, and the
 separable per-path FIM's agreement with the full (G, K, 5) signal-gradient
-tensor that it replaces.
+tensor that it replaces.  Last, the bounds are checked against the
+13-entry Jacobian times the constraint basis, all in long double.
 """
 
 import dataclasses
@@ -49,9 +50,16 @@ from thzloc import (
     visible_paths,
 )
 from thzloc.channel import draw_beamformers, path_gain
-from thzloc.crb import NO_LOS, classify_localizability
+from thzloc.coverage import sample_poses
+from thzloc.crb import NO_LOS, _beam_fims, classify_localizability
+from thzloc.geometry import path_angles, path_geometry, stack_poses, subarray_frames, visibility
 
-from oracles import signal_gradient
+from oracles import (
+    gauss_jordan_inverse,
+    signal_gradient,
+    state_jacobians_13,
+    tangent_basis_reference,
+)
 
 WIDE = Path(__file__).resolve().parents[1] / "perfbench" / "planar-2bs-wide.yaml"
 SCENARIOS = {name: preset(name) for name in PRESET_NAMES}
@@ -300,7 +308,7 @@ def _tensor_fim(scn, params, gain, beams, m, n):
 def _reference(scn, pose, seed, trial, fim_errors):
     """(classification, PEB, OEB, condition) from per-path tensor FIMs."""
     pairs = visible_paths(scn.bs_poses, pose, scn.subarrays)
-    total = np.zeros((13, 13))
+    total = np.zeros((7, 7))
     for m, n in pairs:
         sub = scn.subarrays[n]
         try:
@@ -343,4 +351,43 @@ def test_kernel_matches_tensor_reference(name):
             error = max(abs(result.peb_m - peb) / peb, abs(result.oeb_deg - oeb) / oeb)
             worst = max(worst, error / condition)
     assert fim_errors and max(fim_errors) <= 1e-12
+    assert worst <= 1e-14
+
+
+LONG_DOUBLE_POSES = 200
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is no wider than float64 here",
+)
+@pytest.mark.parametrize("name", ["cuboidal-4bs", "planar-2bs"])
+def test_bounds_match_the_long_double_reference(name):
+    # The kernel's geometry and per-path FIMs through the 13-entry Jacobian
+    # times the tangent basis, summed and inverted by Gauss-Jordan in long
+    # double: PEB and OEB lie within 1e-14 x condition of that.
+    scn = SCENARIOS[name].realize()
+    seed = 31
+    trials = list(range(LONG_DOUBLE_POSES))
+    poses = sample_poses(PoseDistribution(), seed, trials)
+    table = evaluate_batch(scn, poses, trials, seed)
+    bs, mounts, ue = scn.bs_stack, scn.mount_stack, stack_poses(poses)
+    frames = subarray_frames(ue, mounts)
+    paths = np.nonzero(visibility(bs, frames))
+    geo = path_geometry(bs, mounts, frames, paths)
+    fims = _beam_fims(scn, path_angles(geo, scn.clock_bias_s), paths, trials, seed)
+    jac = state_jacobians_13(geo, np.longdouble)
+    jac = jac @ tangent_basis_reference(ue[1].astype(np.longdouble))[paths[0]]
+    terms = jac.swapaxes(1, 2) @ fims.astype(np.longdouble) @ jac
+    solved = np.isfinite(table.peb_m).nonzero()[0]
+    assert solved.size > LONG_DOUBLE_POSES // 2
+    worst = 0.0
+    for i in solved.tolist():
+        fim = terms[paths[0] == i].sum(axis=0)
+        scale = 1 / np.sqrt(fim.diagonal())
+        crb = (scale[:, None] * gauss_jordan_inverse(scale[:, None] * fim * scale) * scale).diagonal()
+        peb = np.sqrt(crb[:3].sum())
+        oeb = np.degrees(np.sqrt(crb[4:].sum()) / np.sqrt(np.longdouble(2)))
+        error = max(abs(table.peb_m[i] - peb) / peb, abs(table.oeb_deg[i] - oeb) / oeb)
+        worst = max(worst, float(error) / table.condition_number[i])
     assert worst <= 1e-14

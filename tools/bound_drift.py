@@ -7,11 +7,12 @@ the `src` folder of two checkouts.  Each tree runs in its own Python
 process and evaluates the same N random poses (default 1,500) of every
 preset and of perfbench/planar-2bs-wide.yaml through evaluate_pose, one
 pose per call, so trees whose evaluate_batch returns a list of results and
-trees whose evaluate_batch returns a table of columns compare alike.  For each scenario the script prints whether the
-classifications and path counts are equal; over the poses with a finite
-PEB in both trees, the worst max(|dPEB|/PEB, |dOEB|/OEB) divided by the
-condition number; and how many of those PEB and OEB values moved in the
-`.10g` digits that the CSVs print.
+trees whose evaluate_batch returns a table of columns compare alike.  For
+each scenario the script prints whether the classifications and path
+counts are equal; over the poses with a finite PEB in both trees, the
+worst max(|dPEB|/PEB, |dOEB|/OEB) divided by the condition number and the
+trial where it occurs; and how many of those PEB and OEB values moved in
+the `.10g` digits that the CSVs print.
 
 It exits 1 when labels or path counts differ or a ratio exceeds 1e-15.
 """
@@ -84,12 +85,15 @@ def compare(old: dict, new: dict) -> bool:
             np.abs(b["peb_m"] - a["peb_m"]) / a["peb_m"],
             np.abs(b["oeb_deg"] - a["oeb_deg"]) / a["oeb_deg"],
         )
-        worst = float((relative / a["condition_number"]).max(initial=0.0))
+        ratios = relative / a["condition_number"]
+        worst = float(ratios.max(initial=0.0))
+        # Pose i is trial i.
+        at = f" (trial {np.flatnonzero(finite)[ratios.argmax()]})" if worst > 0.0 else ""
         ok = labels and paths and worst <= LIMIT
         passed &= ok
         print(
             f"{name:16s} poses {finite.size}  labels {'equal' if labels else 'DIFFER'}  "
-            f"paths {'equal' if paths else 'DIFFER'}  worst ratio/cond {worst:.2e}  "
+            f"paths {'equal' if paths else 'DIFFER'}  worst ratio/cond {worst:.2e}{at}  "
             f"PEB moved {_moved(a['peb_m'], b['peb_m'])}/{finite.sum()}  "
             f"OEB moved {_moved(a['oeb_deg'], b['oeb_deg'])}/{finite.sum()}  "
             f"{'ok' if ok else 'FAIL'}"
