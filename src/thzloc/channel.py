@@ -17,12 +17,13 @@ SeedSequence mixing in uint32 arithmetic from the pool of SeedSequence(seed),
 cached per seed; an entry of 2^32 or more, which SeedSequence splits into
 several words, goes through SeedSequence itself.  keyed_words reseats one
 shared Philox with a key and reads its raw words, so no generator is built
-per stream; keyed_beams makes them phase-shifter weights in BeamBuffers,
-one set per shape and thread from thread_buffers.
+per stream; keyed_beam_rows makes them the weights of a group of paths in
+BeamBuffers, one set per shape and thread from thread_buffers.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
@@ -139,7 +140,8 @@ def draw_beamformers(
     common when comparing nested BS sets.
     """
     key = spawn_keys(seed, [trial], [bs_index], [subarray_index])[0]
-    return keyed_beams(key, BeamBuffers(num_transmissions, n_ue, n_bs))
+    ue, bs = keyed_beam_rows([key], thread_buffers(num_transmissions, n_ue, n_bs))
+    return BeamformerSet(ue=ue[0].copy(), bs=bs[0].copy())
 
 
 # NumPy's SeedSequence constants (numpy/random/bit_generator.pyx): pool
@@ -245,27 +247,39 @@ _PHILOX_LOCK = threading.Lock()
 _ZEROS = (0, 0, 0, 0)
 
 
-class BeamBuffers:
-    """The arrays a beam draw of G transmissions on N_ue + N_bs elements
-    writes, so that many draws of one shape reuse them.
+# Phases that a thread's beam buffers of one shape hold, or one path's if
+# more: two preset paths (50 x 80 phases) in 0.37 MiB of buffers.
+_GROUP_ELEMENTS = 8192
 
-    theta and index are the scratch of _unit_phasors, base its table
-    phasors and phasors its result; beams views the precoder in phasors and
-    the scaled combiner in scaled.
+
+# Views of a BeamBuffers' first k paths' rows, (k, G, N), and of their beams.
+_Rows = collections.namedtuple("_Rows", "words index theta base phasors combiner ue bs")
+
+
+class BeamBuffers:
+    """The arrays that draws of up to `paths` paths of G transmissions on
+    N_ue + N_bs elements write, so that many draws of one shape reuse
+    them; rows[k] views the first k paths' rows.  index and theta are the
+    scratch of _unit_phasors, base its table phasors and phasors its
+    result; a draw's words lie in phasors' memory, spent before
+    _unit_phasors writes it, and its scaled combiners ue in base's.
     """
 
-    def __init__(self, num_transmissions: int, n_ue: int, n_bs: int):
-        shape = (num_transmissions, n_ue + n_bs)
-        self.theta = np.empty(shape)
-        self.index = np.empty(shape, dtype=np.intp)
-        self.base = np.empty(shape, dtype=complex)
-        self.phasors = np.empty(shape, dtype=complex)
+    def __init__(self, num_transmissions: int, n_ue: int, n_bs: int, paths: int = 1):
+        size = paths * num_transmissions * (n_ue + n_bs)
+        phasors = np.empty(size, dtype=complex)
+        arrays = (phasors.view(np.uint64), np.empty(size, dtype=np.intp), np.empty(size),
+                  np.empty(size, dtype=complex), phasors)
         # NumPy's complex division by sqrt(N_ue) multiplies both parts by this.
-        self.combiner = self.phasors.view(np.float64)[:, : 2 * n_ue]
         self.combiner_scale = 1.0 / math.sqrt(n_ue) if n_ue else 0.0
-        self.scaled = np.empty((num_transmissions, 2 * n_ue))
-        # Unit-modulus precoder, one PA per element.
-        self.beams = BeamformerSet(ue=self.scaled.view(complex), bs=self.phasors[:, n_ue:])
+        self.paths, self.rows = paths, [None]
+        for k in range(1, paths + 1):
+            shape = (k, num_transmissions, n_ue + n_bs)
+            words, index, theta, base, phasors = (a[: math.prod(shape)].reshape(shape) for a in arrays)
+            combiner = phasors.view(np.float64)[..., : 2 * n_ue]
+            ue = base.view(np.float64).reshape(-1)[: combiner.size].reshape(combiner.shape)
+            rows = (words, index, theta, base, phasors, combiner, ue.view(complex), phasors[..., n_ue:])
+            self.rows.append(_Rows(*rows))
 
 
 class _ThreadBuffers(threading.local):
@@ -279,14 +293,15 @@ _KEPT_SHAPES = 8
 
 
 def thread_buffers(num_transmissions: int, n_ue: int, n_bs: int) -> BeamBuffers:
-    """This thread's BeamBuffers of the given shape, built on first use and
-    kept, so that the kernel's calls share them."""
+    """This thread's BeamBuffers of the given shape, for the paths that
+    _GROUP_ELEMENTS phases hold, built on first use and kept."""
     sets = _THREAD_BUFFERS.sets
     shape = (num_transmissions, n_ue, n_bs)
     if shape not in sets:
         if len(sets) == _KEPT_SHAPES:
             sets.clear()
-        sets[shape] = BeamBuffers(*shape)
+        paths = max(1, _GROUP_ELEMENTS // max(1, num_transmissions * (n_ue + n_bs)))
+        sets[shape] = BeamBuffers(*shape, paths=paths)
     return sets[shape]
 
 
@@ -302,17 +317,26 @@ def keyed_words(key, shape) -> np.ndarray:
         return _PHILOX.random_raw(shape)
 
 
-def keyed_beams(key: np.ndarray, buffers: BeamBuffers) -> BeamformerSet:
-    """Beamformers from the Philox stream with the given key: word w
-    becomes the phasor e^{2 pi i u} of Generator.random's u = (w >> 11) *
-    2^-53, the phase that uniform(0, 2 pi) scales from u.  The first N_ue
-    columns, scaled to unit norm, are the combiner, the rest the precoder;
-    the result is buffers.beams, until the next draw.
+def keyed_beam_rows(keys, buffers: BeamBuffers) -> tuple[np.ndarray, np.ndarray]:
+    """Beamformers (ue (k, G, N_ue), bs (k, G, N_bs)) of k = len(keys)
+    paths, at most buffers.paths, from the Philox streams with the given
+    keys, views of buffers until the next draw: word w becomes the phasor
+    e^{2 pi i u} of Generator.random's u = (w >> 11) * 2^-53, the phase
+    that uniform(0, 2 pi) scales from u.  Of a path's N_ue + N_bs columns,
+    the first N_ue, scaled to unit norm, are the combiner, the rest the
+    precoder.  One path's words are _unit_phasors' scratch as drawn;
+    several paths' are gathered for one pass over them all.
     """
-    words = keyed_words(key, buffers.phasors.shape)
-    _unit_phasors(words, buffers.index, buffers.theta, buffers.base, buffers.phasors)
-    np.multiply(buffers.combiner, buffers.combiner_scale, out=buffers.scaled)
-    return buffers.beams
+    rows = buffers.rows[len(keys)]
+    if len(keys) == 1:
+        words = keyed_words(keys[0], rows.words.shape)
+    else:
+        words = rows.words
+        for path, key in zip(words, keys):
+            path[...] = keyed_words(key, path.shape)
+    _unit_phasors(words, rows.index, rows.theta, rows.base, rows.phasors)
+    np.multiply(rows.combiner, buffers.combiner_scale, out=rows.ue.view(np.float64))
+    return rows.ue, rows.bs
 
 
 # Entries of the phasor table, a power of two so that a Philox word's top
@@ -363,9 +387,9 @@ def _unit_phasors(
     to within 1.7e-16: the table's e^{2 pi i k / _TURN_STEPS}, k = w >> 52,
     times e^{i theta}, theta = 2 pi frac(4096 u) / _TURN_STEPS < 1.6e-3,
     from Taylor polynomials to theta^4 and theta^5 (IEEE basic operations).
-    The result goes to out; words is overwritten, and index (intp), theta
-    (float) and base (complex), all of words' shape, are scratch.  No array
-    is allocated, since fresh large temporaries cost page faults per call.
+    The result goes to out, which words may share; words is overwritten, and
+    index (intp), theta (float) and base (complex), all of words' shape, are
+    scratch.  No array is allocated: fresh temporaries cost page faults.
     """
     np.right_shift(words, _INDEX_SHIFT, out=index.view(np.uint64))
     # Indices lie in [0, _TURN_STEPS); "wrap" takes them as they are and,

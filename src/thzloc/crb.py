@@ -22,16 +22,17 @@ the scenario alone (the stacked BS poses and mounts, the element stacks by
 panel size) is built once per Scenario and the tone Gram once per
 SignalConfig.  The beam layer derives the Philox keys of all paths in one
 pass, then takes the paths a block at a time: one steering_stack call per
-side and panel size, and per path one fill of the shared, reseated
-generator, whose phasors and (G, 3) couplings go into the calling
-thread's buffers, kept from call to call.  The per-path public functions
-are batches of one through the same layers, and a pose's result does not
-depend on the batch it is evaluated in.
+side and panel size, one fill of the shared, reseated generator per path,
+then per group of paths of one shape one phasor pass and one product per
+side to the (G, 3) couplings, in the calling thread's buffers.  The
+per-path public functions are batches of one through the same layers, and
+a pose's result does not depend on the batch it is evaluated in.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -40,7 +41,7 @@ import numpy as np
 from .channel import (
     BeamformerSet,
     SignalConfig,
-    keyed_beams,
+    keyed_beam_rows,
     path_gain,
     spawn_keys,
     steering_stack,
@@ -419,8 +420,8 @@ _PATH_BLOCK = 16
 
 def _size_steering(panels: np.ndarray, grouped, az, el, lam) -> list:
     """Steering stacks of paths on the given panels, one steering_stack
-    call per panel size; entry p of the list is path p's (N, 3) stack.
-    grouped is the side's panels_by_size."""
+    call per panel size; entry p of the list is path p's (N, 3) stack and
+    those of its size's later paths.  grouped is the side's panels_by_size."""
     sizes, stacks, slots = grouped
     sizes = sizes[panels]
     steering = [None] * panels.size
@@ -428,9 +429,21 @@ def _size_steering(panels: np.ndarray, grouped, az, el, lam) -> list:
         members = (sizes == size).nonzero()[0]
         elements = stacks[size][slots[panels[members]]]
         rows = steering_stack(elements, az[members], el[members], lam)
-        for p, row in zip(members.tolist(), rows):
-            steering[p] = row
+        for j, p in enumerate(members.tolist()):
+            steering[p] = rows[j:]
     return steering
+
+
+def _path_groups(shapes: list, g: int):
+    """(start, stop, buffers) of runs of paths of one (N_ue, N_bs) shape,
+    each run in the fewest near-equal groups that its thread buffers hold."""
+    start = 0
+    for shape, run in itertools.groupby(shapes):
+        size, buffers = len(list(run)), thread_buffers(g, *shape)
+        count = -(-size // buffers.paths)
+        for i in range(count):
+            yield start + size * i // count, start + size * (i + 1) // count, buffers
+        start += size
 
 
 def _beam_fims(scenario: Scenario, params, paths, trials, seed):
@@ -439,8 +452,8 @@ def _beam_fims(scenario: Scenario, params, paths, trials, seed):
 
     The Philox keys of all paths are derived in one pass.  Paths then go
     _PATH_BLOCK at a time: steering stacks are built per panel size for
-    the block's paths, and each draw is reduced to its (G, 3) couplings
-    right away in this thread's buffers, so memory does not grow with the
+    the block's paths, and draws are reduced group by group to (G, 3)
+    couplings in this thread's buffers, so memory does not grow with the
     batch and a call allocates no beam buffers once a shape has been seen.
     """
     signal = scenario.signal
@@ -460,9 +473,11 @@ def _beam_fims(scenario: Scenario, params, paths, trials, seed):
         )
         ue_c = np.empty((angles.shape[0], g, 3), dtype=complex)
         bs_c = np.empty((angles.shape[0], g, 3), dtype=complex)
-        for p, (key, ue, bs) in enumerate(zip(keys[block], steer_ue, steer_bs)):
-            beams = keyed_beams(key, thread_buffers(g, ue.shape[0], bs.shape[0]))
-            ue_c[p], bs_c[p] = beams.ue @ ue, beams.bs @ bs
+        shapes = [(ue.shape[1], bs.shape[1]) for ue, bs in zip(steer_ue, steer_bs)]
+        for start, stop, buffers in _path_groups(shapes, g):
+            ue, bs = keyed_beam_rows(keys[first + start : first + stop], buffers)
+            np.matmul(ue, steer_ue[start][: stop - start], out=ue_c[start:stop])
+            np.matmul(bs, steer_bs[start][: stop - start], out=bs_c[start:stop])
         fims.append(path_fims(ue_c, bs_c, path_gain(angles[:, 5], lam), signal))
     return np.concatenate(fims)
 

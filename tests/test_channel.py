@@ -12,7 +12,7 @@ from thzloc.channel import (
     _TURN_STEPS,
     BeamBuffers,
     _unit_phasors,
-    keyed_beams,
+    keyed_beam_rows,
     keyed_words,
     path_gain,
     spawn_keys,
@@ -161,6 +161,9 @@ def test_unit_phasors_keep_shape_and_whole_turns():
     np.testing.assert_array_equal(_phasors(turns), [[1, 1j], [-1, -1j]])
     assert _phasors(np.zeros((3, 0))).shape == (3, 0)
     assert draw_beamformers(1, 0, 0, 5, 0, 4).ue.shape == (5, 0)
+    for g, n_ue, n_bs in [(5, 0, 0), (0, 4, 4), (0, 0, 0)]:
+        beams = draw_beamformers(1, 0, 0, g, n_ue, n_bs)
+        assert beams.ue.shape == (g, n_ue) and beams.bs.shape == (g, n_bs)
 
 
 def test_one_wide_draw_peaks_under_a_mebibyte():
@@ -249,17 +252,20 @@ def test_negative_key_entries_raise(kwargs):
 def test_shared_generator_carries_no_state_between_fills():
     # The combiner's scaling is exact only for N_ue = 4^j; for the others
     # it must still give the bits of NumPy's complex division.
-    keys = spawn_keys(4, [0, 1], [0, 0], [0, 0])
+    # A draw of several paths gives each path the bits it has alone.
+    keys = spawn_keys(4, [0, 1, 2], [0, 0, 1], [0, 0, 0])
     for n_ue in (4, 2, 3, 5, 16, 64):
-        buffers = BeamBuffers(5, n_ue, 8)
+        buffers = BeamBuffers(5, n_ue, 8, paths=3)
         for _ in range(3):
-            for key in keys:
-                beams = keyed_beams(key, buffers)
-                fresh = np.random.Generator(np.random.Philox(key=key)).random(size=(5, n_ue + 8))
-                phasors = _phasors(fresh)
-                want = phasors[:, :n_ue] / np.sqrt(n_ue)
-                np.testing.assert_array_equal(beams.ue.view(np.uint64), want.view(np.uint64))
-                np.testing.assert_array_equal(beams.bs, phasors[:, n_ue:])
+            for group in ([0], [1], [2, 0], [0, 1, 2], [1]):
+                ue, bs = keyed_beam_rows(keys[group], buffers)
+                assert ue.shape == (len(group), 5, n_ue) and bs.shape == (len(group), 5, 8)
+                for row, key in enumerate(keys[group]):
+                    fresh = np.random.Generator(np.random.Philox(key=key)).random(size=(5, n_ue + 8))
+                    phasors = _phasors(fresh)
+                    want = phasors[:, :n_ue] / np.sqrt(n_ue)
+                    np.testing.assert_array_equal(ue[row].view(np.uint64), want.view(np.uint64))
+                    np.testing.assert_array_equal(bs[row], phasors[:, n_ue:])
 
 
 def test_threads_sharing_the_generator_get_their_own_streams():
@@ -275,8 +281,8 @@ def test_threads_sharing_the_generator_get_their_own_streams():
     def work(which):
         buffers = BeamBuffers(4, 2, 8)
         for _ in range(300):
-            keyed_beams(keys[which], buffers)
-            if not np.array_equal(buffers.phasors, fresh[which]):
+            keyed_beam_rows(keys[which : which + 1], buffers)
+            if not np.array_equal(buffers.rows[1].phasors[0], fresh[which]):
                 mismatches.append(which)
 
     interval = sys.getswitchinterval()

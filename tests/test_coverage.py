@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from thzloc.coverage import (
     _run_ranges,
     sample_poses,
 )
+from thzloc import coverage
 from thzloc.crb import COMM_ONLY, LOCALIZABLE, NO_LOS
 
 from oracles import sample_pose_oracle
@@ -122,6 +124,25 @@ def test_coverage_curve_invariants():
     assert curve.exceedance[-1] >= curve.outage
     # A cuboidal UE sees every BS from any pose, so nothing is in outage.
     assert curve.outage == 0.0
+
+
+@pytest.mark.parametrize("metric, column, grid", [
+    ("peb", "peb_m", PEB_THRESHOLDS_M), ("oeb", "oeb_deg", OEB_THRESHOLDS_DEG),
+])
+def test_exceedance_counts_match_the_threshold_loop(monkeypatch, metric, column, grid):
+    # The curve counts the values above each threshold as a loop over the
+    # thresholds does: outages (inf), values equal to a threshold or one
+    # ulp off it, values beyond both ends of the grid, repeats and NaN.
+    values = np.concatenate([
+        grid[[0, 7, 7, 31, 59]], np.nextafter(grid[[3, 20]], np.inf),
+        np.nextafter(grid[[3, 20]], 0.0), [1e-9, 5e3, 0.5, np.inf, np.inf, np.nan],
+    ])
+    tables = [SimpleNamespace(**{column: values[:6]}), SimpleNamespace(**{column: values[6:]})]
+    monkeypatch.setattr(coverage, "_run_ranges", lambda worker, count, threads: tables)
+    curve = coverage_ccdf(preset("planar-2bs"), values.size, metric=metric)
+    loop = [np.count_nonzero(values > t) for t in grid]
+    assert curve.exceedance.tolist() == [count / values.size for count in loop]
+    assert curve.outage == 2 / values.size
 
 
 def test_coverage_is_reproducible():

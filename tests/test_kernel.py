@@ -6,15 +6,17 @@ paths of a batch of poses and returns a BoundTable of columns, whose
 result(i) is pose i's BoundResult.  evaluate_pose and the per-path public
 functions are batches of one through the same layers.  These tests pin
 five things: a pose's result does not depend on the batch it is evaluated
-in (bit for bit, against the per-path composition too), the table's
-columns match the results built from them, the entry's seed and trial
-arguments, the beam buffers each thread keeps from call to call, and the
+in (bit for bit, against the per-path composition too, whichever group of
+paths its beams are drawn in), the table's columns match the results
+built from them, the entry's seed and trial arguments, the beam buffers
+each thread keeps from call to call, one set per shape, and the
 separable per-path FIM's agreement with the full (G, K, 5) signal-gradient
 tensor that it replaces.  Last, the bounds are checked against the
 13-entry Jacobian times the constraint basis, all in long double.
 """
 
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -30,6 +32,7 @@ from thzloc import (
     EulerAngles,
     GeometryError,
     PathObservation,
+    PathParams,
     Pose,
     PoseDistribution,
     constrained_crb,
@@ -49,9 +52,15 @@ from thzloc import (
     state_jacobian,
     visible_paths,
 )
-from thzloc.channel import draw_beamformers, path_gain
+from thzloc.channel import (
+    _GROUP_ELEMENTS,
+    _THREAD_BUFFERS,
+    draw_beamformers,
+    path_gain,
+    thread_buffers,
+)
 from thzloc.coverage import sample_poses
-from thzloc.crb import NO_LOS, _beam_fims, classify_localizability
+from thzloc.crb import NO_LOS, _PATH_BLOCK, _beam_fims, _path_groups, classify_localizability
 from thzloc.geometry import path_angles, path_geometry, stack_poses, subarray_frames, visibility
 
 from oracles import (
@@ -255,6 +264,121 @@ def test_mixed_panel_sizes_match_the_per_path_composition():
     whole = _results(evaluate_batch(scn, poses, trials, seed))
     assert sum(result.localizable for result in whole) > count // 2
     assert [_composed(scn, pose, seed, t) for t, pose in zip(trials, poses)] == whole
+
+
+def _grouped_panels():
+    # Five of the six subarrays share a size and one is smaller, and the
+    # BS panels have three sizes: a pose's paths to one BS are a run of up
+    # to five paths of one shape, then a path of its own.
+    config = preset("cuboidal-4bs")
+    config = dataclasses.replace(
+        config,
+        bs=_resized(config.bs, [(4, 4), (8, 8), (2, 8), (6, 6)]),
+        subarrays=_resized(config.subarrays, [(4, 4)] * 5 + [(2, 2)]),
+    )
+    return config.realize()
+
+
+def _kernel_paths(scn, poses):
+    """(paths, params) of the poses, as evaluate_batch finds them."""
+    bs, mounts = scn.bs_stack, scn.mount_stack
+    frames = subarray_frames(stack_poses(poses), mounts)
+    paths = np.nonzero(visibility(bs, frames))
+    return paths, path_angles(path_geometry(bs, mounts, frames, paths), scn.clock_bias_s)
+
+
+def _groups(scn, paths):
+    """(shapes in the block, group size, paths its buffers hold, sizes of
+    the run's groups) of each group that _beam_fims draws at once."""
+    g = scn.signal.num_transmissions
+    groups = []
+    for first in range(0, paths[0].size, _PATH_BLOCK):
+        block = slice(first, first + _PATH_BLOCK)
+        shapes = [(scn.subarrays[n].elements.shape[0], scn.bs_elements[m].shape[0])
+                  for m, n in zip(paths[1][block].tolist(), paths[2][block].tolist())]
+        runs = itertools.groupby(_path_groups(shapes, g), key=lambda group: shapes[group[0]])
+        for _, run in runs:
+            run = [(stop - start, buffers.paths) for start, stop, buffers in run]
+            sizes = [size for size, _ in run]
+            groups += [(len(set(shapes)), size, held, sizes) for size, held in run]
+    return groups
+
+
+def test_path_groups_match_the_per_path_draws_bit_for_bit():
+    # Each group of paths of one shape is drawn in one phasor pass and one
+    # product per side; every path's FIM must still equal that of its own
+    # draw_beamformers and path_fim, and every pose's bounds those of the
+    # per-path composition and of a batch of one.  37 poses leave 10
+    # cuboidal-4bs paths in the last block.
+    seed, count = 17, 37
+    trials = list(range(count))
+    poses = sample_poses(PoseDistribution(), seed, trials)
+    groups = []
+    for scn in (_grouped_panels(), SCENARIOS["cuboidal-4bs"].realize()):
+        paths, params = _kernel_paths(scn, poses)
+        groups += _groups(scn, paths)
+        fims = _beam_fims(scn, params, paths, trials, seed)
+        for p, (owner, m, n) in enumerate(zip(*(index.tolist() for index in paths))):
+            sub = scn.subarrays[n]
+            beams = draw_beamformers(seed, m, n, scn.signal.num_transmissions,
+                                     sub.elements.shape[0], scn.bs_elements[m].shape[0],
+                                     trial=trials[owner])
+            path = PathParams(*params[p])
+            gain = path_gain(path.distance, scn.signal.wavelength_m)
+            fim = path_fim(path, gain, beams, scn.bs_elements[m], sub.elements, scn.signal)
+            assert np.array_equal(fims[p].view(np.uint64), fim.view(np.uint64)), f"path {p}"
+        whole = _results(evaluate_batch(scn, poses, trials, seed))
+        assert [_composed(scn, pose, seed, t) for t, pose in zip(trials, poses)] == whole
+        alone = [evaluate_batch(scn, [pose], [t], seed).result(0) for t, pose in zip(trials, poses)]
+        assert alone == whole
+    # Blocks of several shapes, one-path groups, groups in their buffers'
+    # leading rows, full groups, and runs split into groups of two sizes.
+    assert max(shapes for shapes, _, _, _ in groups) > 2
+    assert any(size == 1 for _, size, _, _ in groups)
+    assert any(1 < size < held for _, size, held, _ in groups)
+    assert any(size == held > 1 for _, size, held, _ in groups)
+    assert any(len(set(run)) > 1 and max(run) - min(run) == 1 for _, _, _, run in groups)
+
+
+def test_a_run_of_one_shape_splits_into_near_equal_groups():
+    shapes = [(16, 64)] * 5 + [(4, 64)] + [(16, 64)] * 3 + [(4, 16)] * 9
+    groups = [(start, stop, buffers.paths) for start, stop, buffers in _path_groups(shapes, 50)]
+    assert groups == [(0, 1, 2), (1, 3, 2), (3, 5, 2), (5, 6, 2), (6, 7, 2), (7, 9, 2),
+                      (9, 13, 8), (13, 18, 8)]
+
+
+def _buffer_shapes(scn, poses):
+    # The beam buffer shapes that a fresh thread keeps after one batch.
+    shapes = set()
+
+    def work():
+        evaluate_batch(scn, poses, list(range(len(poses))), 3)
+        shapes.update(_THREAD_BUFFERS.sets)
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=60)
+    return shapes
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_a_thread_keeps_one_beam_buffer_set_per_path_shape(name):
+    # A group of fewer paths than its buffers hold draws into their leading
+    # rows, so there is one set per (G, N_ue, N_bs) that a path has.
+    scn = SCENARIOS[name].realize()
+    poses = sample_poses(PoseDistribution(), 3, list(range(30)))
+    paths, _ = _kernel_paths(scn, poses)
+    g = scn.signal.num_transmissions
+    want = {(g, scn.subarrays[n].elements.shape[0], scn.bs_elements[m].shape[0])
+            for m, n in zip(paths[1].tolist(), paths[2].tolist())}
+    assert _buffer_shapes(scn, poses) == want
+    for shape in want:
+        buffers = thread_buffers(*shape)
+        assert buffers.paths == max(1, _GROUP_ELEMENTS // (g * (shape[1] + shape[2])))
+        rows = buffers.rows[buffers.paths]
+        assert rows.phasors.shape == (buffers.paths, g, shape[1] + shape[2])
+        for k in range(1, buffers.paths):
+            assert all(np.shares_memory(a, b) for a, b in zip(buffers.rows[k], rows))
 
 
 def test_table_columns_match_the_results_they_build():
