@@ -5,7 +5,8 @@ stays below a threshold when the UE pose is drawn at random.  The
 complementary empirical CCDF is reported on a fixed log-spaced threshold
 grid.  Poses without a computable bound (no visible path, or singular
 information) carry bound +inf and accumulate in the curve's floor, the
-outage fraction.
+outage fraction.  Field grids report bounds of localizable cells only, so
+cells that see fewer than two BSs skip the beam layer.
 
 Per-trial randomness is counter-based: trial t draws its pose from the
 beam layer's keyed Philox with spawn key (t,) and its beamformers with
@@ -117,14 +118,17 @@ class CcdfCurve:
             raise AssertionError("curve floor cannot undercut the outage fraction")
 
 
-def _evaluate_range(config: ScenarioConfig, poses_of, seed: int, start: int, stop: int):
+def _evaluate_range(
+    config: ScenarioConfig, poses_of, seed: int, start: int, stop: int, localizable_only=False
+):
     """BoundTables of the poses of [start, stop), trial i for index i, one
     per _POSE_CHUNK poses; poses_of(indices) builds a chunk's poses."""
     scn = _realized(config)
     tables = []
     for first in range(start, stop, _POSE_CHUNK):
         trials = range(first, min(first + _POSE_CHUNK, stop))
-        tables.append(evaluate_batch(scn, poses_of(trials), trials, seed))
+        poses = poses_of(trials)
+        tables.append(evaluate_batch(scn, poses, trials, seed, localizable_only=localizable_only))
     return tables
 
 
@@ -189,7 +193,8 @@ class FieldGrid:
     """Bounds evaluated on a regular 2D grid of poses.
 
     peb_m and oeb_deg hold NaN wherever the pose is not localizable; the
-    classification array carries the label for those cells.
+    classification array carries the label for those cells.  Cells that see
+    fewer than two BSs carry no computed bound: they draw no beams.
     """
 
     axis_names: tuple[str, str]
@@ -217,8 +222,9 @@ def _axis(start: float, stop: float, step: float) -> np.ndarray:
 
 
 def _assemble_grid(config, axis_names, first, second, poses_of, threads) -> FieldGrid:
-    # Each cell gets its own beamformer draw, like one Monte-Carlo trial.
-    worker = functools.partial(_evaluate_range, config, poses_of, config.seed)
+    # Each cell gets its own beamformer draw, like one Monte-Carlo trial;
+    # cells that see fewer than two BSs are reported as NaN, so draw none.
+    worker = functools.partial(_evaluate_range, config, poses_of, config.seed, localizable_only=True)
     tables = _run_ranges(worker, len(first) * len(second), threads)
     peb, oeb, classification, num_paths = (
         np.concatenate([getattr(t, column) for t in tables]).reshape(len(first), len(second))

@@ -362,6 +362,8 @@ class BoundResult:
     classified comm_only, yet its numeric bounds are reported whenever the
     matrix inverts: such poses are weakly identifiable through subarray
     parallax, and coverage statistics count them at their finite value.
+    Field grids report no bound for them and compute none (evaluate_batch's
+    localizable_only).
     """
 
     classification: str
@@ -483,7 +485,8 @@ def _beam_fims(scenario: Scenario, params, paths, trials, seed):
 
 
 def evaluate_batch(
-    scenario: Scenario, ue_poses: list[Pose], trials: list[int], seed: int | None = None
+    scenario: Scenario, ue_poses: list[Pose], trials: list[int], seed: int | None = None,
+    *, localizable_only: bool = False,
 ) -> BoundTable:
     """Bounds for a batch of UE poses under a realized scenario, as columns.
 
@@ -492,7 +495,9 @@ def evaluate_batch(
     nested BS sets share their common paths' draws.  A pose's result is the
     same bits in any batch, a batch of one included.  Memory grows with
     the number of paths in the batch, so callers with many poses feed them
-    in chunks.
+    in chunks.  With localizable_only, a pose that sees fewer than two BSs
+    draws no beams and gets bound and condition inf, for callers that
+    report only localizable poses; its label and paths are unchanged.
 
     Raises:
         TypeError: for a trial that is not an integer.
@@ -514,9 +519,12 @@ def evaluate_batch(
     jacobians, departure, arrival = state_jacobians(geo)
 
     # A path at the arcsin branch point has no Jacobian, so its pose gets
-    # no finite bound.
+    # no finite bound; with localizable_only, neither does a one-BS pose.
     num_paths = np.bincount(owners, minlength=count)
+    num_visible_bs = mask.any(axis=2).sum(axis=1)
     solvable = num_paths > 0
+    if localizable_only:
+        solvable &= num_visible_bs > 1
     solvable[owners[departure | arrival]] = False
     live = solvable[owners]
     fims = _beam_fims(scenario, params[live], [index[live] for index in paths], trials, seed)
@@ -533,7 +541,6 @@ def evaluate_batch(
 
     has_bound = np.zeros(count, dtype=bool)
     has_bound[solved] = True
-    num_visible_bs = mask.any(axis=2).sum(axis=1)
     labels = map(classify_localizability, num_visible_bs.tolist(), has_bound.tolist())
     return BoundTable(
         classification=np.array(list(labels), dtype=object), peb_m=peb, oeb_deg=oeb_deg,

@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,3 +41,20 @@ def test_the_summary_pairs_calls():
     stats = ab_bench.summary(old, new)
     assert stats["ratio"] == 2.0 and stats["won"] == 0.75
     assert stats["old_ms"] == 2000.0 and stats["new_ms"] == 1000.0
+
+
+def test_a_reader_that_leaves_early_ends_no_run_in_error():
+    # stdout is a pipe whose read end is closed, as in `ab_bench ... | true`.
+    src = str(Path(thzloc.__file__).resolve().parents[1])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "ab_bench.py"), src, src,
+             "--workload", "single-pose", "--calls", "1"],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=300,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr

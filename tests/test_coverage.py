@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import math
 from types import SimpleNamespace
 
@@ -24,7 +25,8 @@ from thzloc.coverage import (
     _run_ranges,
     sample_poses,
 )
-from thzloc import coverage
+from thzloc import coverage, crb
+from thzloc.channel import keyed_beam_rows
 from thzloc.crb import COMM_ONLY, LOCALIZABLE, NO_LOS
 
 from oracles import sample_pose_oracle
@@ -282,6 +284,35 @@ def test_orientation_field_planar_labels():
     assert np.all(np.isnan(grid.peb_m[betas == 90.0]))
     labels = set(grid.classification.ravel())
     assert NO_LOS in labels and COMM_ONLY in labels
+
+
+def test_orientation_field_draws_beams_only_for_cells_it_reports(monkeypatch):
+    # A field reports NaN for every cell that is not localizable, so cells
+    # that see fewer than two BSs draw no beams; the grid is the one that
+    # the default kernel's tables give under the same NaN masking.
+    cfg = preset("planar-2bs")
+    position = (0.0, 0.0, 0.0)
+    angles = _axis(0.0, 360.0, 30.0)
+    poses_of = functools.partial(coverage._orientation_poses, angles, angles, position, 0.0)
+    cells = range(angles.size**2)
+    full = crb.evaluate_batch(coverage._realized(cfg), poses_of(cells), cells, cfg.seed)
+    drawn = []
+
+    def counting(keys, buffers):
+        drawn.append(len(keys))
+        return keyed_beam_rows(keys, buffers)
+
+    monkeypatch.setattr(crb, "keyed_beam_rows", counting)
+    grid = orientation_field(cfg, position, step_deg=30.0, threads=1)
+    multi = full.num_visible_bs >= 2
+    assert (full.num_visible_bs == 1).sum() > multi.sum() > 0
+    assert sum(drawn) == full.num_paths[multi].sum()
+    outside = full.classification != LOCALIZABLE
+    for name, column in (("peb_m", full.peb_m), ("oeb_deg", full.oeb_deg)):
+        expected = np.where(outside, np.nan, column).reshape(grid.peb_m.shape)
+        assert np.array_equal(getattr(grid, name), expected, equal_nan=True), name
+    assert grid.classification.ravel().tolist() == full.classification.tolist()
+    assert grid.num_paths.ravel().tolist() == full.num_paths.tolist()
 
 
 def test_grid_axis_stops_at_its_end():

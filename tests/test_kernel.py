@@ -8,7 +8,8 @@ functions are batches of one through the same layers.  These tests pin
 five things: a pose's result does not depend on the batch it is evaluated
 in (bit for bit, against the per-path composition too, whichever group of
 paths its beams are drawn in), the table's columns match the results
-built from them, the entry's seed and trial arguments, the beam buffers
+built from them, the entry's seed and trial arguments (and that
+localizable_only changes only the one-BS poses), the beam buffers
 each thread keeps from call to call, one set per shape, and the
 separable per-path FIM's agreement with the full (G, K, 5) signal-gradient
 tensor that it replaces.  Last, the bounds are checked against the
@@ -60,7 +61,15 @@ from thzloc.channel import (
     thread_buffers,
 )
 from thzloc.coverage import sample_poses
-from thzloc.crb import NO_LOS, _PATH_BLOCK, _beam_fims, _path_groups, classify_localizability
+from thzloc.crb import (
+    COMM_ONLY,
+    LOCALIZABLE,
+    NO_LOS,
+    _PATH_BLOCK,
+    _beam_fims,
+    _path_groups,
+    classify_localizability,
+)
 from thzloc.geometry import path_angles, path_geometry, stack_poses, subarray_frames, visibility
 
 from oracles import (
@@ -397,6 +406,38 @@ def test_table_columns_match_the_results_they_build():
     assert table.path_params.tolist() == [
         list(dataclasses.astuple(obs.params)) for obs in observations
     ]
+
+
+def test_localizable_only_skips_just_the_one_bs_poses():
+    # Planar-2bs orientation cells at the origin: most see one BS, some
+    # none, a few both.
+    scn = SCENARIOS["planar-2bs"].realize()
+    angles = np.arange(0.0, 360.0, 30.0)
+    betas, gammas = (a.ravel() for a in np.meshgrid(angles, angles, indexing="ij"))
+    rotations = euler_to_rotation(EulerAngles(0.0, betas, gammas))
+    poses = [Pose(np.zeros(3), rotation) for rotation in rotations]
+    trials = list(range(len(poses)))
+    full = evaluate_batch(scn, poses, trials, 7)
+    only = evaluate_batch(scn, poses, trials, 7, localizable_only=True)
+    one_bs = full.num_visible_bs == 1
+    assert one_bs.any() and (full.num_visible_bs == 0).any()
+    assert (full.classification[~one_bs] == LOCALIZABLE).any()
+    assert np.isfinite(full.peb_m[one_bs]).any()
+    for name in (
+        "classification", "peb_m", "oeb_deg", "oeb_raw",
+        "condition_number", "num_paths", "num_visible_bs",
+    ):
+        a, b = getattr(full, name)[~one_bs], getattr(only, name)[~one_bs]
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+        if a.dtype != object:
+            assert a.tobytes() == b.tobytes(), name
+    for name in ("peb_m", "oeb_deg", "oeb_raw", "condition_number"):
+        assert np.isposinf(getattr(only, name)[one_bs]).all(), name
+    assert (only.classification[one_bs] == COMM_ONLY).all()
+    assert only.num_paths.tolist() == full.num_paths.tolist()
+    assert only.num_visible_bs.tolist() == full.num_visible_bs.tolist()
+    assert only.paths.tolist() == full.paths.tolist()
+    assert only.path_params.tobytes() == full.path_params.tobytes()
 
 
 @pytest.mark.parametrize(
