@@ -462,7 +462,8 @@ def _beam_fims(scenario: Scenario, params, paths, trials, seed):
     lam = signal.wavelength_m
     g = signal.num_transmissions
     owners, bs_index, sub_index = paths
-    keys = spawn_keys(seed, [trials[o] for o in owners.tolist()], bs_index, sub_index)
+    # Python ints, which the generator's state setter reads fastest.
+    keys = spawn_keys(seed, [trials[o] for o in owners.tolist()], bs_index, sub_index).tolist()
     fims = [np.zeros((0, 5, 5))]
     for first in range(0, params.shape[0], _PATH_BLOCK):
         block = slice(first, first + _PATH_BLOCK)

@@ -132,6 +132,16 @@ class ScenarioConfig:
     seed: int = 1
     clock_bias_s: float = 0.0
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        # The dataclass's own hash, computed once: evaluate_pose looks its
+        # realized Scenario up by it on every call.  No field holds a
+        # string, so the value is the same in every process.
+        return hash(tuple(getattr(self, f.name) for f in dataclasses.fields(self)))
+
     def realize(self) -> "Scenario":
         """Build the runtime geometry (element grids need the wavelength)."""
         lam = self.signal.wavelength_m

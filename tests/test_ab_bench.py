@@ -24,14 +24,15 @@ def test_a_tree_against_itself_reports_every_field(capsys, workload):
     assert ab_bench.main([src, src, "--workload", workload, "--calls", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     report = json.loads(lines[-1])
-    assert report["workload"] == workload and report["calls"] == 3
+    assert report["workload"] == workload and report["calls"] == 3 and report["pairs"] == 1
     assert report["equal_outputs"] == 3
     for clock in ("wall", "cpu"):
         stats = report[clock]
-        assert set(stats) == {"old_ms", "new_ms", "ratio", "won", "interval"}
+        assert set(stats) == {"old_ms", "new_ms", "ratio", "won", "interval", "pair_ratios"}
         assert stats["old_ms"] > 0 and stats["new_ms"] > 0 and stats["ratio"] > 0
         assert 0 <= stats["won"] <= 1
         assert 0 < stats["interval"][0] <= stats["interval"][1]
+        assert stats["pair_ratios"] == [stats["ratio"]]
     assert [line.split()[:2] for line in lines[:2]] == [[workload, "wall"], [workload, "cpu"]]
     assert lines[2] == f"{workload} outputs equal in 3/3 calls"
 
@@ -41,6 +42,55 @@ def test_the_summary_pairs_calls():
     stats = ab_bench.summary(old, new)
     assert stats["ratio"] == 2.0 and stats["won"] == 0.75
     assert stats["old_ms"] == 2000.0 and stats["new_ms"] == 1000.0
+    assert stats["pair_ratios"] == [2.0]
+
+
+def test_the_summary_pools_calls_and_keeps_each_process_pair():
+    # Two pairs of processes of three calls: the new tree 1.5 times as fast
+    # in the first and 1.1 times in the second.
+    new = np.ones((2, 3))
+    old = np.array([[1.5, 1.5, 1.4], [1.1, 1.1, 1.2]])
+    stats = ab_bench.summary(old, new)
+    assert stats["pair_ratios"] == [1.5, 1.1]
+    assert stats["ratio"] == pytest.approx(1.3) and stats["won"] == 1.0
+    assert 1.1 <= stats["interval"][0] <= stats["interval"][1] <= 1.5
+
+
+def test_pairs_start_fresh_processes_on_later_calls(capsys, monkeypatch):
+    # Each pair starts its own two workers and runs the next calls' inputs.
+    started, calls = [], []
+
+    class Worker:
+        def __init__(self, src, name, seed):
+            started.append(src)
+            self.src = src
+
+        def call(self, index):
+            calls.append((len(started), self.src, index))
+            return 1.0 if self.src == "old" else 0.5, 0.1, f"out {index}"
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(ab_bench, "_Worker", Worker)
+    argv = ["old", "new", "--workload", "coverage-cuboidal-4bs", "--calls", "2", "--pairs", "3"]
+    assert ab_bench.main(argv) == 0
+    assert started == ["old", "new"] * 3
+    assert [index for _, src, index in calls if src == "new"] == [0, 1, 2, 3, 4, 5]
+    assert all(count == 2 * (index // 2 + 1) for count, _, index in calls)
+    lines = capsys.readouterr().out.splitlines()
+    report = json.loads(lines[-1])
+    assert report["pairs"] == 3 and report["calls"] == 2 and report["equal_outputs"] == 6
+    assert report["wall"]["pair_ratios"] == [2.0] * 3 and report["cpu"]["pair_ratios"] == [1.0] * 3
+    assert lines[0].endswith("pairs 2.0000 2.0000 2.0000 (spread 0.0000)")
+    assert lines[2] == "coverage-cuboidal-4bs outputs equal in 6/6 calls"
+
+
+def test_pairs_must_be_positive(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        ab_bench.main(["old", "new", "--workload", "single-pose", "--pairs", "0"])
+    assert exit_info.value.code == 2
+    assert "--pairs must be positive" in capsys.readouterr().err
 
 
 def test_a_reader_that_leaves_early_ends_no_run_in_error():

@@ -156,6 +156,38 @@ def test_unit_phasors_match_extended_precision_reference():
     np.testing.assert_array_equal(_PHASORS[:: _TURN_STEPS // 4], [1, 1j, -1, -1j])
 
 
+def _uint64_phasors(words):
+    """_unit_phasors with theta scaled from the masked words as uint64, in
+    the same operations otherwise."""
+    words = np.array(words, dtype=np.uint64)
+    base = _PHASORS.take((words >> np.uint64(52)).astype(np.intp))
+    theta = np.multiply(words & np.uint64(2**52 - 2**11), 2.0 * np.pi / _TURN_STEPS * 2.0**-52)
+    t2 = theta * theta
+    sin = t2 * (1.0 / 120.0)
+    sin -= 1.0 / 6.0
+    sin *= t2
+    sin *= theta
+    sin += theta
+    cos_m1 = t2 * (1.0 / 24.0)
+    cos_m1 -= 0.5
+    cos_m1 *= t2
+    out = np.empty(words.shape, dtype=complex)
+    out.real, out.imag = cos_m1, sin
+    out *= base
+    out += base
+    return out
+
+
+def test_unit_phasors_scale_theta_from_int64_with_uint64_bits():
+    # The masked words lie below 2^52, so their int64 view gives theta the
+    # bits that uint64 gave, at the edges of the mask and the word too.
+    edges = np.array([0, 2**11 - 1, 2**11, 2**52 - 2**11, 2**52, 2**63, 2**64 - 1], dtype=np.uint64)
+    random = np.random.default_rng(16).integers(0, 2**64, (3, 50, 80), dtype=np.uint64)
+    for words in (edges, random):
+        got, want = _unit(words), _uint64_phasors(words)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_unit_phasors_keep_shape_and_whole_turns():
     turns = np.array([[0.0, 0.25], [0.5, 0.75]])
     np.testing.assert_array_equal(_phasors(turns), [[1, 1j], [-1, -1j]])

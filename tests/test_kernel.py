@@ -350,10 +350,12 @@ def test_path_groups_match_the_per_path_draws_bit_for_bit():
 
 
 def test_a_run_of_one_shape_splits_into_near_equal_groups():
-    shapes = [(16, 64)] * 5 + [(4, 64)] + [(16, 64)] * 3 + [(4, 16)] * 9
+    # Buffers hold three paths of 50 x 80 or 50 x 68 phases and twelve of
+    # 50 x 20: runs of five and thirteen split unevenly, a run of three
+    # fills one group and a lone path is a group of its own.
+    shapes = [(16, 64)] * 5 + [(4, 64)] + [(16, 64)] * 3 + [(4, 16)] * 13
     groups = [(start, stop, buffers.paths) for start, stop, buffers in _path_groups(shapes, 50)]
-    assert groups == [(0, 1, 2), (1, 3, 2), (3, 5, 2), (5, 6, 2), (6, 7, 2), (7, 9, 2),
-                      (9, 13, 8), (13, 18, 8)]
+    assert groups == [(0, 2, 3), (2, 5, 3), (5, 6, 3), (6, 9, 3), (9, 15, 12), (15, 22, 12)]
 
 
 def _buffer_shapes(scn, poses):
@@ -388,6 +390,35 @@ def test_a_thread_keeps_one_beam_buffer_set_per_path_shape(name):
         assert rows.phasors.shape == (buffers.paths, g, shape[1] + shape[2])
         for k in range(1, buffers.paths):
             assert all(np.shares_memory(a, b) for a, b in zip(buffers.rows[k], rows))
+
+
+def test_beam_buffers_stay_within_48_bytes_per_phase():
+    # A set holds a complex phasor, an index, a theta and a complex table
+    # phasor per phase, 48 B, and its objects and row views take under
+    # 4 KiB per path; a preset shape's set stays under 0.6 MiB.
+    shapes = {(scn.signal.num_transmissions, sub.panel.num_elements, bs.panel.num_elements)
+              for scn in SCENARIOS.values() for sub in scn.subarrays for bs in scn.bs}
+    assert len(shapes) == 2
+    peaks = {}
+
+    def work():
+        for shape in sorted(shapes):
+            tracemalloc.start()
+            try:
+                buffers = thread_buffers(*shape)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks[shape] = peak, buffers.paths
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=60)
+    assert set(peaks) == shapes
+    for (g, n_ue, n_bs), (peak, paths) in peaks.items():
+        assert peak <= paths * (48 * g * (n_ue + n_bs) + 4096)
+    peak, paths = peaks[(50, 16, 64)]
+    assert paths == 3 and peak <= 0.6 * 2**20
 
 
 def test_table_columns_match_the_results_they_build():

@@ -1,18 +1,27 @@
 import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import thzloc
 from thzloc import (
     ConfigError,
     PRESET_NAMES,
+    PoseDistribution,
+    evaluate_pose,
     parse_config,
     preset,
+    sample_pose,
     scenario_hash,
     serialize_config,
 )
+from thzloc.coverage import _realized
 from thzloc.geometry import Pose, stack_poses
 from thzloc.scenario import config_to_mapping, load_config
 
@@ -103,6 +112,38 @@ def test_replaced_scenario_gets_fresh_stacks():
     fewer = dataclasses.replace(scn, bs_elements=scn.bs_elements[:2], bs_poses=scn.bs_poses[:2])
     assert fewer.bs_panels[0].size == 2
     assert fewer.bs_stack[0].shape == (2, 3)
+
+
+def test_config_hash_is_kept_and_follows_equality():
+    # evaluate_pose finds its realized Scenario by the config's hash, which
+    # the config keeps once computed: it must follow equality all the same.
+    config, again = preset("cuboidal-3bs"), preset("cuboidal-3bs")
+    assert config == again and hash(config) == hash(again)
+    reseeded = dataclasses.replace(config, seed=config.seed + 1)
+    assert reseeded != config and hash(reseeded) != hash(config)
+    moved = dataclasses.replace(config, bs=config.bs[::-1])
+    assert moved != config and hash(moved) != hash(config)
+    copy = pickle.loads(pickle.dumps(config))
+    assert copy == config and hash(copy) == hash(config)
+    # No field holds a string, so another process hashes an equal config
+    # alike, whatever its string hash seed.
+    code = "import thzloc; print(hash(thzloc.preset('cuboidal-3bs')))"
+    env = {**os.environ, "PYTHONHASHSEED": "12345",
+           "PYTHONPATH": str(Path(thzloc.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert int(out.stdout) == hash(config), out.stderr
+
+
+def test_equal_configs_share_one_realized_scenario():
+    config = dataclasses.replace(preset("cuboidal-3bs"), clock_bias_s=1e-9)
+    pose = sample_pose(PoseDistribution(), 5, 0)
+    before = _realized.cache_info()
+    first = evaluate_pose(config, pose)
+    second = evaluate_pose(dataclasses.replace(preset("cuboidal-3bs"), clock_bias_s=1e-9), pose)
+    after = _realized.cache_info()
+    assert first == second
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+    assert _realized(config) is _realized(pickle.loads(pickle.dumps(config)))
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

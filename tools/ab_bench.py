@@ -1,6 +1,6 @@
 """Time two source trees of thzloc call for call on one benchmark workload.
 
-    python3 tools/ab_bench.py OLD_SRC NEW_SRC --workload NAME [--calls N]
+    python3 tools/ab_bench.py OLD_SRC NEW_SRC --workload NAME [--calls N] [--pairs K]
 
 OLD_SRC and NEW_SRC are directories that hold a `thzloc` package, such as
 the `src` folder of two checkouts.  Each tree runs in its own long-lived
@@ -14,11 +14,18 @@ coverage_ccdf of perfbench's batch with seed S * 100000 + i, call t of
 `single-pose` is evaluate_pose of trial t (from 1), and a call of
 `fields-cli` is one round of its three CLI commands.
 
+With --pairs K, K fresh pairs of processes run N calls each in turn, pair
+k the calls k * N to (k + 1) * N - 1, so that what a process fixes for its
+lifetime (heap and code layout, its core) varies between pairs.  The
+bootstrap resamples calls, not processes, so the spread of the pairs'
+ratios shows how far the ratio moves with the processes.
+
 For wall time and CPU time (children included), the script prints each
-tree's median call in ms, the median of the paired ratios old / new (above
-1 when the new tree is faster), the share of pairs the new tree won and a
-95% bootstrap interval of that median; then how many calls gave equal
-outputs in both trees, and the same as one JSON line.
+tree's median call in ms, the median of the paired ratios old / new over
+all calls (above 1 when the new tree is faster), a 95% bootstrap interval
+of that median, the share of calls the new tree won, and each process
+pair's median ratio with their spread (largest less smallest); then how
+many calls gave equal outputs in both trees, and the same as one JSON line.
 """
 
 from __future__ import annotations
@@ -123,17 +130,21 @@ class _Worker:
 
 
 def summary(old: np.ndarray, new: np.ndarray) -> dict:
-    """Medians, the median paired ratio old / new, the share of pairs the
-    new tree won and a 95% bootstrap interval of the median ratio."""
-    ratios = old / new
-    picks = np.random.default_rng(0).integers(0, ratios.size, (RESAMPLES, ratios.size))
-    low, high = np.percentile(np.median(ratios[picks], axis=1), [2.5, 97.5])
+    """Medians, the median paired ratio old / new, the share of calls the
+    new tree won, a 95% bootstrap interval of the median ratio and the
+    median ratio of each process pair: old and new hold (calls,) times of
+    one pair or (pairs, calls) times of several."""
+    ratios = np.atleast_2d(old / new)
+    calls = ratios.ravel()
+    picks = np.random.default_rng(0).integers(0, calls.size, (RESAMPLES, calls.size))
+    low, high = np.percentile(np.median(calls[picks], axis=1), [2.5, 97.5])
     return {
         "old_ms": float(np.median(old)) * 1e3,
         "new_ms": float(np.median(new)) * 1e3,
-        "ratio": float(np.median(ratios)),
+        "ratio": float(np.median(calls)),
         "won": float(np.mean(new < old)),
         "interval": [float(low), float(high)],
+        "pair_ratios": np.median(ratios, axis=1).tolist(),
     }
 
 
@@ -142,35 +153,41 @@ def main(argv=None) -> int:
     parser.add_argument("old_src")
     parser.add_argument("new_src")
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
-    parser.add_argument("--calls", type=int, default=200)
+    parser.add_argument("--calls", type=int, default=200, help="calls per pair of processes")
+    parser.add_argument("--pairs", type=int, default=1, help="fresh pairs of processes, in turn")
     args = parser.parse_args(argv)
     if args.calls < 1:
         parser.error("--calls must be positive")
+    if args.pairs < 1:
+        parser.error("--pairs must be positive")
     first = 1 if args.workload == "single-pose" else 0
-    workers = [_Worker(src, args.workload, SEED) for src in (args.old_src, args.new_src)]
-    times = np.empty((args.calls, 2, 2))  # call, tree, (wall, cpu)
+    times = np.empty((args.pairs, args.calls, 2, 2))  # pair, call, tree, (wall, cpu)
     equal = 0
-    try:
-        for i in range(args.calls):
-            order = (0, 1) if i % 2 == 0 else (1, 0)
-            digests = {}
-            for tree in order:
-                wall, cpu, digests[tree] = workers[tree].call(first + i)
-                times[i, tree] = wall, cpu
-            equal += digests[0] == digests[1]
-    finally:
-        for worker in workers:
-            worker.close()
-    report = {"workload": args.workload, "calls": args.calls, "seed": SEED}
+    for pair in range(args.pairs):
+        workers = [_Worker(src, args.workload, SEED) for src in (args.old_src, args.new_src)]
+        try:
+            for i in range(args.calls):
+                order = (0, 1) if i % 2 == 0 else (1, 0)
+                digests = {}
+                for tree in order:
+                    wall, cpu, digests[tree] = workers[tree].call(first + pair * args.calls + i)
+                    times[pair, i, tree] = wall, cpu
+                equal += digests[0] == digests[1]
+        finally:
+            for worker in workers:
+                worker.close()
+    report = {"workload": args.workload, "calls": args.calls, "pairs": args.pairs, "seed": SEED}
     for k, clock in enumerate(("wall", "cpu")):
-        report[clock] = stats = summary(times[:, 0, k], times[:, 1, k])
+        report[clock] = stats = summary(times[..., 0, k], times[..., 1, k])
+        ratios = stats["pair_ratios"]
         print(
             f"{args.workload} {clock:4s}  old {stats['old_ms']:.4g} ms  new {stats['new_ms']:.4g} ms  "
             f"ratio old/new {stats['ratio']:.4f}  [{stats['interval'][0]:.4f}, "
-            f"{stats['interval'][1]:.4f}]  new won {stats['won']:.0%}"
+            f"{stats['interval'][1]:.4f}]  new won {stats['won']:.0%}  "
+            f"pairs {' '.join(f'{r:.4f}' for r in ratios)} (spread {max(ratios) - min(ratios):.4f})"
         )
     report["equal_outputs"] = equal
-    print(f"{args.workload} outputs equal in {equal}/{args.calls} calls")
+    print(f"{args.workload} outputs equal in {equal}/{args.pairs * args.calls} calls")
     print(json.dumps(report))
     return 0
 
