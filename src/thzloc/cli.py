@@ -8,7 +8,9 @@ Subcommands:
     validate      run built-in consistency checks
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 requested pose is not localizable.
+3 requested pose is not localizable.  A reader that closes stdout early
+ends the run quietly: with the status of a command that had finished, or
+0 for one cut off mid-output.
 """
 
 from __future__ import annotations
@@ -330,12 +332,19 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_merge_negative_values(list(argv)))
+    status = EXIT_OK
     try:
         _check_out(getattr(args, "out", "-"))
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
     except (ConfigError, GeometryError) as exc:
         print(f"thzloc: error: {' '.join(str(exc).split())}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except BrokenPipeError:
+        # Nothing more can reach the reader.  Point stdout at devnull so
+        # that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

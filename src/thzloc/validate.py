@@ -1,11 +1,10 @@
-"""Built-in consistency checks exposed through the validate command.
+"""Numeric checks of the bounds' building blocks, one implementation each.
 
-These are runtime self-diagnostics: spot checks of the analytic tangent
-state Jacobian and of the kernel's per-path FIM against the
-finite-difference oracles of thzloc.oracles (the ones the test suite
-uses), algebraic identities of the constraint basis, exact scaling laws,
-and config round-trips.  They complement the test suite and run against
-whatever scenario the user supplies.
+`thzloc validate` runs them on the scenario it is given; the acceptance
+criteria and unit tests call the same checks at their own seeds and
+counts.  Each numeric check takes a count and a numpy Generator (the power
+check, the poses to try) and returns its verdict, then its worst figures.
+The derivative references come from thzloc.oracles.
 """
 
 from __future__ import annotations
@@ -17,7 +16,8 @@ import numpy as np
 from .channel import draw_beamformers, path_gain
 from .coverage import PoseDistribution, coverage_ccdf, evaluate_pose, sample_pose
 from .crb import constraint_basis, path_fim, state_jacobian
-from .geometry import EulerAngles, Pose, Subarray, euler_to_rotation, path_params
+from .errors import GeometryError
+from .geometry import EulerAngles, Pose, Subarray, element_grid, euler_to_rotation, path_params
 from .oracles import (
     constraint_jacobian_oracle,
     fim_from_jacobian,
@@ -32,19 +32,28 @@ def _random_rotation(rng) -> np.ndarray:
     return euler_to_rotation(EulerAngles(*rng.uniform(0.0, 360.0, size=3)))
 
 
-def _random_geometry(rng):
-    """A generic BS/UE/subarray triple with no extreme elevations."""
+def random_geometry(rng) -> tuple[Pose, Pose, list[Subarray]]:
+    """A BS pose, a UE pose and one to three 2x2 subarrays on it, redrawn
+    until every path's elevations lie below 85 deg, away from the arcsin
+    branch point."""
+    limit = np.deg2rad(85.0)
     while True:
-        bs = Pose(rng.uniform(-15.0, 15.0, 3) + np.array([0.0, 0.0, 8.0]), _random_rotation(rng))
+        bs = Pose(rng.uniform(-12.0, 12.0, 3) + np.array([0.0, 0.0, 6.0]), _random_rotation(rng))
         ue = Pose(rng.uniform(-8.0, 8.0, 3), _random_rotation(rng))
-        sub = Subarray(
-            offset=rng.uniform(-0.1, 0.1, 3),
-            rotation=_random_rotation(rng),
-            elements=np.zeros((1, 3)),
-        )
-        params = path_params(bs, ue, sub)
-        if max(abs(params.aod_el), abs(params.aoa_el)) < np.deg2rad(85.0):
-            return bs, ue, sub
+        subs = [
+            Subarray(
+                offset=rng.uniform(-0.15, 0.15, 3),
+                rotation=_random_rotation(rng),
+                elements=element_grid(2, 2, 1e-3),
+            )
+            for _ in range(rng.integers(1, 4))
+        ]
+        try:
+            all_params = [path_params(bs, ue, sub) for sub in subs]
+        except GeometryError:
+            continue
+        if all(abs(p.aod_el) < limit and abs(p.aoa_el) < limit for p in all_params):
+            return bs, ue, subs
 
 
 def _relative_error(analytic: np.ndarray, numeric: np.ndarray, axis) -> float:
@@ -71,28 +80,53 @@ def state_jacobian_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     )
 
 
-def check_state_jacobian(trials: int, rng) -> tuple[bool, str]:
-    worst = 0.0
-    for _ in range(trials):
-        bs, ue, sub = _random_geometry(rng)
-        numeric = state_jacobian_fd(
-            bs.position, bs.rotation, pack_state(ue.position, 0.0, ue.rotation),
-            sub.offset, sub.rotation,
-        ) @ constraint_basis(ue.rotation)
-        worst = max(worst, state_jacobian_error(state_jacobian(bs, ue, sub), numeric))
-    return worst < 1e-5, f"max relative error {worst:.2e} over {trials} geometries"
+def check_state_jacobian(count: int, rng) -> tuple[bool, float, float]:
+    """state_jacobian of every path of count random geometries against
+    finite differences times the constraint basis.
+
+    Every entry must lie within 1e-6 |x| + 1e-9 times its row's scale, and
+    every (row, column block) piece within 1e-5 of its own scale, which a
+    row scale of 1 from the clock bias cannot hide.
+
+    Returns:
+        (passed, worst error relative to the row scale, worst
+        state_jacobian_error).
+    """
+    passed, worst_row, worst_block = True, 0.0, 0.0
+    for _ in range(count):
+        bs, ue, subs = random_geometry(rng)
+        state = pack_state(ue.position, 0.0, ue.rotation)
+        basis = constraint_basis(ue.rotation)
+        for sub in subs:
+            got = state_jacobian(bs, ue, sub)
+            want = state_jacobian_fd(
+                bs.position, bs.rotation, state, sub.offset, sub.rotation
+            ) @ basis
+            # The floor tied to the row scale lets exact zeros pass.
+            row_scale = np.maximum(np.abs(want).max(axis=1, keepdims=True), 1e-12)
+            err = np.abs(got - want)
+            passed &= bool(np.all(err <= 1e-6 * np.abs(want) + 1e-9 * row_scale))
+            worst_row = max(worst_row, float(np.max(err / row_scale)))
+            worst_block = max(worst_block, state_jacobian_error(got, want))
+    return passed and worst_block < 1e-5, worst_row, worst_block
 
 
-def check_path_fim(config: ScenarioConfig, trials: int, rng) -> tuple[bool, str]:
-    """The kernel's per-path FIM against 2 / sigma^2 Re(J^H J) of the
-    finite-difference signal Jacobian, each entry relative to
-    sqrt(F_ii F_jj)."""
+def check_path_fim(config: ScenarioConfig, count: int, rng) -> tuple[bool, float]:
+    """path_fim of the first path of count random geometries, with the
+    scenario's waveform and first panels and four random beams, against
+    2 / sigma^2 Re(J^H J) of the finite-difference signal Jacobian.
+
+    Returns:
+        (passed, worst error of an entry relative to sqrt(F_ii F_jj)); it
+        passes below 1e-5, which bounds the Frobenius error relative to
+        the Frobenius norm below sqrt(5) 1e-5.
+    """
     scn = config.realize()
     signal, bs_elements = scn.signal, scn.bs_elements[0]
     worst = 0.0
-    for _ in range(trials):
-        bs, ue, sub = _random_geometry(rng)
-        sub = Subarray(sub.offset, sub.rotation, scn.subarrays[0].elements)
+    for _ in range(count):
+        bs, ue, subs = random_geometry(rng)
+        sub = Subarray(subs[0].offset, subs[0].rotation, scn.subarrays[0].elements)
         params = path_params(bs, ue, sub)
         gain = path_gain(params.distance, signal.wavelength_m)
         beams = draw_beamformers(
@@ -109,36 +143,58 @@ def check_path_fim(config: ScenarioConfig, trials: int, rng) -> tuple[bool, str]
         )
         scale = np.sqrt(np.outer(np.diag(numeric), np.diag(numeric)))
         worst = max(worst, float(np.max(np.abs(fim - numeric) / scale)))
-    return worst < 1e-5, f"max scaled error {worst:.2e} over {trials} configurations"
+    return worst < 1e-5, worst
 
 
-def check_constraint_basis(trials: int, rng) -> tuple[bool, str]:
+def check_constraint_basis(count: int, rng) -> tuple[bool, float, float]:
+    """constraint_basis of count random rotations: M^T M = I within 1e-13
+    and M in the null space of the constraint Jacobian within 1e-12.
+
+    Returns:
+        (passed, worst orthonormality error, worst null-space residual).
+    """
     worst_orth, worst_null = 0.0, 0.0
-    for _ in range(trials):
-        rot = _random_rotation(rng)
-        basis = constraint_basis(rot)
-        worst_orth = max(worst_orth, np.max(np.abs(basis.T @ basis - np.eye(7))))
-        jac_h = constraint_jacobian_oracle(pack_state(np.zeros(3), 0.0, rot))
-        worst_null = max(worst_null, np.max(np.abs(jac_h @ basis)))
-    ok = worst_orth < 1e-12 and worst_null < 1e-10
-    return ok, f"orthonormality {worst_orth:.2e}, null-space residual {worst_null:.2e}"
+    for _ in range(count):
+        rotation = _random_rotation(rng)
+        basis = constraint_basis(rotation)
+        worst_orth = max(worst_orth, float(np.max(np.abs(basis.T @ basis - np.eye(7)))))
+        jac_h = constraint_jacobian_oracle(pack_state(np.zeros(3), 0.0, rotation))
+        worst_null = max(worst_null, float(np.max(np.abs(jac_h @ basis))))
+    return worst_orth < 1e-13 and worst_null < 1e-12, worst_orth, worst_null
 
 
-def check_power_scaling(config: ScenarioConfig, rng) -> tuple[bool, str]:
+def check_power_scaling(config: ScenarioConfig, poses) -> tuple[bool, float, float]:
+    """Four times the transmit power at the first localizable pose of
+    poses, an iterable of (trial, pose): the PEB must halve and the FIM of
+    the pose's first path quadruple, both within 1e-10.
+
+    Returns:
+        (passed, PEB ratio, largest FIM error relative to the largest
+        entry); the figures are NaN when no pose is localizable.
+    """
     louder = dataclasses.replace(
         config.signal, power_dbm=config.signal.power_dbm + 10.0 * np.log10(4.0)
     )
     boosted = dataclasses.replace(config, signal=louder)
-    for trial in range(200):
-        pose = sample_pose(PoseDistribution(), config.seed, trial)
+    for trial, pose in poses:
         base = evaluate_pose(config, pose, trial=trial)
         if not base.localizable:
             continue
-        ref = evaluate_pose(boosted, pose, trial=trial)
-        ratio = ref.peb_m / base.peb_m
-        ok = abs(ratio - 0.5) < 1e-9
-        return ok, f"PEB ratio under 4x power: {ratio:.12f}"
-    return False, "no localizable pose found in 200 draws"
+        ratio = evaluate_pose(boosted, pose, trial=trial).peb_m / base.peb_m
+        scn, path = config.realize(), base.paths[0]
+        sub, bs_elements = scn.subarrays[path.subarray_index], scn.bs_elements[path.bs_index]
+        gain = path_gain(path.params.distance, scn.signal.wavelength_m)
+        beams = draw_beamformers(
+            scn.seed, path.bs_index, path.subarray_index, scn.signal.num_transmissions,
+            sub.elements.shape[0], bs_elements.shape[0], trial=trial,
+        )
+        fim1, fim4 = (
+            path_fim(path.params, gain, beams, bs_elements, sub.elements, signal)
+            for signal in (scn.signal, louder)
+        )
+        fim_error = float(np.max(np.abs(fim4 - 4.0 * fim1)) / np.max(np.abs(fim1)))
+        return abs(ratio - 0.5) < 1e-10 and fim_error < 1e-10, ratio, fim_error
+    return False, float("nan"), float("nan")
 
 
 def check_roundtrip(config: ScenarioConfig) -> tuple[bool, str]:
@@ -156,9 +212,19 @@ def check_ccdf(config: ScenarioConfig) -> tuple[bool, str]:
 def run_validation(config: ScenarioConfig, trials: int = 50, seed: int = 0):
     """Run all checks; yields (name, passed, detail) triples."""
     rng = np.random.default_rng(seed)
-    yield ("state_jacobian_fd", *check_state_jacobian(trials, rng))
-    yield ("path_fim_fd", *check_path_fim(config, max(10, trials // 5), rng))
-    yield ("constraint_basis", *check_constraint_basis(max(100, trials), rng))
-    yield ("power_scaling", *check_power_scaling(config, rng))
+    ok, row, block = check_state_jacobian(trials, rng)
+    yield (
+        "state_jacobian_fd", ok,
+        f"max relative error {block:.2e} per block, {row:.2e} per row scale, over {trials} geometries",
+    )
+    count = max(10, trials // 5)
+    ok, worst = check_path_fim(config, count, rng)
+    yield "path_fim_fd", ok, f"max scaled error {worst:.2e} over {count} configurations"
+    ok, orth, null = check_constraint_basis(max(100, trials), rng)
+    yield "constraint_basis", ok, f"orthonormality {orth:.2e}, null-space residual {null:.2e}"
+    poses = ((t, sample_pose(PoseDistribution(), config.seed, t)) for t in range(200))
+    ok, ratio, fim_error = check_power_scaling(config, poses)
+    detail = f"PEB ratio under 4x power: {ratio:.12f}, FIM x4 error {fim_error:.2e}"
+    yield "power_scaling", ok, "no localizable pose in 200 draws" if np.isnan(ratio) else detail
     yield ("config_roundtrip", *check_roundtrip(config))
     yield ("ccdf_reproducible", *check_ccdf(config))

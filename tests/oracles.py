@@ -5,26 +5,50 @@ the math module, deliberately avoiding the package's own vectorized code, so
 that a bug in the package cannot hide by also being present in the oracle.
 The derivative oracles live in ``thzloc.oracles``, which imports nothing
 from the package, so ``thzloc validate`` can use them too; the ones the
-test modules and the benchmark checks use are re-exported here.  The one
-exception to the rule is ``signal_gradient``, the full (G, K, 5) signal
-derivative tensor that the kernel's separable per-path FIM replaced; it
-builds on the package's ``steering_stack`` and serves as the reference
-that the separable form is checked against.  The other is the package's
-former vectorized 13-entry state Jacobian, which the tangent-space one
-replaced; it is kept in any floating dtype, with a constraint basis and a
-Gauss-Jordan inverse of the same dtype, as the extended-precision
-reference of the bounds.
+test modules and the benchmark checks use are re-exported here.  Three
+pieces build on the package instead.  ``signal_gradient``, the full
+(G, K, 5) signal derivative tensor that the kernel's separable per-path
+FIM replaced, builds on ``steering_stack`` and is the reference the
+separable form is checked against.  The package's former vectorized
+13-entry state Jacobian, which the tangent-space one replaced, is kept in
+any floating dtype, with a constraint basis and a Gauss-Jordan inverse of
+the same dtype, as the extended-precision reference of the bounds.
+``compose_paths`` is the one per-path composition of the tests: a pose's
+bounds, state FIM and CRB from the package's per-path public functions,
+with the per-path FIM function as an argument so that the tensor FIM can
+stand in for ``path_fim``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from thzloc.channel import BeamformerSet, SignalConfig, steering_stack
-from thzloc.geometry import SPEED_OF_LIGHT, EulerAngles, PathGeometry, PathParams, Pose
+from thzloc.channel import BeamformerSet, SignalConfig, draw_beamformers, path_gain, steering_stack
+from thzloc.crb import (
+    BoundResult,
+    PathObservation,
+    classify_localizability,
+    constrained_crb,
+    constraint_basis,
+    error_bounds,
+    path_fim,
+    state_fim,
+    state_jacobian,
+)
+from thzloc.errors import GeometryError
+from thzloc.geometry import (
+    SPEED_OF_LIGHT,
+    EulerAngles,
+    PathGeometry,
+    PathParams,
+    Pose,
+    path_params,
+    visible_paths,
+)
 from thzloc.oracles import (  # noqa: F401  (re-exported)
     C_LIGHT,
     constraint_jacobian_oracle,
@@ -395,3 +419,64 @@ def gauss_jordan_inverse(matrix: np.ndarray) -> np.ndarray:
             if row != col:
                 work[row] -= work[row, col] * work[col]
     return work[:, n:]
+
+
+# --- the per-path composition -------------------------------------------------
+
+
+class Composition(NamedTuple):
+    result: BoundResult
+    fim: np.ndarray | None  # 7x7 state FIM, None without paths or at a branch point
+    crb: np.ndarray | None
+
+
+def compose_paths(scn, pose: Pose, seed, trial: int, fim_of=path_fim) -> Composition:
+    """A pose's bounds from the per-path public functions, one visible path
+    at a time: path_params, state_jacobian, draw_beamformers (with seed, or
+    the scenario's seed for None, and trial) and fim_of, then state_fim,
+    constrained_crb and error_bounds.
+
+    fim_of(params, gain, beams, bs_elements, sub_elements, signal) gives a
+    path's 5x5 FIM; path_fim makes the result the kernel's bit for bit.  A
+    path at the arcsin branch point leaves the pose without a bound.
+    """
+    seed = scn.seed if seed is None else seed
+    pairs = visible_paths(scn.bs_poses, pose, scn.subarrays)
+    observations, fims, jacobians = [], [], []
+    degenerate = False
+    for m, n in pairs:
+        sub = scn.subarrays[n]
+        params = path_params(scn.bs_poses[m], pose, sub, scn.clock_bias_s)
+        observations.append(PathObservation(m, n, params))
+        if degenerate:
+            continue
+        try:
+            jacobians.append(state_jacobian(scn.bs_poses[m], pose, sub))
+        except GeometryError:
+            degenerate = True
+            continue
+        gain = path_gain(params.distance, scn.signal.wavelength_m)
+        beams = draw_beamformers(
+            seed, m, n, scn.signal.num_transmissions,
+            sub.elements.shape[0], scn.bs_elements[m].shape[0], trial=trial,
+        )
+        fims.append(fim_of(params, gain, beams, scn.bs_elements[m], sub.elements, scn.signal))
+    fim = crb = None
+    condition = peb = oeb_raw = oeb_deg = math.inf
+    if pairs and not degenerate:
+        fim = state_fim(fims, jacobians)
+        crb, condition = constrained_crb(fim, constraint_basis(pose.rotation))
+    if crb is not None:
+        peb, oeb_raw, oeb_deg = error_bounds(crb)
+    num_visible_bs = len({m for m, _ in pairs})
+    result = BoundResult(
+        classification=classify_localizability(num_visible_bs, crb is not None),
+        peb_m=peb,
+        oeb_deg=oeb_deg,
+        oeb_raw=oeb_raw,
+        num_paths=len(pairs),
+        num_visible_bs=num_visible_bs,
+        condition_number=condition,
+        paths=tuple(observations),
+    )
+    return Composition(result, fim, crb)

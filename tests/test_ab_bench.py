@@ -56,6 +56,23 @@ def test_the_summary_pools_calls_and_keeps_each_process_pair():
     assert 1.1 <= stats["interval"][0] <= stats["interval"][1] <= 1.5
 
 
+def test_the_interval_of_several_pairs_covers_each_pair():
+    # Two pairs of processes whose calls agree within 1% but whose median
+    # ratios are 0.95 and 1.05.  Resampling the pooled calls puts the
+    # interval between the two; resampling pairs first covers both.
+    spread = np.linspace(-0.01, 0.01, 21)
+    old = np.stack([0.95 + spread, 1.05 + spread])
+    stats = ab_bench.summary(old, np.ones_like(old))
+    assert stats["pair_ratios"] == pytest.approx([0.95, 1.05])
+    low, high = stats["interval"]
+    assert low <= 0.95 and high >= 1.05
+    # One pair keeps the bootstrap over its calls.
+    calls = 0.95 + spread
+    picks = np.random.default_rng(0).integers(0, calls.size, (ab_bench.RESAMPLES, calls.size))
+    want = np.percentile(np.median(calls[picks], axis=1), [2.5, 97.5])
+    assert ab_bench.summary(calls, np.ones_like(calls))["interval"] == want.tolist()
+
+
 def test_pairs_start_fresh_processes_on_later_calls(capsys, monkeypatch):
     # Each pair starts its own two workers and runs the next calls' inputs.
     started, calls = [], []

@@ -1,8 +1,10 @@
 """Acceptance checks, one test per numbered criterion.
 
-Each test prints one PASS/FAIL line.  With the default sizes the module
-takes about 45 s on a 2-core machine; set THZLOC_ACCEPTANCE_FULL=1 for the
-full-scale Monte-Carlo runs (10^4 trials where sampling is involved).
+Each test prints one PASS/FAIL line.  Criteria 1, 2 and the power half
+of 4 run the checks of thzloc.validate at their own seeds and counts.
+With the default sizes the module takes 16-18 s on a loaded 2-core machine;
+set THZLOC_ACCEPTANCE_FULL=1 for the full-scale Monte-Carlo runs (10^4
+trials where sampling is involved).
 """
 
 import dataclasses
@@ -18,31 +20,26 @@ from thzloc import (
     Pose,
     PoseDistribution,
     SignalConfig,
-    constraint_basis,
-    constrained_crb,
     euler_to_rotation,
     evaluate_batch,
+    evaluate_pose,
     orientation_field,
-    path_fim,
     position_field,
     preset,
     sample_pose,
-    state_fim,
-    state_jacobian,
 )
 from thzloc.channel import draw_beamformers, path_gain
 from thzloc.cli import main as cli_main
 from thzloc.crb import COMM_ONLY, LOCALIZABLE, NO_LOS
-from thzloc.geometry import PathParams, Subarray, element_grid, path_params, visible_paths
+from thzloc.geometry import PathParams, element_grid
+from thzloc.validate import check_constraint_basis, check_power_scaling, check_state_jacobian
 
 from oracles import (
-    constraint_jacobian_oracle,
+    compose_paths,
     no_los_probability_oracle,
-    pack_state,
     signal_gradient,
     signal_jacobian_fd,
     spearman_oracle,
-    state_jacobian_fd,
 )
 
 FULL_SCALE = os.environ.get("THZLOC_ACCEPTANCE_FULL", "") not in ("", "0")
@@ -55,72 +52,22 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
     conftest.record_criterion(criterion, line)
 
 
-def _random_path_geometry(rng, max_elevation_deg=85.0):
-    limit = np.deg2rad(max_elevation_deg)
-    while True:
-        bs = Pose(
-            rng.uniform(-12, 12, 3) + np.array([0.0, 0.0, 6.0]),
-            euler_to_rotation(EulerAngles(*rng.uniform(0, 360, 3))),
-        )
-        ue = Pose(rng.uniform(-8, 8, 3), euler_to_rotation(EulerAngles(*rng.uniform(0, 360, 3))))
-        subs = [
-            Subarray(
-                offset=rng.uniform(-0.15, 0.15, 3),
-                rotation=euler_to_rotation(EulerAngles(*rng.uniform(0, 360, 3))),
-                elements=element_grid(2, 2, 1e-3),
-            )
-            for _ in range(rng.integers(1, 4))
-        ]
-        try:
-            all_params = [path_params(bs, ue, s) for s in subs]
-        except Exception:
-            continue
-        if all(
-            abs(p.aod_el) < limit and abs(p.aoa_el) < limit for p in all_params
-        ):
-            return bs, ue, subs
-
-
 def test_criterion_01_state_jacobian_vs_finite_differences():
-    rng = np.random.default_rng(1001)
-    worst = 0.0
     scenarios = 200
-    for _ in range(scenarios):
-        bs, ue, subs = _random_path_geometry(rng)
-        state = pack_state(ue.position, 0.0, ue.rotation)
-        for sub in subs:
-            got = state_jacobian(bs, ue, sub)
-            want = state_jacobian_fd(
-                bs.position, bs.rotation, state, sub.offset, sub.rotation
-            ) @ constraint_basis(ue.rotation)
-            for row in range(5):
-                # Relative per entry, with a floor tied to the row scale so
-                # exact zeros (structural ones) do not divide by zero.
-                row_scale = max(np.max(np.abs(want[row])), 1e-12)
-                err = np.abs(got[row] - want[row])
-                allowed = 1e-6 * np.abs(want[row]) + 1e-9 * row_scale
-                worst = max(worst, float(np.max(err) / row_scale))
-                ok_row = bool(np.all(err <= allowed))
-                if not ok_row:
-                    _report(1, False, f"transform vs finite differences: row {row} off by {np.max(err) / row_scale:.2e}")
-                    assert ok_row
-    _report(1, True, f"transform vs finite differences: worst row-scaled error {worst:.2e} over {scenarios} scenarios")
+    ok, worst, worst_block = check_state_jacobian(scenarios, np.random.default_rng(1001))
+    _report(
+        1, ok,
+        f"transform vs finite differences: worst row-scaled error {worst:.2e}, "
+        f"per block {worst_block:.2e} over {scenarios} scenarios",
+    )
+    assert ok
 
 
 def test_criterion_02_constraint_basis_identities():
-    rng = np.random.default_rng(1002)
-    worst_orth = 0.0
-    worst_null = 0.0
-    for _ in range(1000):
-        rotation = euler_to_rotation(EulerAngles(*rng.uniform(0, 360, 3)))
-        basis = constraint_basis(rotation)
-        worst_orth = max(worst_orth, float(np.max(np.abs(basis.T @ basis - np.eye(7)))))
-        jac_h = constraint_jacobian_oracle(pack_state(np.zeros(3), 0.0, rotation))
-        worst_null = max(worst_null, float(np.max(np.abs(jac_h @ basis))))
-    ok = worst_orth < 1e-12 and worst_null < 1e-10
-    _report(2, ok, f"constraint basis: orthonormality {worst_orth:.2e}, null space {worst_null:.2e} over 1000 rotations")
-    assert worst_orth < 1e-12
-    assert worst_null < 1e-10
+    rotations = 1000
+    ok, worst_orth, worst_null = check_constraint_basis(rotations, np.random.default_rng(1002))
+    _report(2, ok, f"constraint basis: orthonormality {worst_orth:.2e}, null space {worst_null:.2e} over {rotations} rotations")
+    assert ok
 
 
 def test_criterion_03_signal_gradient_vs_finite_differences():
@@ -154,46 +101,22 @@ def test_criterion_03_signal_gradient_vs_finite_differences():
     assert ok
 
 
-def _bounds_for(config_name, pose, power_shift_db=0.0, transform=None):
+def _bounds_for(config_name, pose, transform):
     scn = preset(config_name).realize()
-    signal = scn.signal
-    if power_shift_db:
-        signal = dataclasses.replace(signal, power_dbm=signal.power_dbm + power_shift_db)
-    bs_poses = scn.bs_poses
-    if transform is not None:
-        rot, shift = transform
-        bs_poses = [Pose(rot @ p.position + shift, rot @ p.rotation) for p in bs_poses]
-        pose = Pose(rot @ pose.position + shift, rot @ pose.rotation)
-    scn = dataclasses.replace(scn, bs_poses=bs_poses, signal=signal)
+    rot, shift = transform
+    bs_poses = [Pose(rot @ p.position + shift, rot @ p.rotation) for p in scn.bs_poses]
+    pose = Pose(rot @ pose.position + shift, rot @ pose.rotation)
+    scn = dataclasses.replace(scn, bs_poses=bs_poses)
     return evaluate_batch(scn, [pose], [0]).result(0)
 
 
 def test_criterion_04_exact_scalings():
     pose = Pose(np.array([2.0, -1.0, 1.0]), euler_to_rotation(EulerAngles(10, 40, -30)))
-    base = _bounds_for("cuboidal-3bs", pose)
+    base = evaluate_pose(preset("cuboidal-3bs"), pose)
     assert base.localizable
 
-    # Four times the transmit power: FIM x4, hence PEB x1/2.
-    boosted = _bounds_for("cuboidal-3bs", pose, power_shift_db=10.0 * np.log10(4.0))
-    peb_ratio = boosted.peb_m / base.peb_m
-    fim_ok = abs(peb_ratio - 0.5) < 1e-10
-
-    # FIM scaling checked directly on one path.
-    scn = preset("cuboidal-3bs").realize()
-    pairs = visible_paths(scn.bs_poses, pose, scn.subarrays)
-    m, n = pairs[0]
-    sub = scn.subarrays[n]
-    params = path_params(scn.bs_poses[m], pose, sub)
-    gain = path_gain(params.distance, scn.signal.wavelength_m)
-    beams = draw_beamformers(
-        scn.seed, m, n, scn.signal.num_transmissions,
-        sub.elements.shape[0], scn.bs_elements[m].shape[0],
-    )
-    fim1 = path_fim(params, gain, beams, scn.bs_elements[m], sub.elements, scn.signal)
-    louder = dataclasses.replace(scn.signal, power_dbm=scn.signal.power_dbm + 10.0 * np.log10(4.0))
-    fim4 = path_fim(params, gain, beams, scn.bs_elements[m], sub.elements, louder)
-    fim_rel = np.max(np.abs(fim4 - 4.0 * fim1)) / np.max(np.abs(fim1))
-    fim_ok = fim_ok and fim_rel < 1e-10
+    # Four times the transmit power: PEB x1/2 and the first path's FIM x4.
+    fim_ok, peb_ratio, fim_rel = check_power_scaling(preset("cuboidal-3bs"), [(0, pose)])
 
     # Global rigid motion leaves both bounds unchanged.
     rot = euler_to_rotation(EulerAngles(24.0, -17.0, 105.0))
@@ -213,24 +136,6 @@ def test_criterion_04_exact_scalings():
     assert rigid_ok, f"rigid-motion invariance violated: {peb_rel:.2e}, {oeb_rel:.2e}"
 
 
-def _constrained_crb_matrix(config_name, pose, trial):
-    scn = preset(config_name).realize()
-    pairs = visible_paths(scn.bs_poses, pose, scn.subarrays)
-    fims, jacs = [], []
-    for m, n in pairs:
-        sub = scn.subarrays[n]
-        params = path_params(scn.bs_poses[m], pose, sub)
-        gain = path_gain(params.distance, scn.signal.wavelength_m)
-        beams = draw_beamformers(
-            scn.seed, m, n, scn.signal.num_transmissions,
-            sub.elements.shape[0], scn.bs_elements[m].shape[0], trial=trial,
-        )
-        fims.append(path_fim(params, gain, beams, scn.bs_elements[m], sub.elements, scn.signal))
-        jacs.append(state_jacobian(scn.bs_poses[m], pose, sub))
-    crb, _ = constrained_crb(state_fim(fims, jacs), constraint_basis(pose.rotation))
-    return crb
-
-
 def test_criterion_05_information_monotonicity():
     poses = 50
     worst = 0.0
@@ -238,7 +143,7 @@ def test_criterion_05_information_monotonicity():
     for trial in range(poses):
         pose = sample_pose(PoseDistribution(), seed=1005, trial=trial)
         crbs = [
-            _constrained_crb_matrix(name, pose, trial)
+            compose_paths(preset(name).realize(), pose, None, trial).crb
             for name in ("cuboidal-2bs", "cuboidal-3bs", "cuboidal-4bs")
         ]
         for small, large in zip(crbs, crbs[1:]):

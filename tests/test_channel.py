@@ -20,12 +20,7 @@ from thzloc.channel import (
 )
 from thzloc.geometry import PathParams, element_grid
 
-from oracles import (
-    beamformers_exp_oracle,
-    mean_signal_oracle,
-    signal_gradient,
-    signal_jacobian_fd,
-)
+from oracles import beamformers_exp_oracle, mean_signal_oracle, signal_gradient
 
 WIDE = Path(__file__).resolve().parents[1] / "perfbench" / "planar-2bs-wide.yaml"
 EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(float).nmant
@@ -380,18 +375,3 @@ def test_mean_signal_matches_oracle():
     )
     assert got.shape == (3, 4)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-18)
-
-
-def test_signal_gradient_matches_oracle_finite_differences():
-    for seed in (5, 6, 7):
-        cfg, bs_el, ue_el, params, gain, beams = _random_case(seed)
-        _, dmu = signal_gradient(params, gain, beams, bs_el, ue_el, cfg)
-        fd = signal_jacobian_fd(
-            list(params.as_array()), gain, beams.ue, beams.bs, ue_el, bs_el,
-            cfg.power_w, cfg.wavelength_m, cfg.subcarrier_offsets_hz(),
-        )
-        for idx in range(5):
-            scale = np.linalg.norm(fd[:, :, idx])
-            err = np.linalg.norm(dmu[:, :, idx] - fd[:, :, idx])
-            assert err < 1e-5 * scale, f"component {ETA_NAMES[idx]}: {err / scale:.2e}"
-

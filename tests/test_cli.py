@@ -336,3 +336,30 @@ def test_cli_import_leaves_out_the_process_pool_and_validation():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        (["coverage", "--preset", "planar-2bs", "--trials", "100"], ""),
+        (["validate", "--preset", "cuboidal-3bs", "--trials", "5"], "1"),
+    ],
+)
+def test_a_reader_that_leaves_early_ends_the_run_quietly(argv, unbuffered):
+    # stdout is a pipe whose read end is closed, as in `thzloc ... | head -1`
+    # once head has read its line.  The write that fails comes at the final
+    # flush when stdout is buffered, and mid-run when it is not.
+    src = str(Path(thzloc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "thzloc.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr

@@ -20,55 +20,18 @@ from thzloc import (
     state_jacobian,
 )
 from thzloc.channel import draw_beamformers, path_gain
-from thzloc.crb import classify_localizability
-from thzloc.geometry import Subarray, element_grid, path_params, visible_paths
-from thzloc.validate import state_jacobian_error
+from thzloc.crb import classify_localizability, state_jacobians
+from thzloc.geometry import element_grid, path_params, visible_paths
+from thzloc.validate import check_state_jacobian, random_geometry, run_validation, state_jacobian_error
 
-from oracles import (
-    constraint_jacobian_oracle,
-    expected_path_fim_oracle,
-    fim_from_jacobian,
-    pack_state,
-    signal_jacobian_fd,
-    state_jacobian_fd,
-)
+from oracles import compose_paths, expected_path_fim_oracle, pack_state, state_jacobian_fd
 
 
-def _random_geometry(rng, max_elevation_deg=85.0):
-    """BS pose, UE pose, subarray with both path elevations bounded away
-    from the arcsin branch point."""
-    while True:
-        bs = Pose(
-            rng.uniform(-10, 10, 3) + np.array([0.0, 0.0, 5.0]),
-            euler_to_rotation(EulerAngles(*rng.uniform(0, 360, 3))),
-        )
-        ue = Pose(
-            rng.uniform(-8, 8, 3),
-            euler_to_rotation(EulerAngles(*rng.uniform(0, 360, 3))),
-        )
-        sub = Subarray(
-            offset=rng.uniform(-0.1, 0.1, 3),
-            rotation=euler_to_rotation(EulerAngles(*rng.uniform(0, 360, 3))),
-            elements=element_grid(4, 4, 1e-3),
-        )
-        params = path_params(bs, ue, sub)
-        limit = np.deg2rad(max_elevation_deg)
-        if abs(params.aod_el) < limit and abs(params.aoa_el) < limit:
-            return bs, ue, sub, params
-
-
-def test_state_jacobian_matches_finite_differences():
-    rng = np.random.default_rng(21)
-    for _ in range(25):
-        bs, ue, sub, _ = _random_geometry(rng)
-        got = state_jacobian(bs, ue, sub)
-        state = pack_state(ue.position, 0.0, ue.rotation)
-        want = state_jacobian_fd(
-            bs.position, bs.rotation, state, sub.offset, sub.rotation
-        ) @ constraint_basis(ue.rotation)
-        for row in range(5):
-            scale = max(np.linalg.norm(want[row]), 1e-12)
-            assert np.linalg.norm(got[row] - want[row]) < 1e-6 * scale
+def _random_geometry(rng):
+    """BS pose, UE pose and the first subarray of random_geometry, with
+    that subarray's PathParams."""
+    bs, ue, subs = random_geometry(rng)
+    return bs, ue, subs[0], path_params(bs, ue, subs[0])
 
 
 def test_state_jacobian_delay_row_is_exact():
@@ -103,6 +66,22 @@ def test_validate_state_jacobian_error_sees_every_block():
         assert state_jacobian_error(corrupted, want) > 0.5
 
 
+def test_the_state_jacobian_check_sees_a_doubled_delay_row_rotation_block(monkeypatch):
+    # The delay row's rotation entries lie near 1e-9 in a row whose scale
+    # is the clock-bias entry 1, so only the per-block form can see them.
+    def doubled(geo):
+        jac, departure, arrival = state_jacobians(geo)
+        jac[:, 4, 4:] *= 2.0
+        return jac, departure, arrival
+
+    assert check_state_jacobian(5, np.random.default_rng(1001))[0]
+    monkeypatch.setattr("thzloc.crb.state_jacobians", doubled)
+    passed, worst_row, worst_block = check_state_jacobian(5, np.random.default_rng(1001))
+    assert not passed and worst_block > 0.5 and worst_row < 1e-6
+    name, passed, _ = next(run_validation(preset("cuboidal-2bs"), trials=5))
+    assert name == "state_jacobian_fd" and not passed
+
+
 def _small_fim_case(seed):
     rng = np.random.default_rng(seed)
     cfg = SignalConfig(num_subcarriers=4, num_transmissions=3)
@@ -120,17 +99,6 @@ def test_path_fim_is_symmetric_psd():
     np.testing.assert_array_equal(fim, fim.T)
     eigvals = np.linalg.eigvalsh(fim)
     assert eigvals.min() >= -1e-9 * eigvals.max()
-
-
-def test_path_fim_matches_oracle_finite_differences():
-    cfg, _, _, sub, params, gain, bs_el, beams = _small_fim_case(3)
-    got = path_fim(params, gain, beams, bs_el, sub.elements, cfg)
-    fd = signal_jacobian_fd(
-        list(params.as_array()), gain, beams.ue, beams.bs, sub.elements, bs_el,
-        cfg.power_w, cfg.wavelength_m, cfg.subcarrier_offsets_hz(),
-    )
-    want = fim_from_jacobian(fd.reshape(-1, 5), cfg.noise_variance_w)
-    assert np.linalg.norm(got - want) < 1e-4 * np.linalg.norm(want)
 
 
 def test_beam_averaged_path_fim_matches_closed_form():
@@ -172,34 +140,9 @@ def test_state_fim_accumulates_paths():
     np.testing.assert_allclose(total, want, rtol=1e-12, atol=1e-15)
 
 
-def test_constraint_basis_identities():
-    rng = np.random.default_rng(40)
-    for _ in range(100):
-        r = euler_to_rotation(EulerAngles(*rng.uniform(0, 360, 3)))
-        m = constraint_basis(r)
-        assert m.shape == (13, 7)
-        np.testing.assert_allclose(m.T @ m, np.eye(7), atol=1e-13)
-        jac_h = constraint_jacobian_oracle(pack_state(np.zeros(3), 0.0, r))
-        assert np.max(np.abs(jac_h @ m)) < 1e-12
-
-
 def _full_scenario_fim(pose):
     scn = preset("cuboidal-3bs").realize()
-    from thzloc.geometry import visible_paths
-
-    pairs = visible_paths(scn.bs_poses, pose, scn.subarrays)
-    fims, jacs = [], []
-    for m, n in pairs:
-        sub = scn.subarrays[n]
-        params = path_params(scn.bs_poses[m], pose, sub)
-        gain = path_gain(params.distance, scn.signal.wavelength_m)
-        beams = draw_beamformers(
-            scn.seed, m, n, scn.signal.num_transmissions,
-            sub.elements.shape[0], scn.bs_elements[m].shape[0],
-        )
-        fims.append(path_fim(params, gain, beams, scn.bs_elements[m], sub.elements, scn.signal))
-        jacs.append(state_jacobian(scn.bs_poses[m], pose, sub))
-    return state_fim(fims, jacs)
+    return compose_paths(scn, pose, None, 0).fim
 
 
 def test_constrained_crb_agrees_with_direct_inverse():

@@ -6,7 +6,7 @@ paths of a batch of poses and returns a BoundTable of columns, whose
 result(i) is pose i's BoundResult.  evaluate_pose and the per-path public
 functions are batches of one through the same layers.  These tests pin
 five things: a pose's result does not depend on the batch it is evaluated
-in (bit for bit, against the per-path composition too, whichever group of
+in (bit for bit, against oracles.compose_paths too, whichever group of
 paths its beams are drawn in), the table's columns match the results
 built from them, the entry's seed and trial arguments (and that
 localizable_only changes only the one-BS poses), the beam buffers
@@ -29,29 +29,19 @@ import pytest
 
 from thzloc import (
     PRESET_NAMES,
-    BoundResult,
     EulerAngles,
-    GeometryError,
-    PathObservation,
     PathParams,
     Pose,
     PoseDistribution,
-    constrained_crb,
-    constraint_basis,
-    error_bounds,
     euler_to_rotation,
     evaluate_batch,
     evaluate_pose,
     load_config,
     orientation_field,
     path_fim,
-    path_params,
     position_field,
     preset,
     sample_pose,
-    state_fim,
-    state_jacobian,
-    visible_paths,
 )
 from thzloc.channel import (
     _GROUP_ELEMENTS,
@@ -68,11 +58,11 @@ from thzloc.crb import (
     _PATH_BLOCK,
     _beam_fims,
     _path_groups,
-    classify_localizability,
 )
 from thzloc.geometry import path_angles, path_geometry, stack_poses, subarray_frames, visibility
 
 from oracles import (
+    compose_paths,
     gauss_jordan_inverse,
     signal_gradient,
     state_jacobians_13,
@@ -104,45 +94,7 @@ def _results(table):
 
 
 def _composed(scn, pose, seed, trial):
-    """BoundResult from the per-path public functions, called in the order
-    of the benchmark's traced copy of the pipeline."""
-    pairs = visible_paths(scn.bs_poses, pose, scn.subarrays)
-    observations, fims, jacobians = [], [], []
-    degenerate = False
-    for m, n in pairs:
-        sub = scn.subarrays[n]
-        params = path_params(scn.bs_poses[m], pose, sub, scn.clock_bias_s)
-        observations.append(PathObservation(m, n, params))
-        if degenerate:
-            continue
-        gain = path_gain(params.distance, scn.signal.wavelength_m)
-        beams = draw_beamformers(
-            seed, m, n, scn.signal.num_transmissions,
-            sub.elements.shape[0], scn.bs_elements[m].shape[0], trial=trial,
-        )
-        try:
-            jacobians.append(state_jacobian(scn.bs_poses[m], pose, sub))
-        except GeometryError:
-            degenerate = True
-            continue
-        fims.append(path_fim(params, gain, beams, scn.bs_elements[m], sub.elements, scn.signal))
-    crb, condition = None, math.inf
-    if pairs and not degenerate:
-        crb, condition = constrained_crb(state_fim(fims, jacobians), constraint_basis(pose.rotation))
-    peb = oeb_raw = oeb_deg = math.inf
-    if crb is not None:
-        peb, oeb_raw, oeb_deg = error_bounds(crb)
-    num_visible_bs = len({m for m, _ in pairs})
-    return BoundResult(
-        classification=classify_localizability(num_visible_bs, crb is not None),
-        peb_m=peb,
-        oeb_deg=oeb_deg,
-        oeb_raw=oeb_raw,
-        num_paths=len(pairs),
-        num_visible_bs=num_visible_bs,
-        condition_number=condition,
-        paths=tuple(observations),
-    )
+    return compose_paths(scn, pose, seed, trial).result
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -491,45 +443,21 @@ def test_field_workers_match_serial_grid(field, kwargs):
 REFERENCE_POSES = 300
 
 
-def _tensor_fim(scn, params, gain, beams, m, n):
-    """2 / sigma^2 Re(J^H J) of the full (G, K, 5) signal gradient."""
-    _, dmu = signal_gradient(
-        params, gain, beams, scn.bs_elements[m], scn.subarrays[n].elements, scn.signal
-    )
-    jac = dmu.reshape(-1, 5)
-    fim = (2.0 / scn.signal.noise_variance_w) * np.real(jac.conj().T @ jac)
-    return 0.5 * (fim + fim.T)
-
-
 def _reference(scn, pose, seed, trial, fim_errors):
-    """(classification, PEB, OEB, condition) from per-path tensor FIMs."""
-    pairs = visible_paths(scn.bs_poses, pose, scn.subarrays)
-    total = np.zeros((7, 7))
-    for m, n in pairs:
-        sub = scn.subarrays[n]
-        try:
-            jac = state_jacobian(scn.bs_poses[m], pose, sub)
-        except GeometryError:
-            total = None
-            break
-        params = path_params(scn.bs_poses[m], pose, sub, scn.clock_bias_s)
-        gain = path_gain(params.distance, scn.signal.wavelength_m)
-        beams = draw_beamformers(
-            seed, m, n, scn.signal.num_transmissions,
-            sub.elements.shape[0], scn.bs_elements[m].shape[0], trial=trial,
-        )
-        tensor = _tensor_fim(scn, params, gain, beams, m, n)
-        separable = path_fim(params, gain, beams, scn.bs_elements[m], sub.elements, scn.signal)
-        fim_errors.append(np.linalg.norm(separable - tensor) / np.linalg.norm(tensor))
-        total += jac.T @ tensor @ jac
-    crb, condition = None, math.inf
-    if pairs and total is not None:
-        crb, condition = constrained_crb(total, constraint_basis(pose.rotation))
-    peb = oeb = math.inf
-    if crb is not None:
-        peb, _, oeb = error_bounds(crb)
-    label = classify_localizability(len({m for m, _ in pairs}), crb is not None)
-    return label, peb, oeb, condition
+    """(classification, PEB, OEB, condition) from per-path tensor FIMs,
+    2 / sigma^2 Re(J^H J) of the full (G, K, 5) signal gradient; each
+    one's distance from path_fim goes to fim_errors."""
+    def tensor_fim(params, gain, beams, bs_elements, sub_elements, signal):
+        _, dmu = signal_gradient(params, gain, beams, bs_elements, sub_elements, signal)
+        jac = dmu.reshape(-1, 5)
+        fim = (2.0 / signal.noise_variance_w) * np.real(jac.conj().T @ jac)
+        fim = 0.5 * (fim + fim.T)
+        separable = path_fim(params, gain, beams, bs_elements, sub_elements, signal)
+        fim_errors.append(np.linalg.norm(separable - fim) / np.linalg.norm(fim))
+        return fim
+
+    result = compose_paths(scn, pose, seed, trial, tensor_fim).result
+    return result.classification, result.peb_m, result.oeb_deg, result.condition_number
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -17,8 +17,9 @@ coverage_ccdf of perfbench's batch with seed S * 100000 + i, call t of
 With --pairs K, K fresh pairs of processes run N calls each in turn, pair
 k the calls k * N to (k + 1) * N - 1, so that what a process fixes for its
 lifetime (heap and code layout, its core) varies between pairs.  The
-bootstrap resamples calls, not processes, so the spread of the pairs'
-ratios shows how far the ratio moves with the processes.
+bootstrap then resamples pairs first and calls within each drawn pair, so
+its interval widens with the spread of the pairs' ratios; with one pair
+it resamples calls alone, and misses whatever is fixed per process.
 
 For wall time and CPU time (children included), the script prints each
 tree's median call in ms, the median of the paired ratios old / new over
@@ -135,13 +136,18 @@ def summary(old: np.ndarray, new: np.ndarray) -> dict:
     median ratio of each process pair: old and new hold (calls,) times of
     one pair or (pairs, calls) times of several."""
     ratios = np.atleast_2d(old / new)
-    calls = ratios.ravel()
-    picks = np.random.default_rng(0).integers(0, calls.size, (RESAMPLES, calls.size))
-    low, high = np.percentile(np.median(calls[picks], axis=1), [2.5, 97.5])
+    pairs, n = ratios.shape
+    # Pairs first, then calls within each drawn pair; with one pair every
+    # row pick is 0, so that resamples calls alone.
+    rng = np.random.default_rng(0)
+    columns = rng.integers(0, n, (RESAMPLES, pairs, n))
+    rows = rng.integers(0, pairs, (RESAMPLES, pairs, 1))
+    resampled = ratios[rows, columns].reshape(RESAMPLES, -1)
+    low, high = np.percentile(np.median(resampled, axis=1), [2.5, 97.5])
     return {
         "old_ms": float(np.median(old)) * 1e3,
         "new_ms": float(np.median(new)) * 1e3,
-        "ratio": float(np.median(calls)),
+        "ratio": float(np.median(ratios)),
         "won": float(np.mean(new < old)),
         "interval": [float(low), float(high)],
         "pair_ratios": np.median(ratios, axis=1).tolist(),
