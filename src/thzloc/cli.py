@@ -90,7 +90,13 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
         "--preset", choices=PRESET_NAMES, help="built-in scenario by name"
     )
     parser.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="processes, this one included: it computes one share of the index "
+        f"ranges and child processes the rest (1 to {MAX_WORKERS})",
+    )
 
 
 def _check_out(path: str) -> None:
@@ -113,18 +119,21 @@ def _fmt(value: float) -> str:
     return format(value, ".10g")
 
 
-def _write_rows(handle, config: ScenarioConfig, kind: str, header: str, rows) -> None:
+def _stamp(config: ScenarioConfig) -> str:
+    """'scenario <hash> seed <n>', for a CSV header and the stderr report;
+    each command hashes its scenario once."""
+    return f"scenario {scenario_hash(config)} seed {config.seed}"
+
+
+def _write_rows(handle, stamp: str, kind: str, header: str, rows) -> None:
     handle.write(f"# thzloc {__version__} {kind}\n")
-    handle.write(f"# scenario {scenario_hash(config)} seed {config.seed}\n")
+    handle.write(f"# {stamp}\n")
     handle.write(header + "\n")
     handle.writelines(",".join(row) + "\n" for row in rows)
 
 
-def _report(config: ScenarioConfig, message: str) -> None:
-    print(
-        f"thzloc: scenario {scenario_hash(config)} seed {config.seed}: {message}",
-        file=sys.stderr,
-    )
+def _report(stamp: str, message: str) -> None:
+    print(f"thzloc: {stamp}: {message}", file=sys.stderr)
 
 
 def cmd_bounds(args) -> int:
@@ -182,9 +191,10 @@ def _grid_rows(grid):
 
 def _write_grid(out: str, config: ScenarioConfig, kind: str, grid, started: float) -> int:
     header = ",".join(grid.axis_names + ("peb_m", "oeb_deg", "classification", "num_paths"))
+    stamp = _stamp(config)
     with _output(out) as handle:
-        _write_rows(handle, config, kind, header, _grid_rows(grid))
-    _report(config, f"{grid.peb_m.size} cells in {time.monotonic() - started:.1f} s")
+        _write_rows(handle, stamp, kind, header, _grid_rows(grid))
+    _report(stamp, f"{grid.peb_m.size} cells in {time.monotonic() - started:.1f} s")
     return EXIT_OK
 
 
@@ -221,10 +231,11 @@ def cmd_coverage(args) -> int:
     started = time.monotonic()
     curve = coverage_ccdf(config, trials=args.trials, metric=args.metric, threads=args.threads)
     unit = "m" if args.metric == "peb" else "deg"
+    stamp = _stamp(config)
     with _output(args.out) as handle:
         _write_rows(
             handle,
-            config,
+            stamp,
             f"coverage {args.metric}",
             f"threshold_{unit},exceedance",
             (
@@ -234,7 +245,7 @@ def cmd_coverage(args) -> int:
         )
         handle.write(f"# outage_fraction {_fmt(curve.outage)} trials {curve.trials}\n")
     _report(
-        config,
+        stamp,
         f"{curve.trials} trials in {time.monotonic() - started:.1f} s, "
         f"outage {curve.outage:.4f}",
     )

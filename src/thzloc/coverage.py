@@ -34,12 +34,14 @@ _METRICS = {"peb": ("peb_m", PEB_THRESHOLDS_M), "oeb": ("oeb_deg", OEB_THRESHOLD
 
 # Poses per evaluate_batch call; bounds the kernel's per-path arrays.
 _POSE_CHUNK = 64
-# Contiguous index ranges per worker process, for load balance.
+# Contiguous index ranges per process, for load balance; the calling
+# process takes one share of them and each child process another.
 _RANGES_PER_WORKER = 4
 # Most cells a position or orientation field may hold; the default 5 deg
 # orientation sweep has 5,329.
 MAX_FIELD_CELLS = 10**6
-# Most worker processes a run may ask for; a pool starts all of them at once.
+# Most processes a run may ask for, the calling one included; a run starts
+# all its child processes at once.
 MAX_WORKERS = 64
 # Relative tolerance of a grid's end point.
 _AXIS_SLACK = 1e-9
@@ -132,22 +134,63 @@ def _evaluate_range(
     return tables
 
 
+def _send_share(worker, ranges, connection) -> None:
+    # A child process's whole run: its tables, or the exception it raised.
+    try:
+        result = (True, [worker(start, stop) for start, stop in ranges])
+    except Exception as exc:
+        result = (False, exc)
+    connection.send(result)
+    connection.close()
+
+
 def _run_ranges(worker, count: int, threads: int) -> list:
     """worker(start, stop) over contiguous ranges covering [0, count),
-    concatenated in index order; with threads > 1 in worker processes."""
+    concatenated in index order.  With threads > 1, range k runs in
+    process k mod threads: this process computes its share, from range 0,
+    and threads - 1 child processes send theirs back over pipes."""
     if not 1 <= threads <= MAX_WORKERS:
         raise ValueError(f"threads must be from 1 to {MAX_WORKERS}, got {threads}")
-    if threads == 1:
-        return worker(0, count)
-    # Imported here: the process pool takes about 24 ms to import, and a
-    # serial run does not need it.
-    from concurrent.futures import ProcessPoolExecutor
-
     size = max(1, -(-count // (threads * _RANGES_PER_WORKER)))
-    starts = range(0, count, size)
-    stops = [min(start + size, count) for start in starts]
-    with ProcessPoolExecutor(max_workers=min(threads, len(starts))) as pool:
-        return [item for part in pool.map(worker, starts, stops) for item in part]
+    ranges = [(start, min(start + size, count)) for start in range(0, count, size)]
+    processes = min(threads, len(ranges))
+    if processes <= 1:
+        return worker(0, count)
+    # Imported here: a serial run does not need it.
+    import multiprocessing
+
+    context = multiprocessing.get_context()
+    shares = [ranges[k::processes] for k in range(processes)]
+    children = []
+    try:
+        for share in shares[1:]:
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=_send_share, args=(worker, share, send), daemon=True)
+            child.start()
+            # Only the child holds the send end, so recv sees EOF if it dies.
+            send.close()
+            children.append((child, receive))
+        parts = [[worker(start, stop) for start, stop in shares[0]]]
+        for child, receive in children:
+            # Read before join: a child blocks in send until its tables are read.
+            try:
+                ok, result = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"child process exited with code {child.exitcode} before sending its tables"
+                ) from None
+            if not ok:
+                raise result
+            parts.append(result)
+            child.join()
+    finally:
+        for child, receive in children:
+            receive.close()
+            if child.is_alive():
+                child.terminate()
+            child.join()
+    return [item for k in range(len(ranges)) for item in parts[k % processes][k // processes]]
 
 
 def coverage_ccdf(
@@ -165,7 +208,8 @@ def coverage_ccdf(
         trials: number of random poses.
         metric: 'peb' or 'oeb'; selects the threshold grid as well.
         seed: overrides the scenario seed when given.
-        threads: worker processes; results are independent of this value.
+        threads: processes, the calling one included; results are
+            independent of this value.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

@@ -325,9 +325,9 @@ def test_refused_out_is_checked_before_the_run_and_keeps_its_file(tmp_path, caps
 
 
 def test_cli_import_leaves_out_the_process_pool_and_validation():
-    # Only --threads above 1 needs the pool, only `validate` the checks
-    # and their oracles; each is imported where it is used.
-    lazy = ("concurrent.futures.process", "thzloc.validate", "thzloc.oracles")
+    # Only --threads above 1 needs child processes and their pipes, only
+    # `validate` the checks and their oracles; each is imported where it is used.
+    lazy = ("multiprocessing", "multiprocessing.connection", "thzloc.validate", "thzloc.oracles")
     code = f"import sys, thzloc.cli; print([m for m in {lazy!r} if m in sys.modules])"
     src = str(Path(thzloc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -1,6 +1,10 @@
-import concurrent.futures
+import contextlib
 import functools
 import math
+import multiprocessing
+import os
+import signal
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -190,28 +194,32 @@ def test_worker_count_must_be_positive(threads):
         orientation_field(cfg, (0.0, 0.0, 0.0), step_deg=180.0, threads=threads)
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process, so that no worker is ever started."""
+class _InProcessContext:
+    """Stands in for the multiprocessing context: a Process runs its target
+    in this process when started, and a Pipe hands objects over in memory,
+    so a test counts the children a run starts without starting any."""
 
-    made = []
+    def __init__(self):
+        self.started = 0
 
-    def __init__(self, max_workers):
-        self.made.append(max_workers)
+    def Pipe(self, duplex=True):
+        items = []
+        end = SimpleNamespace(send=items.append, recv=lambda: items.pop(0), close=lambda: None)
+        return end, end
 
-    def __enter__(self):
-        return self
+    def Process(self, target, args, daemon):
+        def start():
+            self.started += 1
+            target(*args)
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+        return SimpleNamespace(
+            start=start, is_alive=lambda: False, join=lambda: None, exitcode=0
+        )
 
 
 def test_pool_starts_at_most_one_worker_per_range(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "made", [])
+    context = _InProcessContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: context)
     cfg = preset("planar-2bs")
     with pytest.raises(ValueError, match="threads"):
         coverage_ccdf(cfg, trials=10, threads=5000)
@@ -221,14 +229,89 @@ def test_pool_starts_at_most_one_worker_per_range(monkeypatch):
     ):
         with pytest.raises(ValueError, match="threads"):
             call(MAX_WORKERS + 1)
-    assert _RecordingPool.made == []
-    # 10 trials make 10 one-trial ranges, so a pool of 64 starts 10 workers.
+    assert context.started == 0
+    # 10 trials make 10 one-trial ranges: this process takes the first and
+    # 9 children the others.
     curve = coverage_ccdf(cfg, trials=10, threads=MAX_WORKERS)
-    assert _RecordingPool.made == [10]
+    assert context.started == 9
     np.testing.assert_array_equal(curve.exceedance, coverage_ccdf(cfg, trials=10).exceedance)
-    # Two workers over eight ranges, as the CLI runs a field with --threads 2.
-    assert _run_ranges(lambda start, stop: list(range(start, stop)), 80, 2) == list(range(80))
-    assert _RecordingPool.made == [10, 2]
+    # Eight ranges over two processes, as the CLI runs a field with --threads 2.
+    assert _run_ranges(_indices, 80, 2) == list(range(80))
+    assert context.started == 10
+
+
+def _indices(start, stop):
+    return list(range(start, stop))
+
+
+def _large_tables(start, stop):
+    return [np.full(2**17, index) for index in range(start, stop)]
+
+
+def _raise_in_range_6(_parent, start, stop):
+    if start == 6:
+        raise LookupError(f"no tables for range {start}")
+    return _indices(start, stop)
+
+
+def _exit_in_child(parent, start, stop):
+    if os.getpid() != parent:
+        os._exit(3)
+    return _indices(start, stop)
+
+
+def _raise_in_caller(parent, start, stop):
+    if os.getpid() == parent:
+        raise ArithmeticError("the caller's share failed")
+    time.sleep(60.0)
+    return _indices(start, stop)
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    # Fails a hung run instead of hanging the suite.  Not an OSError, which
+    # Process.join would swallow while it waits.
+    def expire(signum, frame):
+        pytest.fail(f"run took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "worker, error, match",
+    [
+        # 16 indices over 2 processes: ranges of 2, the child's from 2, 6, 10, 14.
+        (_raise_in_range_6, LookupError, "no tables for range 6"),
+        (_exit_in_child, RuntimeError, "exited with code 3"),
+        (_raise_in_caller, ArithmeticError, "caller's share"),
+    ],
+    ids=["child-raises", "child-exits", "caller-raises"],
+)
+def test_a_failed_range_reaches_the_caller_and_leaves_no_child(worker, error, match):
+    began = time.monotonic()
+    with _within(30), pytest.raises(error, match=match):
+        _run_ranges(functools.partial(worker, os.getpid()), 16, 2)
+    assert multiprocessing.active_children() == []
+    # The sleeping child was ended, not waited for.
+    assert time.monotonic() - began < 30.0
+
+
+def test_child_processes_return_ranges_in_index_order():
+    with _within(60):
+        for threads in (2, 3, 4):
+            for count in range(1, 21):
+                assert _run_ranges(_indices, count, threads) == list(range(count)), (count, threads)
+        # Tables larger than a pipe's buffer: each child blocks in send
+        # until the caller reads it.
+        tables = _run_ranges(_large_tables, 8, 4)
+    assert [table[0] for table in tables] == list(range(8))
+    assert multiprocessing.active_children() == []
 
 
 def test_oeb_metric_uses_degree_thresholds():
