@@ -417,6 +417,11 @@ class BoundTable:
 
 
 # Paths whose steering stacks, couplings and FIM terms are held at once.
+# Measured under tracemalloc on cuboidal-4bs, a 64-pose batch peaks
+# 1,427 KiB above its baseline with this block and 16,443 KiB with one
+# block of all paths (10 poses: 463 against 2,571 KiB); without it peak
+# RSS grew 2.3 MiB over a 10-pose coverage loop and 4.2 MiB over
+# fields-cli rounds, and one block per batch ran no faster (0.9998x).
 _PATH_BLOCK = 16
 
 

@@ -62,6 +62,15 @@ PRESET_NAMES = (
     "cuboidal-4bs",
 )
 
+# Most beam phases, G (N_ue + N_bs) over the largest panels, that one path
+# may draw: beam buffers take 48 B per phase, and one cuboidal-4bs pose at
+# this bound peaks at 94 MiB under tracemalloc.  The presets draw 4,000
+# and the wide benchmark scenario 16,000; panel sizes are bounded with it.
+MAX_PATH_PHASES = 10**6
+# Most subcarriers K: the (K, 5) subcarrier factors, their conjugate and
+# the offsets peak at 17 MB at this bound; the presets have 10.
+MAX_SUBCARRIERS = 10**5
+
 _BS_SITES = (
     ((-10.5, -10.5, 5.0), (0.0, 90.0, 45.0)),
     ((10.5, 10.5, 5.0), (0.0, 90.0, -135.0)),
@@ -267,6 +276,8 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
 
 
 def _number(value, where: str) -> float:
+    if isinstance(value, bool):  # YAML reads on, yes, true as booleans
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -277,6 +288,8 @@ def _number(value, where: str) -> float:
 
 
 def _integer(value, where: str) -> int:
+    if isinstance(value, bool):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -375,6 +388,18 @@ def parse_config(text_or_mapping) -> ScenarioConfig:
         raise ConfigError("carrier_hz and bandwidth_hz must be positive")
     if signal.num_subcarriers < 1 or signal.num_transmissions < 1:
         raise ConfigError("num_subcarriers and num_transmissions must be at least 1")
+    if signal.num_subcarriers > MAX_SUBCARRIERS:
+        raise ConfigError(
+            f"signal.num_subcarriers is {signal.num_subcarriers}, more than {MAX_SUBCARRIERS}"
+        )
+    n_ue = max(s.panel.num_elements for s in subs)
+    n_bs = max(b.panel.num_elements for b in stations)
+    phases = signal.num_transmissions * (n_ue + n_bs)
+    if phases > MAX_PATH_PHASES:
+        raise ConfigError(
+            f"signal.num_transmissions x (UE + BS panel elements) is {signal.num_transmissions}"
+            f" x ({n_ue} + {n_bs}) = {phases} beam phases per path, more than {MAX_PATH_PHASES}"
+        )
 
     sim_section = doc.get("sim", {})
     _require_keys(sim_section, {"seed", "clock_bias_s"}, "sim")

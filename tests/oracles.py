@@ -12,7 +12,8 @@ FIM replaced, builds on ``steering_stack`` and is the reference the
 separable form is checked against.  The package's former vectorized
 13-entry state Jacobian, which the tangent-space one replaced, is kept in
 any floating dtype, with a constraint basis and a Gauss-Jordan inverse of
-the same dtype, as the extended-precision reference of the bounds.
+the same dtype, as the extended-precision reference of the bounds that
+``long_double_bounds`` rebuilds.
 ``compose_paths`` is the one per-path composition of the tests: a pose's
 bounds, state FIM and CRB from the package's per-path public functions,
 with the per-path FIM function as an argument so that the tensor FIM can
@@ -31,6 +32,7 @@ from thzloc.channel import BeamformerSet, SignalConfig, draw_beamformers, path_g
 from thzloc.crb import (
     BoundResult,
     PathObservation,
+    _beam_fims,
     classify_localizability,
     constrained_crb,
     constraint_basis,
@@ -46,7 +48,12 @@ from thzloc.geometry import (
     PathGeometry,
     PathParams,
     Pose,
+    path_angles,
+    path_geometry,
     path_params,
+    stack_poses,
+    subarray_frames,
+    visibility,
     visible_paths,
 )
 from thzloc.oracles import (  # noqa: F401  (re-exported)
@@ -419,6 +426,28 @@ def gauss_jordan_inverse(matrix: np.ndarray) -> np.ndarray:
             if row != col:
                 work[row] -= work[row, col] * work[col]
     return work[:, n:]
+
+
+def long_double_bounds(scn, poses, trials, seed, which):
+    """Long-double PEB and OEB of poses[i] for each i in which: the
+    kernel's geometry and per-path FIMs through the 13-entry Jacobian times
+    the tangent basis, summed and inverted by Gauss-Jordan in long double."""
+    bs, mounts, ue = scn.bs_stack, scn.mount_stack, stack_poses(poses)
+    frames = subarray_frames(ue, mounts)
+    paths = np.nonzero(visibility(bs, frames))
+    geo = path_geometry(bs, mounts, frames, paths)
+    fims = _beam_fims(scn, path_angles(geo, scn.clock_bias_s), paths, trials, seed)
+    jac = state_jacobians_13(geo, np.longdouble)
+    jac = jac @ tangent_basis_reference(ue[1].astype(np.longdouble))[paths[0]]
+    terms = jac.swapaxes(1, 2) @ fims.astype(np.longdouble) @ jac
+    peb, oeb = np.empty((2, len(which)), dtype=np.longdouble)
+    for j, i in enumerate(which):
+        fim = terms[paths[0] == i].sum(axis=0)
+        scale = 1 / np.sqrt(fim.diagonal())
+        crb = (scale[:, None] * gauss_jordan_inverse(scale[:, None] * fim * scale) * scale).diagonal()
+        peb[j] = np.sqrt(crb[:3].sum())
+        oeb[j] = np.degrees(np.sqrt(crb[4:].sum()) / np.sqrt(np.longdouble(2)))
+    return peb, oeb
 
 
 # --- the per-path composition -------------------------------------------------

@@ -10,7 +10,8 @@ in (bit for bit, against oracles.compose_paths too, whichever group of
 paths its beams are drawn in), the table's columns match the results
 built from them, the entry's seed and trial arguments (and that
 localizable_only changes only the one-BS poses), the beam buffers
-each thread keeps from call to call, one set per shape, and the
+each thread keeps from call to call, one set per shape, the memory
+that path blocks bound, and the
 separable per-path FIM's agreement with the full (G, K, 5) signal-gradient
 tensor that it replaces.  Last, the bounds are checked against the
 13-entry Jacobian times the constraint basis, all in long double.
@@ -61,13 +62,7 @@ from thzloc.crb import (
 )
 from thzloc.geometry import path_angles, path_geometry, stack_poses, subarray_frames, visibility
 
-from oracles import (
-    compose_paths,
-    gauss_jordan_inverse,
-    signal_gradient,
-    state_jacobians_13,
-    tangent_basis_reference,
-)
+from oracles import compose_paths, long_double_bounds, signal_gradient
 
 WIDE = Path(__file__).resolve().parents[1] / "perfbench" / "planar-2bs-wide.yaml"
 SCENARIOS = {name: preset(name) for name in PRESET_NAMES}
@@ -373,6 +368,24 @@ def test_beam_buffers_stay_within_48_bytes_per_phase():
     assert paths == 3 and peak <= 0.6 * 2**20
 
 
+def test_path_blocks_keep_a_batch_within_2_mib():
+    # _PATH_BLOCK bounds the steering stacks, couplings and FIM terms held
+    # at once: this batch peaked 1,427 KiB above its baseline with 16-path
+    # blocks and 16,443 KiB with one block of all its paths.
+    scn = SCENARIOS["cuboidal-4bs"].realize()
+    trials = list(range(64))
+    poses = sample_poses(PoseDistribution(), 5, trials)
+    evaluate_batch(scn, poses, trials, 5)  # this thread's beam buffers
+    tracemalloc.start()
+    try:
+        table = evaluate_batch(scn, poses, trials, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.paths.shape[0] == 768  # 48 blocks
+    assert peak <= 2 * 2**20
+
+
 def test_table_columns_match_the_results_they_build():
     scn = _mixed_panels()
     seed, count = 13, 40
@@ -495,23 +508,8 @@ def test_bounds_match_the_long_double_reference(name):
     trials = list(range(LONG_DOUBLE_POSES))
     poses = sample_poses(PoseDistribution(), seed, trials)
     table = evaluate_batch(scn, poses, trials, seed)
-    bs, mounts, ue = scn.bs_stack, scn.mount_stack, stack_poses(poses)
-    frames = subarray_frames(ue, mounts)
-    paths = np.nonzero(visibility(bs, frames))
-    geo = path_geometry(bs, mounts, frames, paths)
-    fims = _beam_fims(scn, path_angles(geo, scn.clock_bias_s), paths, trials, seed)
-    jac = state_jacobians_13(geo, np.longdouble)
-    jac = jac @ tangent_basis_reference(ue[1].astype(np.longdouble))[paths[0]]
-    terms = jac.swapaxes(1, 2) @ fims.astype(np.longdouble) @ jac
     solved = np.isfinite(table.peb_m).nonzero()[0]
     assert solved.size > LONG_DOUBLE_POSES // 2
-    worst = 0.0
-    for i in solved.tolist():
-        fim = terms[paths[0] == i].sum(axis=0)
-        scale = 1 / np.sqrt(fim.diagonal())
-        crb = (scale[:, None] * gauss_jordan_inverse(scale[:, None] * fim * scale) * scale).diagonal()
-        peb = np.sqrt(crb[:3].sum())
-        oeb = np.degrees(np.sqrt(crb[4:].sum()) / np.sqrt(np.longdouble(2)))
-        error = max(abs(table.peb_m[i] - peb) / peb, abs(table.oeb_deg[i] - oeb) / oeb)
-        worst = max(worst, float(error) / table.condition_number[i])
-    assert worst <= 1e-14
+    peb, oeb = long_double_bounds(scn, poses, trials, seed, solved)
+    error = np.maximum(abs(table.peb_m[solved] - peb) / peb, abs(table.oeb_deg[solved] - oeb) / oeb)
+    assert (error / table.condition_number[solved]).max() <= 1e-14

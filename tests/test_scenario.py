@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,8 @@ from thzloc import (
 )
 from thzloc.coverage import _realized
 from thzloc.geometry import Pose, stack_poses
-from thzloc.scenario import config_to_mapping, load_config
+from thzloc.channel import SignalConfig
+from thzloc.scenario import MAX_PATH_PHASES, MAX_SUBCARRIERS, config_to_mapping, load_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -221,6 +223,70 @@ def test_parse_rejects_bad_waveform():
         doc["signal"][key] = value
         with pytest.raises(ConfigError, match=match):
             parse_config(doc)
+
+
+# Each numeric field of a scenario mapping, as (keys into the mapping,
+# the field's name in errors).
+NUMERIC_FIELDS = [
+    (("bs", 0, "position_m", 0), "bs[0].position_m"),
+    (("bs", 1, "orientation_deg", 2), "bs[1].orientation_deg"),
+    (("bs", 0, "panel", "rows"), "bs[0].panel.rows"),
+    (("bs", 0, "panel", "cols"), "bs[0].panel.cols"),
+    (("bs", 0, "panel", "spacing_wl"), "bs[0].panel.spacing_wl"),
+    (("ue", "subarrays", 0, "offset_m", 1), "ue.subarrays[0].offset_m"),
+    (("ue", "subarrays", 2, "orientation_deg", 0), "ue.subarrays[2].orientation_deg"),
+    (("ue", "subarrays", 0, "panel", "rows"), "ue.subarrays[0].panel.rows"),
+    (("ue", "subarrays", 0, "panel", "spacing_wl"), "ue.subarrays[0].panel.spacing_wl"),
+    *((("signal", key), f"signal.{key}") for key in dataclasses.asdict(SignalConfig())),
+    (("sim", "seed"), "sim.seed"),
+    (("sim", "clock_bias_s"), "sim.clock_bias_s"),
+]
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("keys, field", NUMERIC_FIELDS, ids=[f for _, f in NUMERIC_FIELDS])
+def test_parse_rejects_booleans_as_numbers(keys, field, value):
+    # YAML 1.1 reads on, yes, true, off, no and false as booleans.
+    doc = config_to_mapping(preset("planar-2bs"))
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    match = f"^{re.escape(field)} must be an? (number|integer), got {value}$"
+    with pytest.raises(ConfigError, match=match):
+        parse_config(doc)
+
+
+def _phases(g, n_bs):
+    return (
+        f"signal.num_transmissions x (UE + BS panel elements) is {g} x (16 + {n_bs})"
+        f" = {g * (16 + n_bs)} beam phases per path, more than {MAX_PATH_PHASES}"
+    )
+
+
+@pytest.mark.parametrize(
+    "keys, largest, message",
+    [
+        # The preset draws 50 x (16 + 64) phases per path.
+        (("signal", "num_transmissions"), MAX_PATH_PHASES // 80,
+         _phases(MAX_PATH_PHASES // 80 + 1, 64)),
+        (("bs", 1, "panel", "rows"), MAX_PATH_PHASES // 50 - 16,
+         _phases(50, MAX_PATH_PHASES // 50 - 15)),
+        (("signal", "num_subcarriers"), MAX_SUBCARRIERS,
+         f"signal.num_subcarriers is {MAX_SUBCARRIERS + 1}, more than {MAX_SUBCARRIERS}"),
+    ],
+)
+def test_parse_bounds_what_a_scenario_allocates(keys, largest, message):
+    doc = config_to_mapping(preset("planar-2bs"))
+    doc["bs"][1]["panel"]["cols"] = 1
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = largest
+    parse_config(doc)
+    parent[keys[-1]] = largest + 1
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(doc)
 
 
 def test_parse_rejects_negative_seed():
