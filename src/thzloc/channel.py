@@ -262,10 +262,10 @@ _Rows = collections.namedtuple("_Rows", "words index theta base phasors combiner
 class BeamBuffers:
     """The arrays that draws of up to `paths` paths of G transmissions on
     N_ue + N_bs elements write, so that many draws of one shape reuse
-    them; rows[k] views the first k paths' rows.  index and theta are the
-    scratch of _unit_phasors, base its table phasors and phasors its
-    result; a draw's words lie in phasors' memory, spent before
-    _unit_phasors writes it, and its scaled combiners ue in base's.
+    them; rows[k] views the first k paths' rows.  index, theta and base
+    are _unit_phasors' scratch and phasors its result, which holds a
+    draw's words until then; ue and bs view its first N_ue and last N_bs
+    columns, the combiners scaled in place through their float view.
     """
 
     def __init__(self, num_transmissions: int, n_ue: int, n_bs: int, paths: int = 1):
@@ -280,8 +280,7 @@ class BeamBuffers:
             shape = (k, num_transmissions, n_ue + n_bs)
             words, index, theta, base, phasors = (a[: math.prod(shape)].reshape(shape) for a in arrays)
             combiner = phasors.view(np.float64)[..., : 2 * n_ue]
-            ue = base.view(np.float64).reshape(-1)[: combiner.size].reshape(combiner.shape)
-            rows = (words, index, theta, base, phasors, combiner, ue.view(complex), phasors[..., n_ue:])
+            rows = (words, index, theta, base, phasors, combiner, phasors[..., :n_ue], phasors[..., n_ue:])
             self.rows.append(_Rows(*rows))
 
 
@@ -338,7 +337,7 @@ def keyed_beam_rows(keys, buffers: BeamBuffers) -> tuple[np.ndarray, np.ndarray]
         for path, key in zip(words, keys):
             path[...] = keyed_words(key, path.shape)
     _unit_phasors(words, rows.index, rows.theta, rows.base, rows.phasors)
-    np.multiply(rows.combiner, buffers.combiner_scale, out=rows.ue.view(np.float64))
+    np.multiply(rows.combiner, buffers.combiner_scale, out=rows.combiner)
     return rows.ue, rows.bs
 
 

@@ -28,7 +28,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .coverage import MAX_WORKERS, coverage_ccdf, evaluate_pose, orientation_field, position_field
+from .coverage import (
+    MAX_TRIALS, MAX_WORKERS, coverage_ccdf, evaluate_pose, orientation_field, position_field,
+)
 from .errors import ConfigError, GeometryError
 from .geometry import EulerAngles, Pose, euler_to_rotation
 from .scenario import (
@@ -60,6 +62,11 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise ConfigError(message)
+
+
+def _require_trials(trials: int, most: int) -> None:
+    _require(trials >= 1, f"--trials must be at least 1, got {trials}")
+    _require(trials <= most, f"--trials must be at most {most}, got {trials}")
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -227,7 +234,7 @@ def cmd_orient_sweep(args) -> int:
 
 def cmd_coverage(args) -> int:
     config = _load_scenario(args)
-    _require(args.trials >= 1, f"--trials must be at least 1, got {args.trials}")
+    _require_trials(args.trials, MAX_TRIALS)
     started = time.monotonic()
     curve = coverage_ccdf(config, trials=args.trials, metric=args.metric, threads=args.threads)
     unit = "m" if args.metric == "peb" else "deg"
@@ -254,12 +261,12 @@ def cmd_coverage(args) -> int:
 
 def cmd_validate(args) -> int:
     # Imported here, with the oracles it loads, since no other command needs it.
-    from .validate import run_validation
+    from . import validate
 
     config = _load_scenario(args)
-    _require(args.trials >= 1, f"--trials must be at least 1, got {args.trials}")
+    _require_trials(args.trials, validate.MAX_TRIALS)
     failures = 0
-    for name, passed, detail in run_validation(config, trials=args.trials):
+    for name, passed, detail in validate.run_validation(config, trials=args.trials):
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
         failures += 0 if passed else 1
     if failures:

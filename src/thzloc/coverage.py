@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .channel import keyed_words, spawn_keys
 from .crb import LOCALIZABLE, BoundResult, evaluate_batch
 from .errors import ConfigError
 from .geometry import EulerAngles, Pose, euler_to_rotation
-from .scenario import Scenario, ScenarioConfig
+from .scenario import ScenarioConfig
 
 PEB_THRESHOLDS_M = np.logspace(-3.0, 3.0, 60)
 OEB_THRESHOLDS_DEG = np.logspace(-3.0, 2.0, 60)
@@ -40,6 +41,8 @@ _RANGES_PER_WORKER = 4
 # Most cells a position or orientation field may hold; the default 5 deg
 # orientation sweep has 5,329.
 MAX_FIELD_CELLS = 10**6
+# Most trials of a coverage run: 25 min in one process on cuboidal-4bs.
+MAX_TRIALS = 10**6
 # Most processes a run may ask for, the calling one included; a run starts
 # all its child processes at once.
 MAX_WORKERS = 64
@@ -89,16 +92,11 @@ def sample_pose(distribution: PoseDistribution, seed: int, trial: int) -> Pose:
     return sample_poses(distribution, seed, [trial])[0]
 
 
-@functools.lru_cache(maxsize=8)
-def _realized(config: ScenarioConfig) -> Scenario:
-    return config.realize()
-
-
 def evaluate_pose(
     config: ScenarioConfig, pose: Pose, seed: int | None = None, trial: int = 0
 ) -> BoundResult:
     """Bounds for one explicit UE pose under a scenario."""
-    return evaluate_batch(_realized(config), [pose], [trial], seed).result(0)
+    return evaluate_batch(config.realize(), [pose], [trial], seed).result(0)
 
 
 @dataclass(frozen=True)
@@ -120,18 +118,20 @@ class CcdfCurve:
             raise AssertionError("curve floor cannot undercut the outage fraction")
 
 
-def _evaluate_range(
-    config: ScenarioConfig, poses_of, seed: int, start: int, stop: int, localizable_only=False
-):
-    """BoundTables of the poses of [start, stop), trial i for index i, one
-    per _POSE_CHUNK poses; poses_of(indices) builds a chunk's poses."""
-    scn = _realized(config)
-    tables = []
+def _evaluate_range(config, poses_of, seed, columns, start, stop, localizable_only=False):
+    """The given BoundTable columns of the poses of [start, stop), trial i
+    for index i, in a list of one namespace; poses_of(indices) builds each
+    _POSE_CHUNK's poses, and only these columns outlive the chunk's table."""
+    scn = config.realize()
+    out = {}
     for first in range(start, stop, _POSE_CHUNK):
         trials = range(first, min(first + _POSE_CHUNK, stop))
-        poses = poses_of(trials)
-        tables.append(evaluate_batch(scn, poses, trials, seed, localizable_only=localizable_only))
-    return tables
+        table = evaluate_batch(scn, poses_of(trials), trials, seed, localizable_only=localizable_only)
+        for name in columns:
+            if name not in out:
+                out[name] = np.empty(stop - start, dtype=getattr(table, name).dtype)
+            out[name][first - start : first - start + len(trials)] = getattr(table, name)
+    return [SimpleNamespace(**out)]
 
 
 def _send_share(worker, ranges, connection) -> None:
@@ -211,14 +211,14 @@ def coverage_ccdf(
         threads: processes, the calling one included; results are
             independent of this value.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be from 1 to {MAX_TRIALS}, got {trials}")
     if metric not in _METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     column, thresholds = _METRICS[metric]
     run_seed = config.seed if seed is None else seed
     poses_of = functools.partial(sample_poses, _POSES, run_seed)
-    worker = functools.partial(_evaluate_range, config, poses_of, run_seed)
+    worker = functools.partial(_evaluate_range, config, poses_of, run_seed, [column])
     values = np.concatenate([getattr(t, column) for t in _run_ranges(worker, trials, threads)])
     # values > t just where -values < -t: the sorted negated values left of -t.
     exceedance = np.sort(-values).searchsorted(-thresholds) / trials
@@ -268,11 +268,14 @@ def _axis(start: float, stop: float, step: float) -> np.ndarray:
 def _assemble_grid(config, axis_names, first, second, poses_of, threads) -> FieldGrid:
     # Each cell gets its own beamformer draw, like one Monte-Carlo trial;
     # cells that see fewer than two BSs are reported as NaN, so draw none.
-    worker = functools.partial(_evaluate_range, config, poses_of, config.seed, localizable_only=True)
-    tables = _run_ranges(worker, len(first) * len(second), threads)
+    columns = ("peb_m", "oeb_deg", "classification", "num_paths")
+    worker = functools.partial(
+        _evaluate_range, config, poses_of, config.seed, columns, localizable_only=True
+    )
+    parts = _run_ranges(worker, len(first) * len(second), threads)
     peb, oeb, classification, num_paths = (
-        np.concatenate([getattr(t, column) for t in tables]).reshape(len(first), len(second))
-        for column in ("peb_m", "oeb_deg", "classification", "num_paths")
+        np.concatenate([getattr(p, column) for p in parts]).reshape(len(first), len(second))
+        for column in columns
     )
     outside = classification != LOCALIZABLE
     peb[outside] = oeb[outside] = np.nan

@@ -151,8 +151,10 @@ class ScenarioConfig:
         # string, so the value is the same in every process.
         return hash(tuple(getattr(self, f.name) for f in dataclasses.fields(self)))
 
+    @functools.lru_cache(maxsize=8)
     def realize(self) -> "Scenario":
-        """Build the runtime geometry (element grids need the wavelength)."""
+        """The runtime geometry (element grids need the wavelength), built
+        once per config value: equal configs share one Scenario."""
         lam = self.signal.wavelength_m
         bs_poses = [b.pose() for b in self.bs]
         bs_elements = [
@@ -185,10 +187,11 @@ class ScenarioConfig:
 class Scenario:
     """Realized scenario ready for bound evaluation.
 
-    The stacks below are built on first use and kept, so the evaluation
-    kernel pays for them once per scenario.  The BS poses, BS panels and
-    subarrays are stored as tuples, so a different scenario comes only
-    from dataclasses.replace, which starts without stacks.
+    Construction builds the stacks the kernel reads, once per scenario:
+    bs_stack and mount_stack (stack_poses of the BS poses, stack_mounts of
+    the subarrays), bs_panels and ue_panels (panels_by_size).  The poses,
+    panels and subarrays are tuples and dataclasses.replace constructs
+    anew, so the stacks always match them.
     """
 
     bs_poses: tuple[Pose, ...]
@@ -201,26 +204,10 @@ class Scenario:
     def __post_init__(self):
         for name in ("bs_poses", "bs_elements", "subarrays"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-
-    @functools.cached_property
-    def bs_stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """stack_poses of the BS poses."""
-        return _read_only(stack_poses(self.bs_poses))
-
-    @functools.cached_property
-    def mount_stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """stack_mounts of the subarrays."""
-        return _read_only(stack_mounts(self.subarrays))
-
-    @functools.cached_property
-    def bs_panels(self):
-        """panels_by_size of the BS panels."""
-        return panels_by_size(self.bs_elements)
-
-    @functools.cached_property
-    def ue_panels(self):
-        """panels_by_size of the subarray panels."""
-        return panels_by_size([s.elements for s in self.subarrays])
+        object.__setattr__(self, "bs_stack", _read_only(stack_poses(self.bs_poses)))
+        object.__setattr__(self, "mount_stack", _read_only(stack_mounts(self.subarrays)))
+        object.__setattr__(self, "bs_panels", panels_by_size(self.bs_elements))
+        object.__setattr__(self, "ue_panels", panels_by_size([s.elements for s in self.subarrays]))
 
 
 def _read_only(arrays):

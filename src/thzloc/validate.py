@@ -27,6 +27,9 @@ from .oracles import (
 )
 from .scenario import ScenarioConfig, parse_config, serialize_config
 
+# Most cases per numeric check: 17 min on the presets, 10 ms per case.
+MAX_TRIALS = 10**5
+
 
 def _random_rotation(rng) -> np.ndarray:
     return euler_to_rotation(EulerAngles(*rng.uniform(0.0, 360.0, size=3)))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import thzloc
-from thzloc import cli, crb, preset
+from thzloc import cli, coverage, crb, preset, validate
 from thzloc.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_NOT_LOCALIZABLE,
@@ -295,6 +295,15 @@ def test_config_and_preset_are_mutually_exclusive(capsys):
         (["map", "--preset", "cuboidal-2bs", "--grid=0,1e300,1e299"], "float range"),
         # A cell count past the float range.
         (["orient-sweep", "--preset", "planar-2bs", "--step", "1e-300"], "inf cells"),
+        # Trial counts just over their bounds, refused before any trial runs.
+        (
+            ["coverage", "--preset", "planar-2bs", "--trials", str(coverage.MAX_TRIALS + 1)],
+            f"at most {coverage.MAX_TRIALS}",
+        ),
+        (
+            ["validate", "--preset", "planar-2bs", "--trials", str(validate.MAX_TRIALS + 1)],
+            f"at most {validate.MAX_TRIALS}",
+        ),
     ],
 )
 def test_bad_counts_and_steps_are_config_errors(capsys, argv, flag):

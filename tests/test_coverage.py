@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import signal
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -149,6 +150,35 @@ def test_exceedance_counts_match_the_threshold_loop(monkeypatch, metric, column,
     loop = [np.count_nonzero(values > t) for t in grid]
     assert curve.exceedance.tolist() == [count / values.size for count in loop]
     assert curve.outage == 2 / values.size
+
+
+@pytest.mark.parametrize("run, count, budget", [
+    # The metric's 8 B per trial.
+    (lambda cfg: coverage_ccdf(cfg, trials=320), 320, 24),
+    # PEB, OEB, label and path count: 32 B per cell.
+    (lambda cfg: position_field(cfg, EulerAngles(0, -90, 45), grid=(-10.0, 10.0, 1.0)), 21**2, 64),
+], ids=["coverage", "field"])
+def test_runs_hold_only_the_columns_they_report(monkeypatch, run, count, budget):
+    # Until the curve or grid is built, the chunks' results are all that
+    # a run holds per trial, and no per-path rows: they take 450-850 B.
+    cfg = preset("planar-2bs")
+    held = []
+
+    def measured(worker, count, threads):
+        chunks = _run_ranges(worker, count, threads)
+        held.append(tracemalloc.get_traced_memory()[0])
+        return chunks
+
+    run(cfg)  # builds what every run shares: the beam buffers and caches
+    monkeypatch.setattr(coverage, "_run_ranges", measured)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run(cfg)
+    finally:
+        tracemalloc.stop()
+    # 8 KiB for what a run holds whatever its size.
+    assert held[0] - before <= budget * count + 8192
 
 
 def test_coverage_is_reproducible():
@@ -378,7 +408,7 @@ def test_orientation_field_draws_beams_only_for_cells_it_reports(monkeypatch):
     angles = _axis(0.0, 360.0, 30.0)
     poses_of = functools.partial(coverage._orientation_poses, angles, angles, position, 0.0)
     cells = range(angles.size**2)
-    full = crb.evaluate_batch(coverage._realized(cfg), poses_of(cells), cells, cfg.seed)
+    full = crb.evaluate_batch(cfg.realize(), poses_of(cells), cells, cfg.seed)
     drawn = []
 
     def counting(keys, buffers):

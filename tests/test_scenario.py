@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import os
 import pickle
 import re
@@ -22,10 +23,16 @@ from thzloc import (
     scenario_hash,
     serialize_config,
 )
-from thzloc.coverage import _realized
 from thzloc.geometry import Pose, stack_poses
 from thzloc.channel import SignalConfig
-from thzloc.scenario import MAX_PATH_PHASES, MAX_SUBCARRIERS, config_to_mapping, load_config
+from thzloc.scenario import (
+    MAX_PATH_PHASES,
+    MAX_SUBCARRIERS,
+    Scenario,
+    ScenarioConfig,
+    config_to_mapping,
+    load_config,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -102,11 +109,18 @@ def test_realized_scenario_cannot_change_in_place():
         scn.subarrays[0].elements[0, 0] = 1.0
 
 
+STACKS = ("bs_stack", "mount_stack", "bs_panels", "ue_panels")
+
+
 def test_replaced_scenario_gets_fresh_stacks():
+    # The stacks are built with the scenario, none on first use, so a
+    # replaced scenario holds its own from the start.
+    assert not any(isinstance(v, functools.cached_property) for v in vars(Scenario).values())
     scn = preset("cuboidal-3bs").realize()
     positions, _ = scn.bs_stack
     moved_poses = [Pose(p.position + 1.0, p.rotation) for p in scn.bs_poses]
     moved = dataclasses.replace(scn, bs_poses=moved_poses)
+    assert all(name in vars(moved) for name in STACKS)
     assert isinstance(moved.bs_poses, tuple)
     assert np.array_equal(moved.bs_stack[0], stack_poses(moved_poses)[0])
     assert np.array_equal(moved.bs_stack[0], positions + 1.0)
@@ -139,13 +153,14 @@ def test_config_hash_is_kept_and_follows_equality():
 def test_equal_configs_share_one_realized_scenario():
     config = dataclasses.replace(preset("cuboidal-3bs"), clock_bias_s=1e-9)
     pose = sample_pose(PoseDistribution(), 5, 0)
-    before = _realized.cache_info()
+    before = ScenarioConfig.realize.cache_info()
     first = evaluate_pose(config, pose)
     second = evaluate_pose(dataclasses.replace(preset("cuboidal-3bs"), clock_bias_s=1e-9), pose)
-    after = _realized.cache_info()
+    after = ScenarioConfig.realize.cache_info()
     assert first == second
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
-    assert _realized(config) is _realized(pickle.loads(pickle.dumps(config)))
+    assert config.realize() is config.realize()
+    assert config.realize() is pickle.loads(pickle.dumps(config)).realize()
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
