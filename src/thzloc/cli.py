@@ -101,8 +101,8 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=1,
-        help="processes, this one included: it computes one share of the index "
-        f"ranges and child processes the rest (1 to {MAX_WORKERS})",
+        help="processes, this one included: process k of N evaluates indices k, "
+        f"k+N, k+2N, ... (1 to {MAX_WORKERS})",
     )
 
 

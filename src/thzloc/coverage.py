@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,9 +34,6 @@ _METRICS = {"peb": ("peb_m", PEB_THRESHOLDS_M), "oeb": ("oeb_deg", OEB_THRESHOLD
 
 # Poses per evaluate_batch call; bounds the kernel's per-path arrays.
 _POSE_CHUNK = 64
-# Contiguous index ranges per process, for load balance; the calling
-# process takes one share of them and each child process another.
-_RANGES_PER_WORKER = 4
 # Most cells a position or orientation field may hold; the default 5 deg
 # orientation sweep has 5,329.
 MAX_FIELD_CELLS = 10**6
@@ -118,67 +114,65 @@ class CcdfCurve:
             raise AssertionError("curve floor cannot undercut the outage fraction")
 
 
-def _evaluate_range(config, poses_of, seed, columns, start, stop, localizable_only=False):
-    """The given BoundTable columns of the poses of [start, stop), trial i
-    for index i, in a list of one namespace; poses_of(indices) builds each
-    _POSE_CHUNK's poses, and only these columns outlive the chunk's table."""
+def _evaluate_share(config, poses_of, seed, columns, share, localizable_only=False):
+    """The given BoundTable columns of the poses of the indices in share, a
+    range, trial i for index i, by column name; poses_of(indices) builds
+    each _POSE_CHUNK's poses, and only these columns outlive its table."""
     scn = config.realize()
     out = {}
-    for first in range(start, stop, _POSE_CHUNK):
-        trials = range(first, min(first + _POSE_CHUNK, stop))
+    for first in range(0, len(share), _POSE_CHUNK):
+        trials = share[first : first + _POSE_CHUNK]
         table = evaluate_batch(scn, poses_of(trials), trials, seed, localizable_only=localizable_only)
         for name in columns:
             if name not in out:
-                out[name] = np.empty(stop - start, dtype=getattr(table, name).dtype)
-            out[name][first - start : first - start + len(trials)] = getattr(table, name)
-    return [SimpleNamespace(**out)]
+                out[name] = np.empty(len(share), dtype=getattr(table, name).dtype)
+            out[name][first : first + len(trials)] = getattr(table, name)
+    return out
 
 
-def _send_share(worker, ranges, connection) -> None:
-    # A child process's whole run: its tables, or the exception it raised.
+def _send_share(worker, share, connection) -> None:
+    # A child process's whole run: its columns, or the exception it raised.
     try:
-        result = (True, [worker(start, stop) for start, stop in ranges])
+        result = (True, worker(share))
     except Exception as exc:
         result = (False, exc)
     connection.send(result)
     connection.close()
 
 
-def _run_ranges(worker, count: int, threads: int) -> list:
-    """worker(start, stop) over contiguous ranges covering [0, count),
-    concatenated in index order.  With threads > 1, range k runs in
-    process k mod threads: this process computes its share, from range 0,
-    and threads - 1 child processes send theirs back over pipes."""
+def _run_shares(worker, count: int, threads: int) -> dict:
+    """worker(share) over the indices [0, count), its columns in index
+    order.  With N = min(threads, count) > 1, share k is range(k, count, N)
+    and its values go to column[k::N]: this process computes share 0, and
+    N - 1 child processes send theirs back over pipes."""
     if not 1 <= threads <= MAX_WORKERS:
         raise ValueError(f"threads must be from 1 to {MAX_WORKERS}, got {threads}")
-    size = max(1, -(-count // (threads * _RANGES_PER_WORKER)))
-    ranges = [(start, min(start + size, count)) for start in range(0, count, size)]
-    processes = min(threads, len(ranges))
+    processes = min(threads, count)
     if processes <= 1:
-        return worker(0, count)
+        return worker(range(count))
     # Imported here: a serial run does not need it.
     import multiprocessing
 
     context = multiprocessing.get_context()
-    shares = [ranges[k::processes] for k in range(processes)]
     children = []
     try:
-        for share in shares[1:]:
+        for k in range(1, processes):
             receive, send = context.Pipe(duplex=False)
+            share = range(k, count, processes)
             child = context.Process(target=_send_share, args=(worker, share, send), daemon=True)
             child.start()
             # Only the child holds the send end, so recv sees EOF if it dies.
             send.close()
             children.append((child, receive))
-        parts = [[worker(start, stop) for start, stop in shares[0]]]
+        parts = [worker(range(0, count, processes))]
         for child, receive in children:
-            # Read before join: a child blocks in send until its tables are read.
+            # Read before join: a child blocks in send until its columns are read.
             try:
                 ok, result = receive.recv()
             except EOFError:
                 child.join()
                 raise RuntimeError(
-                    f"child process exited with code {child.exitcode} before sending its tables"
+                    f"child process exited with code {child.exitcode} before sending its columns"
                 ) from None
             if not ok:
                 raise result
@@ -190,7 +184,11 @@ def _run_ranges(worker, count: int, threads: int) -> list:
             if child.is_alive():
                 child.terminate()
             child.join()
-    return [item for k in range(len(ranges)) for item in parts[k % processes][k // processes]]
+    out = {name: np.empty(count, dtype=values.dtype) for name, values in parts[0].items()}
+    for k, part in enumerate(parts):
+        for name, values in part.items():
+            out[name][k::processes] = values
+    return out
 
 
 def coverage_ccdf(
@@ -218,8 +216,8 @@ def coverage_ccdf(
     column, thresholds = _METRICS[metric]
     run_seed = config.seed if seed is None else seed
     poses_of = functools.partial(sample_poses, _POSES, run_seed)
-    worker = functools.partial(_evaluate_range, config, poses_of, run_seed, [column])
-    values = np.concatenate([getattr(t, column) for t in _run_ranges(worker, trials, threads)])
+    worker = functools.partial(_evaluate_share, config, poses_of, run_seed, [column])
+    values = _run_shares(worker, trials, threads)[column]
     # values > t just where -values < -t: the sorted negated values left of -t.
     exceedance = np.sort(-values).searchsorted(-thresholds) / trials
     outage = float(np.count_nonzero(np.isinf(values))) / trials
@@ -270,12 +268,11 @@ def _assemble_grid(config, axis_names, first, second, poses_of, threads) -> Fiel
     # cells that see fewer than two BSs are reported as NaN, so draw none.
     columns = ("peb_m", "oeb_deg", "classification", "num_paths")
     worker = functools.partial(
-        _evaluate_range, config, poses_of, config.seed, columns, localizable_only=True
+        _evaluate_share, config, poses_of, config.seed, columns, localizable_only=True
     )
-    parts = _run_ranges(worker, len(first) * len(second), threads)
+    values = _run_shares(worker, len(first) * len(second), threads)
     peb, oeb, classification, num_paths = (
-        np.concatenate([getattr(p, column) for p in parts]).reshape(len(first), len(second))
-        for column in columns
+        values[column].reshape(len(first), len(second)) for column in columns
     )
     outside = classification != LOCALIZABLE
     peb[outside] = oeb[outside] = np.nan
@@ -318,6 +315,4 @@ def orientation_field(
     betas = _axis(0.0, 360.0, step_deg)
     gammas = betas.copy()
     poses_of = functools.partial(_orientation_poses, betas, gammas, position, alpha_deg)
-    return _assemble_grid(
-        config, ("beta_deg", "gamma_deg"), betas, gammas, poses_of, threads
-    )
+    return _assemble_grid(config, ("beta_deg", "gamma_deg"), betas, gammas, poses_of, threads)

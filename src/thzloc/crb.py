@@ -507,14 +507,18 @@ def evaluate_batch(
 
     Raises:
         TypeError: for a trial that is not an integer.
-        ValueError: if trials and ue_poses differ in length.
+        ValueError: if trials and ue_poses differ in length, or for a pose
+            with a position or rotation entry that is not finite.
     """
     trials = [operator.index(t) for t in trials]
     if len(trials) != len(ue_poses):
         raise ValueError(f"{len(ue_poses)} UE poses but {len(trials)} trials")
+    ue = stack_poses(ue_poses)
+    bad = np.flatnonzero(~np.isfinite(np.hstack([ue[0], ue[1].reshape(-1, 9)])).all(axis=1))
+    if bad.size:
+        raise ValueError(f"UE pose {bad[0]} (trial {trials[bad[0]]}) is not finite")
     seed = scenario.seed if seed is None else seed
     bs, mounts = scenario.bs_stack, scenario.mount_stack
-    ue = stack_poses(ue_poses)
     count = len(trials)
     frames = subarray_frames(ue, mounts)
     mask = visibility(bs, frames)

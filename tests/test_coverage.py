@@ -27,12 +27,13 @@ from thzloc.coverage import (
     OEB_THRESHOLDS_DEG,
     PEB_THRESHOLDS_M,
     _axis,
-    _run_ranges,
+    _run_shares,
     sample_poses,
 )
 from thzloc import coverage, crb
 from thzloc.channel import keyed_beam_rows
 from thzloc.crb import COMM_ONLY, LOCALIZABLE, NO_LOS
+from thzloc.geometry import Pose
 
 from oracles import sample_pose_oracle
 
@@ -144,8 +145,7 @@ def test_exceedance_counts_match_the_threshold_loop(monkeypatch, metric, column,
         grid[[0, 7, 7, 31, 59]], np.nextafter(grid[[3, 20]], np.inf),
         np.nextafter(grid[[3, 20]], 0.0), [1e-9, 5e3, 0.5, np.inf, np.inf, np.nan],
     ])
-    tables = [SimpleNamespace(**{column: values[:6]}), SimpleNamespace(**{column: values[6:]})]
-    monkeypatch.setattr(coverage, "_run_ranges", lambda worker, count, threads: tables)
+    monkeypatch.setattr(coverage, "_run_shares", lambda worker, count, threads: {column: values})
     curve = coverage_ccdf(preset("planar-2bs"), values.size, metric=metric)
     loop = [np.count_nonzero(values > t) for t in grid]
     assert curve.exceedance.tolist() == [count / values.size for count in loop]
@@ -165,12 +165,12 @@ def test_runs_hold_only_the_columns_they_report(monkeypatch, run, count, budget)
     held = []
 
     def measured(worker, count, threads):
-        chunks = _run_ranges(worker, count, threads)
+        columns = _run_shares(worker, count, threads)
         held.append(tracemalloc.get_traced_memory()[0])
-        return chunks
+        return columns
 
     run(cfg)  # builds what every run shares: the beam buffers and caches
-    monkeypatch.setattr(coverage, "_run_ranges", measured)
+    monkeypatch.setattr(coverage, "_run_shares", measured)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -227,10 +227,12 @@ def test_worker_count_must_be_positive(threads):
 class _InProcessContext:
     """Stands in for the multiprocessing context: a Process runs its target
     in this process when started, and a Pipe hands objects over in memory,
-    so a test counts the children a run starts without starting any."""
+    so a test counts the children a run starts without starting any.
+    process is the number of the child whose target runs, else 0."""
 
     def __init__(self):
         self.started = 0
+        self.process = 0
 
     def Pipe(self, duplex=True):
         items = []
@@ -240,7 +242,9 @@ class _InProcessContext:
     def Process(self, target, args, daemon):
         def start():
             self.started += 1
+            self.process = self.started
             target(*args)
+            self.process = 0
 
         return SimpleNamespace(
             start=start, is_alive=lambda: False, join=lambda: None, exitcode=0
@@ -260,41 +264,59 @@ def test_pool_starts_at_most_one_worker_per_range(monkeypatch):
         with pytest.raises(ValueError, match="threads"):
             call(MAX_WORKERS + 1)
     assert context.started == 0
-    # 10 trials make 10 one-trial ranges: this process takes the first and
+    # 10 trials make 10 one-trial shares: this process takes the first and
     # 9 children the others.
     curve = coverage_ccdf(cfg, trials=10, threads=MAX_WORKERS)
     assert context.started == 9
     np.testing.assert_array_equal(curve.exceedance, coverage_ccdf(cfg, trials=10).exceedance)
-    # Eight ranges over two processes, as the CLI runs a field with --threads 2.
-    assert _run_ranges(_indices, 80, 2) == list(range(80))
+    # Two shares of 80 indices, as the CLI runs a field with --threads 2.
+    assert _run_shares(_indices, 80, 2)["index"].tolist() == list(range(80))
     assert context.started == 10
 
 
-def _indices(start, stop):
-    return list(range(start, stop))
+@pytest.mark.parametrize("threads", [2, 4])
+def test_shares_hold_even_parts_of_the_beam_work(monkeypatch, threads):
+    # The planar array's localizable orientations lie in bands of the
+    # sweep, so no process may get most of the paths that draw beams.
+    cfg = preset("planar-2bs")
+    serial = orientation_field(cfg, (0.0, 0.0, 0.0), step_deg=30.0)
+    weight = np.where(serial.classification == LOCALIZABLE, serial.num_paths, 0).ravel()
+    context = _InProcessContext()
+    evaluated = [[] for _ in range(threads)]
+
+    def recording(scenario, poses, trials, *args, **kwargs):
+        evaluated[context.process].extend(trials)
+        return crb.evaluate_batch(scenario, poses, trials, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: context)
+    monkeypatch.setattr(coverage, "evaluate_batch", recording)
+    orientation_field(cfg, (0.0, 0.0, 0.0), step_deg=30.0, threads=threads)
+    assert sorted(sum(evaluated, [])) == list(range(weight.size))
+    shares = [weight[indices].sum() / weight.sum() for indices in evaluated]
+    assert max(shares) <= 1 / threads + 0.05, shares
 
 
-def _large_tables(start, stop):
-    return [np.full(2**17, index) for index in range(start, stop)]
+def _indices(share):
+    return {"index": np.asarray(share)}
 
 
-def _raise_in_range_6(_parent, start, stop):
-    if start == 6:
-        raise LookupError(f"no tables for range {start}")
-    return _indices(start, stop)
+def _raise_in_child(parent, share):
+    if os.getpid() != parent:
+        raise LookupError(f"no columns for share {share.start}")
+    return _indices(share)
 
 
-def _exit_in_child(parent, start, stop):
+def _exit_in_child(parent, share):
     if os.getpid() != parent:
         os._exit(3)
-    return _indices(start, stop)
+    return _indices(share)
 
 
-def _raise_in_caller(parent, start, stop):
+def _raise_in_caller(parent, share):
     if os.getpid() == parent:
         raise ArithmeticError("the caller's share failed")
     time.sleep(60.0)
-    return _indices(start, stop)
+    return _indices(share)
 
 
 @contextlib.contextmanager
@@ -316,8 +338,8 @@ def _within(seconds):
 @pytest.mark.parametrize(
     "worker, error, match",
     [
-        # 16 indices over 2 processes: ranges of 2, the child's from 2, 6, 10, 14.
-        (_raise_in_range_6, LookupError, "no tables for range 6"),
+        # 16 indices over 2 processes: the child's share is 1, 3, ..., 15.
+        (_raise_in_child, LookupError, "no columns for share 1"),
         (_exit_in_child, RuntimeError, "exited with code 3"),
         (_raise_in_caller, ArithmeticError, "caller's share"),
     ],
@@ -326,7 +348,7 @@ def _within(seconds):
 def test_a_failed_range_reaches_the_caller_and_leaves_no_child(worker, error, match):
     began = time.monotonic()
     with _within(30), pytest.raises(error, match=match):
-        _run_ranges(functools.partial(worker, os.getpid()), 16, 2)
+        _run_shares(functools.partial(worker, os.getpid()), 16, 2)
     assert multiprocessing.active_children() == []
     # The sleeping child was ended, not waited for.
     assert time.monotonic() - began < 30.0
@@ -336,11 +358,13 @@ def test_child_processes_return_ranges_in_index_order():
     with _within(60):
         for threads in (2, 3, 4):
             for count in range(1, 21):
-                assert _run_ranges(_indices, count, threads) == list(range(count)), (count, threads)
-        # Tables larger than a pipe's buffer: each child blocks in send
-        # until the caller reads it.
-        tables = _run_ranges(_large_tables, 8, 4)
-    assert [table[0] for table in tables] == list(range(8))
+                got = _run_shares(_indices, count, threads)["index"]
+                assert got.tolist() == list(range(count)), (count, threads)
+        # 2 MiB of columns: each child's 512 KiB outgrows a pipe's buffer,
+        # so it blocks in send until the caller reads it.
+        count = 2**18
+        got = _run_shares(_indices, count, 4)["index"]
+    assert np.array_equal(got, np.arange(count))
     assert multiprocessing.active_children() == []
 
 
@@ -426,6 +450,27 @@ def test_orientation_field_draws_beams_only_for_cells_it_reports(monkeypatch):
         assert np.array_equal(getattr(grid, name), expected, equal_nan=True), name
     assert grid.classification.ravel().tolist() == full.classification.tolist()
     assert grid.num_paths.ravel().tolist() == full.num_paths.tolist()
+
+
+_NAN_POSE = Pose(np.array([np.nan, 0.0, 0.0]), np.eye(3))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda cfg: evaluate_pose(cfg, _NAN_POSE), "UE pose 0 .trial 0. is not finite"),
+    # The first pose that is not finite is named, not the first pose.
+    (lambda cfg: crb.evaluate_batch(cfg.realize(), [sample_pose(PoseDistribution(), 1, 5)] * 2
+                                    + [_NAN_POSE], [5, 6, 7]), "UE pose 2 .trial 7. is not finite"),
+    (lambda cfg: orientation_field(cfg, (0.0, 0.0, 0.0), step_deg=90.0, alpha_deg=np.nan),
+     "UE pose 0 .trial 0. is not finite"),
+    (lambda cfg: orientation_field(cfg, (np.inf, 0.0, 0.0), step_deg=90.0),
+     "UE pose 0 .trial 0. is not finite"),
+    (lambda cfg: position_field(cfg, EulerAngles(0, 0, 0), z_m=np.nan, grid=(0.0, 1.0, 1.0)),
+     "UE pose 0 .trial 0. is not finite"),
+], ids=["evaluate_pose", "evaluate_batch", "sweep-alpha", "sweep-position", "map-height"])
+def test_a_pose_that_is_not_finite_is_an_input_error(call, match):
+    # Not a pose that sees no BS: the kernel refuses it before visibility.
+    with pytest.raises(ValueError, match=match):
+        call(preset("planar-2bs"))
 
 
 def test_grid_axis_stops_at_its_end():

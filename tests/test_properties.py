@@ -128,7 +128,7 @@ def test_cli_values_end_in_a_result_or_one_line_exit_2(tmp_path, data):
     argv = data.draw(command_lines(outs))
     stdout, stderr = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("thzloc.coverage._run_ranges", _stop)
+        patch.setattr("thzloc.coverage._run_shares", _stop)
         patch.setattr("thzloc.validate.run_validation", _stop)
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
