@@ -8,9 +8,11 @@ poses of one evaluate_batch pass, poses from seed 7 and beams from seed 11
 and condition number as exact hex floats, then PEB and OEB rebuilt in long
 double by tests/oracles.py ("inf" where the kernel has no bound).  The
 file also stores the SHA-256 of a small `map`, `orient-sweep` and
-`coverage` CSV of cuboidal-4bs and planar-2bs run with --threads 1, and
-the NumPy version, machine and NumPy SIMD extensions that produced it all.
-tests/test_reference_numbers.py requires every bit and byte.
+`coverage` CSV of cuboidal-4bs and planar-2bs run with --threads 1, the
+exit code and SHA-256 of the `bounds` JSON of a few poses of the same two
+presets, and the NumPy version, machine and NumPy SIMD extensions that
+produced it all.  tests/test_reference_numbers.py requires every bit and
+byte.
 
 Before it writes, the tool prints per scenario how many poses moved in
 any bit against the stored file, how many PEB and OEB values moved in the
@@ -51,6 +53,15 @@ COMMANDS = (
     ("map", "--grid=-10,10,5"),
     ("orient-sweep", "--step", "45"),
     ("coverage", "--trials", "150"),
+)
+# One localizable pose per preset (exit 0), then on planar-2bs a comm_only
+# pose with six paths and a no_los pose (exit 3, no paths).
+BOUNDS_COMMANDS = (
+    ("cuboidal-4bs", "2,-1,1", "10,40,-30"),
+    ("cuboidal-4bs", "0,0,0", "0,-90,45"),
+    ("planar-2bs", "2,-1,1", "0,-90,45"),
+    ("planar-2bs", "2,-1,1", "0,0,0"),
+    ("planar-2bs", "2,-1,1", "10,40,-30"),
 )
 
 
@@ -104,23 +115,31 @@ def worst_error(rows) -> float:
     return worst
 
 
-def digest(argv, out_path) -> str:
-    """SHA-256 of the CSV that `thzloc ARGV --out OUT_PATH` writes in this process."""
+def run(argv, out_path) -> tuple[int, str]:
+    """Exit code of `thzloc ARGV --out OUT_PATH` in this process and the
+    SHA-256 of the file it wrote."""
     code = thzloc_main([*argv, "--out", str(out_path)])
-    if code != EXIT_OK:
-        raise RuntimeError(f"thzloc {' '.join(argv)} exited {code}")
-    return hashlib.sha256(Path(out_path).read_bytes()).hexdigest()
+    return code, hashlib.sha256(Path(out_path).read_bytes()).hexdigest()
 
 
-def _digests() -> list[dict]:
-    entries = []
+def _digests() -> tuple[list[dict], list[dict]]:
+    """The CSV entries, each run with --threads 1, and the bounds entries."""
+    csvs, jsons = [], []
     with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
         for name in DIGEST_PRESETS:
             for command in COMMANDS:
                 argv = [command[0], "--preset", name, *command[1:]]
-                sha = digest([*argv, "--threads", "1"], os.path.join(tmp, "out.csv"))
-                entries.append({"argv": argv, "sha256": sha})
-    return entries
+                code, sha = run([*argv, "--threads", "1"], out)
+                if code != EXIT_OK:
+                    raise RuntimeError(f"thzloc {' '.join(argv)} exited {code}")
+                csvs.append({"argv": argv, "sha256": sha})
+        for name, position, orientation in BOUNDS_COMMANDS:
+            argv = ["bounds", "--preset", name, f"--position={position}",
+                    f"--orientation={orientation}"]
+            code, sha = run(argv, out)
+            jsons.append({"argv": argv, "exit": code, "sha256": sha})
+    return csvs, jsons
 
 
 def report(name: str, old: list[list[str]], new: list[list[str]]) -> None:
@@ -151,10 +170,11 @@ def main() -> int:
         old = [row.split() for row in stored.get("bounds", {}).get(name, [])]
         report(name, old, rows)
         bounds[name] = [" ".join(row) for row in rows]
-    commands = _digests()
-    moved = [c["argv"] for c in commands if c not in stored.get("commands", [])]
-    print(f"CSV digests moved: {len(moved)} of {len(commands)}", *moved, sep="\n  ")
-    document = {**build(), "commands": commands, "bounds": bounds}
+    commands, jsons = _digests()
+    for kind, entries, key in (("CSV", commands, "commands"), ("bounds JSON", jsons, "bounds_json")):
+        moved = [c["argv"] for c in entries if c not in stored.get(key, [])]
+        print(f"{kind} digests moved: {len(moved)} of {len(entries)}", *moved, sep="\n  ")
+    document = {**build(), "commands": commands, "bounds": bounds, "bounds_json": jsons}
     REFERENCE.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {REFERENCE}")
     return 0
