@@ -22,7 +22,6 @@ from .crb import (
     LOCALIZABLE,
     NO_LOS,
     BoundResult,
-    PathObservation,
     constrained_crb,
     constraint_basis,
     error_bounds,
@@ -64,7 +63,6 @@ __all__ = [
     "LOCALIZABLE",
     "NO_LOS",
     "PanelConfig",
-    "PathObservation",
     "PathParams",
     "Pose",
     "PoseDistribution",

@@ -70,9 +70,9 @@ def _require_trials(trials: int, most: int) -> None:
 
 
 def _load_scenario(args) -> ScenarioConfig:
+    threads = getattr(args, "threads", 1)  # only the commands that start processes have it
     _require(
-        1 <= args.threads <= MAX_WORKERS,
-        f"--threads must be from 1 to {MAX_WORKERS}, got {args.threads}",
+        1 <= threads <= MAX_WORKERS, f"--threads must be from 1 to {MAX_WORKERS}, got {threads}"
     )
     _require(
         args.seed is None or args.seed >= 0,
@@ -90,20 +90,19 @@ def _load_scenario(args) -> ScenarioConfig:
     return config
 
 
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
+def _add_scenario_flags(parser: argparse.ArgumentParser, threads: bool = False) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", metavar="PATH", help="scenario YAML file")
     source.add_argument(
         "--preset", choices=PRESET_NAMES, help="built-in scenario by name"
     )
     parser.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="processes, this one included: process k of N evaluates indices k, "
-        f"k+N, k+2N, ... (1 to {MAX_WORKERS})",
-    )
+    if threads:
+        parser.add_argument(
+            "--threads", type=int, default=1,
+            help="processes for the grid cells or trials, this one included: process k "
+            f"of N evaluates indices k, k+N, k+2N, ... (1 to {MAX_WORKERS})",
+        )
 
 
 def _check_out(path: str) -> None:
@@ -164,16 +163,16 @@ def cmd_bounds(args) -> int:
         "oeb_deg": result.oeb_deg if result.localizable else None,
         "paths": [
             {
-                "bs": obs.bs_index,
-                "subarray": obs.subarray_index,
-                "aod_az_deg": np.rad2deg(obs.params.aod_az),
-                "aod_el_deg": np.rad2deg(obs.params.aod_el),
-                "aoa_az_deg": np.rad2deg(obs.params.aoa_az),
-                "aoa_el_deg": np.rad2deg(obs.params.aoa_el),
-                "delay_ns": obs.params.delay * 1e9,
-                "distance_m": obs.params.distance,
+                "bs": bs,
+                "subarray": subarray,
+                "aod_az_deg": np.rad2deg(params.aod_az),
+                "aod_el_deg": np.rad2deg(params.aod_el),
+                "aoa_az_deg": np.rad2deg(params.aoa_az),
+                "aoa_el_deg": np.rad2deg(params.aoa_el),
+                "delay_ns": params.delay * 1e9,
+                "distance_m": params.distance,
             }
-            for obs in result.paths
+            for (bs, subarray), params in zip(result.paths, result.path_params)
         ],
     }
     with _output(args.out) as handle:
@@ -294,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_map = sub.add_parser("map", help="bounds over an x-y grid (CSV)")
-    _add_scenario_flags(p_map)
+    _add_scenario_flags(p_map, threads=True)
     p_map.add_argument(
         "--orientation", default="0,-90,45", metavar="A,B,G", help="Euler angles, degrees"
     )
@@ -308,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "orient-sweep", help="bounds over a beta-gamma orientation grid (CSV)"
     )
-    _add_scenario_flags(p_sweep)
+    _add_scenario_flags(p_sweep, threads=True)
     p_sweep.add_argument("--position", default="0,0,0", metavar="X,Y,Z", help="meters")
     p_sweep.add_argument("--step", type=float, default=5.0, help="angle step, degrees")
     p_sweep.add_argument("--alpha", type=float, default=0.0, help="fixed alpha, degrees")
@@ -316,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_orient_sweep)
 
     p_cov = sub.add_parser("coverage", help="Monte-Carlo CCDF of a metric (CSV)")
-    _add_scenario_flags(p_cov)
+    _add_scenario_flags(p_cov, threads=True)
     p_cov.add_argument("--trials", type=int, default=10000)
     p_cov.add_argument("--metric", choices=("peb", "oeb"), default="peb")
     p_cov.add_argument("--out", default="-", metavar="PATH")

@@ -345,15 +345,6 @@ def classify_localizability(num_visible_bs: int, invertible: bool) -> str:
 
 
 @dataclass(frozen=True)
-class PathObservation:
-    """One visible path and its channel parameters."""
-
-    bs_index: int
-    subarray_index: int
-    params: PathParams
-
-
-@dataclass(frozen=True)
 class BoundResult:
     """Error bounds and diagnostics for one UE pose.
 
@@ -363,7 +354,9 @@ class BoundResult:
     matrix inverts: such poses are weakly identifiable through subarray
     parallax, and coverage statistics count them at their finite value.
     Field grids report no bound for them and compute none (evaluate_batch's
-    localizable_only).
+    localizable_only).  paths and path_params are the pose's rows of the
+    BoundTable columns of those names, (bs, subarray) pairs and PathParams
+    in visible_paths order, held as tuples so that results compare by value.
     """
 
     classification: str
@@ -373,7 +366,8 @@ class BoundResult:
     num_paths: int
     num_visible_bs: int
     condition_number: float
-    paths: tuple[PathObservation, ...]
+    paths: tuple[tuple[int, int], ...]
+    path_params: tuple[PathParams, ...]
 
     @property
     def localizable(self) -> bool:
@@ -409,10 +403,8 @@ class BoundTable:
             num_paths=int(self.num_paths[i]),
             num_visible_bs=int(self.num_visible_bs[i]),
             condition_number=float(self.condition_number[i]),
-            paths=tuple(
-                PathObservation(m, n, PathParams(*row))
-                for (m, n), row in zip(self.paths[rows].tolist(), self.path_params[rows].tolist())
-            ),
+            paths=tuple(map(tuple, self.paths[rows].tolist())),
+            path_params=tuple(PathParams(*row) for row in self.path_params[rows].tolist()),
         )
 
 
@@ -507,12 +499,16 @@ def evaluate_batch(
 
     Raises:
         TypeError: for a trial that is not an integer.
-        ValueError: if trials and ue_poses differ in length, or for a pose
-            with a position or rotation entry that is not finite.
+        ValueError: if trials and ue_poses differ in length, for a negative
+            trial, whether or not its pose sees a BS, or for a pose with a
+            position or rotation entry that is not finite.
     """
     trials = [operator.index(t) for t in trials]
     if len(trials) != len(ue_poses):
         raise ValueError(f"{len(ue_poses)} UE poses but {len(trials)} trials")
+    negative = [i for i, t in enumerate(trials) if t < 0]
+    if negative:
+        raise ValueError(f"UE pose {negative[0]} has trial {trials[negative[0]]}, below 0")
     ue = stack_poses(ue_poses)
     bad = np.flatnonzero(~np.isfinite(np.hstack([ue[0], ue[1].reshape(-1, 9)])).all(axis=1))
     if bad.size:

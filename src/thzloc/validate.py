@@ -184,15 +184,15 @@ def check_power_scaling(config: ScenarioConfig, poses) -> tuple[bool, float, flo
         if not base.localizable:
             continue
         ratio = evaluate_pose(boosted, pose, trial=trial).peb_m / base.peb_m
-        scn, path = config.realize(), base.paths[0]
-        sub, bs_elements = scn.subarrays[path.subarray_index], scn.bs_elements[path.bs_index]
-        gain = path_gain(path.params.distance, scn.signal.wavelength_m)
+        scn, (m, n), params = config.realize(), base.paths[0], base.path_params[0]
+        sub, bs_elements = scn.subarrays[n], scn.bs_elements[m]
+        gain = path_gain(params.distance, scn.signal.wavelength_m)
         beams = draw_beamformers(
-            scn.seed, path.bs_index, path.subarray_index, scn.signal.num_transmissions,
+            scn.seed, m, n, scn.signal.num_transmissions,
             sub.elements.shape[0], bs_elements.shape[0], trial=trial,
         )
         fim1, fim4 = (
-            path_fim(path.params, gain, beams, bs_elements, sub.elements, signal)
+            path_fim(params, gain, beams, bs_elements, sub.elements, signal)
             for signal in (scn.signal, louder)
         )
         fim_error = float(np.max(np.abs(fim4 - 4.0 * fim1)) / np.max(np.abs(fim1)))
@@ -213,7 +213,11 @@ def check_ccdf(config: ScenarioConfig) -> tuple[bool, str]:
 
 
 def run_validation(config: ScenarioConfig, trials: int = 50, seed: int = 0):
-    """Run all checks; yields (name, passed, detail) triples."""
+    """Run all checks; yields (name, passed, detail) triples.  Raises
+    ValueError at the first step, before any check runs, for trials outside
+    1 to MAX_TRIALS."""
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be from 1 to {MAX_TRIALS}, got {trials}")
     rng = np.random.default_rng(seed)
     ok, row, block = check_state_jacobian(trials, rng)
     yield (

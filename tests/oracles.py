@@ -31,7 +31,6 @@ import numpy as np
 from thzloc.channel import BeamformerSet, SignalConfig, draw_beamformers, path_gain, steering_stack
 from thzloc.crb import (
     BoundResult,
-    PathObservation,
     _beam_fims,
     classify_localizability,
     constrained_crb,
@@ -471,12 +470,12 @@ def compose_paths(scn, pose: Pose, seed, trial: int, fim_of=path_fim) -> Composi
     """
     seed = scn.seed if seed is None else seed
     pairs = visible_paths(scn.bs_poses, pose, scn.subarrays)
-    observations, fims, jacobians = [], [], []
+    all_params, fims, jacobians = [], [], []
     degenerate = False
     for m, n in pairs:
         sub = scn.subarrays[n]
         params = path_params(scn.bs_poses[m], pose, sub, scn.clock_bias_s)
-        observations.append(PathObservation(m, n, params))
+        all_params.append(params)
         if degenerate:
             continue
         try:
@@ -506,6 +505,7 @@ def compose_paths(scn, pose: Pose, seed, trial: int, fim_of=path_fim) -> Composi
         num_paths=len(pairs),
         num_visible_bs=num_visible_bs,
         condition_number=condition,
-        paths=tuple(observations),
+        paths=tuple(pairs),
+        path_params=tuple(all_params),
     )
     return Composition(result, fim, crb)

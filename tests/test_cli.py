@@ -219,6 +219,16 @@ def test_validate_fails_when_the_path_fim_loses_its_delay_scale(capsys, monkeypa
     assert "FAIL path_fim_fd" in out
 
 
+@pytest.mark.parametrize("trials", [0, validate.MAX_TRIALS + 1])
+def test_run_validation_refuses_trials_outside_its_bounds(monkeypatch, trials):
+    def ran(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(validate, "check_state_jacobian", ran)
+    with pytest.raises(ValueError, match=f"trials must be from 1 to {validate.MAX_TRIALS}"):
+        next(run_validation(preset("cuboidal-2bs"), trials=trials))
+
+
 def test_config_and_preset_are_mutually_exclusive(capsys):
     with pytest.raises(SystemExit) as info:
         main([
@@ -226,6 +236,17 @@ def test_config_and_preset_are_mutually_exclusive(capsys):
             "--position", "0,0,0", "--orientation", "0,0,0",
         ])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--preset", "planar-2bs", "--position", "0,0,0", "--orientation", "0,0,0"],
+    ["validate", "--preset", "planar-2bs", "--trials", "1"],
+], ids=["bounds", "validate"])
+def test_threads_is_unknown_to_the_commands_that_start_no_process(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--threads", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -205,7 +205,15 @@ def test_evaluate_batch_end_to_end():
     assert result.num_visible_bs == 2
     assert np.isfinite(result.peb_m) and result.peb_m > 0
     assert np.isfinite(result.oeb_deg) and result.oeb_deg > 0
-    assert result.num_paths == len(result.paths)
+    assert result.num_paths == len(result.paths) == len(result.path_params)
+
+
+def test_results_of_one_pose_compare_and_hash_alike():
+    pose = Pose(np.array([2.0, -1.0, 1.0]), euler_to_rotation(EulerAngles(10, 40, -30)))
+    first, second = (evaluate_pose(preset("cuboidal-4bs"), pose, trial=3) for _ in range(2))
+    assert first.num_paths > 0
+    assert first == second and hash(first) == hash(second)
+    assert first != evaluate_pose(preset("cuboidal-4bs"), pose, trial=4)
 
 
 def test_adding_a_base_station_never_hurts():

@@ -147,6 +147,22 @@ def test_trials_and_poses_must_match_in_length():
         evaluate_batch(scn, [poses[0], above], [0])
 
 
+_ABOVE = Pose(np.array([0.0, 0.0, 100.0]), np.eye(3))  # sees no BS
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda cfg: evaluate_pose(cfg, _ABOVE, trial=-1), "UE pose 0 has trial -1"),
+    # The first negative trial is named, though its pose draws no beams.
+    (lambda cfg: evaluate_batch(
+        cfg.realize(), [sample_pose(PoseDistribution(), 5, t) for t in range(2)] + [_ABOVE],
+        [0, 1, -1], 5,
+    ), "UE pose 2 has trial -1"),
+], ids=["evaluate_pose", "evaluate_batch"])
+def test_a_negative_trial_is_refused_whatever_the_pose_sees(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(preset("cuboidal-2bs"))
+
+
 def test_a_second_call_draws_into_the_same_beam_buffers():
     # One beam buffer set of the wide scenario takes 0.95 MB; a batch of
     # one reuses the set its thread made on the first call.
@@ -396,12 +412,12 @@ def test_table_columns_match_the_results_they_build():
         "condition_number", "num_paths", "num_visible_bs",
     ):
         assert getattr(table, name).tolist() == [getattr(r, name) for r in results], name
-    observations = [obs for result in results for obs in result.paths]
-    assert len(observations) == table.paths.shape[0] > count
-    assert table.paths.tolist() == [[obs.bs_index, obs.subarray_index] for obs in observations]
-    assert table.path_params.tolist() == [
-        list(dataclasses.astuple(obs.params)) for obs in observations
-    ]
+    pairs = [pair for result in results for pair in result.paths]
+    params = [row for result in results for row in result.path_params]
+    assert len(pairs) == len(params) == table.paths.shape[0] > count
+    assert all(type(index) is int for pair in pairs for index in pair)
+    assert table.paths.tolist() == [list(pair) for pair in pairs]
+    assert table.path_params.tolist() == [list(dataclasses.astuple(row)) for row in params]
 
 
 def test_localizable_only_skips_just_the_one_bs_poses():

@@ -94,7 +94,9 @@ FLOATS = st.one_of(st.floats(), st.sampled_from([1e-9, 1e308, 5e-324]))
 def command_lines(draw, out_targets):
     command = draw(st.sampled_from(["bounds", "map", "orient-sweep", "coverage", "validate"]))
     argv = [command, f"--preset={draw(st.sampled_from(PRESET_NAMES))}"]
-    flags = {"--seed": SEEDS, "--threads": THREADS}
+    flags = {"--seed": SEEDS}
+    if command in ("map", "orient-sweep", "coverage"):
+        flags["--threads"] = THREADS
     if command != "validate":
         flags["--out"] = st.sampled_from(out_targets)
     flags.update({

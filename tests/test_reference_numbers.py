@@ -4,9 +4,9 @@ tools/reference_numbers.py writes the file: per scenario (the six presets
 and perfbench/planar-2bs-wide.yaml) 200 poses of label, path count, PEB,
 OEB and condition as hex floats with long-double PEB and OEB beside them,
 the SHA-256 of six small CLI CSVs, and the exit code and SHA-256 of five
-`bounds` JSONs.  The bit and byte checks skip, and
-say why, where NumPy's version, the machine or NumPy's SIMD extensions
-differ from those that wrote the file.
+`bounds` JSONs.  The bit and byte checks skip, and say why, where NumPy's
+version, the machine or NumPy's SIMD extensions differ from those that
+wrote the file.
 """
 
 import importlib.util
@@ -61,7 +61,9 @@ def test_cli_csv_bytes_match_the_stored_digest(tmp_path, entry):
 
 
 @same_build
-@pytest.mark.parametrize("entry", STORED["bounds_json"], ids=lambda entry: " ".join(entry["argv"][2:]))
+@pytest.mark.parametrize(
+    "entry", STORED["bounds_json"], ids=lambda entry: " ".join(entry["argv"][2:])
+)
 def test_bounds_json_bytes_and_exit_code_match_the_stored_digest(tmp_path, entry):
     # bounds starts no process, so one run covers it.
     got = reference_numbers.run(entry["argv"], tmp_path / "out.json")

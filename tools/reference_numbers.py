@@ -171,7 +171,8 @@ def main() -> int:
         report(name, old, rows)
         bounds[name] = [" ".join(row) for row in rows]
     commands, jsons = _digests()
-    for kind, entries, key in (("CSV", commands, "commands"), ("bounds JSON", jsons, "bounds_json")):
+    for kind, entries, key in (("CSV", commands, "commands"),
+                               ("bounds JSON", jsons, "bounds_json")):
         moved = [c["argv"] for c in entries if c not in stored.get(key, [])]
         print(f"{kind} digests moved: {len(moved)} of {len(entries)}", *moved, sep="\n  ")
     document = {**build(), "commands": commands, "bounds": bounds, "bounds_json": jsons}
