@@ -15,15 +15,14 @@ SeedSequence(seed, spawn_key=(trial, bs, subarray)), a trial's pose from
 (trial,).  spawn_keys derives such keys many at once by NumPy's
 SeedSequence mixing in uint32 arithmetic from the pool of SeedSequence(seed),
 cached per seed; an entry of 2^32 or more, which SeedSequence splits into
-several words, goes through SeedSequence itself.  keyed_words reseats one
-shared Philox with a key and reads its raw words, so no generator is built
-per stream; keyed_beam_rows makes them the weights of a group of paths in
-BeamBuffers, one set per shape and thread from thread_buffers.
+several words, goes through SeedSequence itself.  keyed_words reseats the
+calling thread's own Philox with a key and reads its raw words, so no
+generator is built per stream; keyed_beam_rows makes them the weights of
+a group of paths in the thread's one scratch, kept at its largest draw.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import operator
@@ -140,7 +139,7 @@ def draw_beamformers(
     common when comparing nested BS sets.
     """
     key = spawn_keys(seed, [trial], [bs_index], [subarray_index])[0]
-    ue, bs = keyed_beam_rows([key], thread_buffers(num_transmissions, n_ue, n_bs))
+    ue, bs = keyed_beam_rows([key], num_transmissions, n_ue, n_bs)
     return BeamformerSet(ue=ue[0].copy(), bs=bs[0].copy())
 
 
@@ -239,106 +238,63 @@ def spawn_keys(seed: int, *spawn_rows) -> np.ndarray:
     return keys
 
 
-# One Philox reseated for every draw; the lock keeps reseat and fill
-# together when threads share it.
-_PHILOX = np.random.Philox(0)
-_PHILOX_LOCK = threading.Lock()
+class _ThreadState(threading.local):
+    """A thread's own Philox, reseated for every draw, and its beam
+    scratch, 48 B per phase of the largest draw so far, kept for the next."""
+
+    def __init__(self):
+        self.philox = np.random.Philox(0)
+        self.scratch = np.empty(0, dtype=complex)
+
+
+_THREAD = _ThreadState()
 # A fresh stream's counter and buffer; the state setter reads tuples faster.
 _ZEROS = (0, 0, 0, 0)
-
-
-# Phases that a thread's beam buffers of one shape hold, or one path's if
-# more: three preset paths (50 x 80 phases) in 0.55 MiB of buffers, 48 B
-# per phase.  Measured against this value in paired runs, 4,096-phase
-# groups ran fields-cli at 0.916x and 49,152-phase groups ran single-pose
-# at 0.981x.
-_GROUP_ELEMENTS = 12288
-
-
-# Views of a BeamBuffers' first k paths' rows, (k, G, N), and of their beams.
-_Rows = collections.namedtuple("_Rows", "words index theta base phasors combiner ue bs")
-
-
-class BeamBuffers:
-    """The arrays that draws of up to `paths` paths of G transmissions on
-    N_ue + N_bs elements write, so that many draws of one shape reuse
-    them; rows[k] views the first k paths' rows.  index, theta and base
-    are _unit_phasors' scratch and phasors its result, which holds a
-    draw's words until then; ue and bs view its first N_ue and last N_bs
-    columns, the combiners scaled in place through their float view.
-    """
-
-    def __init__(self, num_transmissions: int, n_ue: int, n_bs: int, paths: int = 1):
-        size = paths * num_transmissions * (n_ue + n_bs)
-        phasors = np.empty(size, dtype=complex)
-        arrays = (phasors.view(np.uint64), np.empty(size, dtype=np.intp), np.empty(size),
-                  np.empty(size, dtype=complex), phasors)
-        # NumPy's complex division by sqrt(N_ue) multiplies both parts by this.
-        self.combiner_scale = 1.0 / math.sqrt(n_ue) if n_ue else 0.0
-        self.paths, self.rows = paths, [None]
-        for k in range(1, paths + 1):
-            shape = (k, num_transmissions, n_ue + n_bs)
-            words, index, theta, base, phasors = (a[: math.prod(shape)].reshape(shape) for a in arrays)
-            combiner = phasors.view(np.float64)[..., : 2 * n_ue]
-            rows = (words, index, theta, base, phasors, combiner, phasors[..., :n_ue], phasors[..., n_ue:])
-            self.rows.append(_Rows(*rows))
-
-
-class _ThreadBuffers(threading.local):
-    def __init__(self):
-        self.sets = {}
-
-
-_THREAD_BUFFERS = _ThreadBuffers()
-# Buffer shapes a thread keeps; one more starts the set afresh.
-_KEPT_SHAPES = 8
-
-
-def thread_buffers(num_transmissions: int, n_ue: int, n_bs: int) -> BeamBuffers:
-    """This thread's BeamBuffers of the given shape, for the paths that
-    _GROUP_ELEMENTS phases hold, built on first use and kept."""
-    sets = _THREAD_BUFFERS.sets
-    shape = (num_transmissions, n_ue, n_bs)
-    if shape not in sets:
-        if len(sets) == _KEPT_SHAPES:
-            sets.clear()
-        paths = max(1, _GROUP_ELEMENTS // max(1, num_transmissions * (n_ue + n_bs)))
-        sets[shape] = BeamBuffers(*shape, paths=paths)
-    return sets[shape]
 
 
 def keyed_words(key, shape) -> np.ndarray:
     """The first raw words of the Philox stream with the given two-word key,
     in the given shape: those of np.random.Philox(key=key).random_raw(shape)."""
-    state = {"counter": _ZEROS, "key": key}
-    with _PHILOX_LOCK:
-        _PHILOX.state = {
-            "bit_generator": "Philox", "state": state, "buffer": _ZEROS,
-            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-        return _PHILOX.random_raw(shape)
+    _THREAD.philox.state = {
+        "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return _THREAD.philox.random_raw(shape)
 
 
-def keyed_beam_rows(keys, buffers: BeamBuffers) -> tuple[np.ndarray, np.ndarray]:
+def keyed_beam_rows(keys, num_transmissions: int, n_ue: int, n_bs: int):
     """Beamformers (ue (k, G, N_ue), bs (k, G, N_bs)) of k = len(keys)
-    paths, at most buffers.paths, from the Philox streams with the given
-    keys, views of buffers until the next draw: word w becomes the phasor
+    paths from the Philox streams with the given keys, views of this
+    thread's scratch until its next draw: word w becomes the phasor
     e^{2 pi i u} of Generator.random's u = (w >> 11) * 2^-53, the phase
     that uniform(0, 2 pi) scales from u.  Of a path's N_ue + N_bs columns,
     the first N_ue, scaled to unit norm, are the combiner, the rest the
     precoder.  One path's words are _unit_phasors' scratch as drawn;
-    several paths' are gathered for one pass over them all.
+    several paths' are gathered in the phasors' first half for one pass.
     """
-    rows = buffers.rows[len(keys)]
+    step = num_transmissions * (n_ue + n_bs)
+    size = len(keys) * step
+    # Phasors, table phasors, then indices and thetas, each at a 64 B line
+    # (4 entries): at NumPy's 16 B, a wide-scenario path drew 17% slower.
+    span = -(-size // 4) * 4
+    scratch = _THREAD.scratch
+    if scratch.size < 3 * span:
+        raw = np.empty(3 * span + 3, dtype=complex)
+        scratch = _THREAD.scratch = raw[-raw.ctypes.data % 64 // 16 :][: 3 * span]
+    phasors, base = scratch[:size], scratch[span : span + size]
+    rest = scratch[2 * span :].view(np.float64)
     if len(keys) == 1:
-        words = keyed_words(keys[0], rows.words.shape)
+        words = keyed_words(keys[0], size)
     else:
-        words = rows.words
-        for path, key in zip(words, keys):
-            path[...] = keyed_words(key, path.shape)
-    _unit_phasors(words, rows.index, rows.theta, rows.base, rows.phasors)
-    np.multiply(rows.combiner, buffers.combiner_scale, out=rows.combiner)
-    return rows.ue, rows.bs
+        words = phasors.view(np.uint64)[:size]
+        for start, key in zip(range(0, size, step), keys):
+            words[start : start + step] = keyed_words(key, step)
+    _unit_phasors(words, rest[:size].view(np.intp), rest[span : span + size], base, phasors)
+    phasors = phasors.reshape(len(keys), num_transmissions, n_ue + n_bs)
+    # NumPy's complex division by sqrt(N_ue) multiplies both parts by this.
+    combiner = phasors.view(np.float64)[..., : 2 * n_ue]
+    np.multiply(combiner, 1.0 / math.sqrt(max(n_ue, 1)), out=combiner)
+    return phasors[..., :n_ue], phasors[..., n_ue:]
 
 
 # Entries of the phasor table, a power of two so that a Philox word's top

@@ -22,9 +22,9 @@ the scenario alone (the stacked BS poses and mounts, the element stacks by
 panel size) is built once per Scenario and the tone Gram once per
 SignalConfig.  The beam layer derives the Philox keys of all paths in one
 pass, then takes the paths a block at a time: one steering_stack call per
-side and panel size, one fill of the shared, reseated generator per path,
+side and panel size, one fill of the thread's reseated generator per path,
 then per group of paths of one shape one phasor pass and one product per
-side to the (G, 3) couplings, in the calling thread's buffers.  The
+side to the (G, 3) couplings, in the calling thread's beam scratch.  The
 per-path public functions are batches of one through the same layers, and
 a pose's result does not depend on the batch it is evaluated in.
 """
@@ -45,7 +45,6 @@ from .channel import (
     path_gain,
     spawn_keys,
     steering_stack,
-    thread_buffers,
 )
 from .errors import GeometryError
 from .geometry import (
@@ -415,6 +414,12 @@ class BoundTable:
 # RSS grew 2.3 MiB over a 10-pose coverage loop and 4.2 MiB over
 # fields-cli rounds, and one block per batch ran no faster (0.9998x).
 _PATH_BLOCK = 16
+# Phases that a group of paths of one shape draws at once, or one path's if
+# more: three preset paths (50 x 80 phases) in 0.55 MiB of the thread's
+# beam scratch, 48 B per phase.  Measured against this value in paired
+# runs, 4,096-phase groups ran fields-cli at 0.916x and 49,152-phase
+# groups ran single-pose at 0.981x.
+_GROUP_ELEMENTS = 12288
 
 
 def _size_steering(panels: np.ndarray, grouped, az, el, lam) -> list:
@@ -434,14 +439,14 @@ def _size_steering(panels: np.ndarray, grouped, az, el, lam) -> list:
 
 
 def _path_groups(shapes: list, g: int):
-    """(start, stop, buffers) of runs of paths of one (N_ue, N_bs) shape,
-    each run in the fewest near-equal groups that its thread buffers hold."""
+    """(start, stop, shape) of runs of paths of one (N_ue, N_bs) shape, each
+    run in the fewest near-equal groups of _GROUP_ELEMENTS phases or one path."""
     start = 0
     for shape, run in itertools.groupby(shapes):
-        size, buffers = len(list(run)), thread_buffers(g, *shape)
-        count = -(-size // buffers.paths)
+        size, held = len(list(run)), max(1, _GROUP_ELEMENTS // max(1, g * sum(shape)))
+        count = -(-size // held)
         for i in range(count):
-            yield start + size * i // count, start + size * (i + 1) // count, buffers
+            yield start + size * i // count, start + size * (i + 1) // count, shape
         start += size
 
 
@@ -452,8 +457,8 @@ def _beam_fims(scenario: Scenario, params, paths, trials, seed):
     The Philox keys of all paths are derived in one pass.  Paths then go
     _PATH_BLOCK at a time: steering stacks are built per panel size for
     the block's paths, and draws are reduced group by group to (G, 3)
-    couplings in this thread's buffers, so memory does not grow with the
-    batch and a call allocates no beam buffers once a shape has been seen.
+    couplings in this thread's beam scratch, so memory does not grow with
+    the batch and a call allocates no scratch once its largest group fits.
     """
     signal = scenario.signal
     lam = signal.wavelength_m
@@ -474,8 +479,8 @@ def _beam_fims(scenario: Scenario, params, paths, trials, seed):
         ue_c = np.empty((angles.shape[0], g, 3), dtype=complex)
         bs_c = np.empty((angles.shape[0], g, 3), dtype=complex)
         shapes = [(ue.shape[1], bs.shape[1]) for ue, bs in zip(steer_ue, steer_bs)]
-        for start, stop, buffers in _path_groups(shapes, g):
-            ue, bs = keyed_beam_rows(keys[first + start : first + stop], buffers)
+        for start, stop, shape in _path_groups(shapes, g):
+            ue, bs = keyed_beam_rows(keys[first + start : first + stop], g, *shape)
             np.matmul(ue, steer_ue[start][: stop - start], out=ue_c[start:stop])
             np.matmul(bs, steer_bs[start][: stop - start], out=bs_c[start:stop])
         fims.append(path_fims(ue_c, bs_c, path_gain(angles[:, 5], lam), signal))

@@ -63,7 +63,7 @@ PRESET_NAMES = (
 )
 
 # Most beam phases, G (N_ue + N_bs) over the largest panels, that one path
-# may draw: beam buffers take 48 B per phase, and one cuboidal-4bs pose at
+# may draw: the beam scratch takes 48 B per phase, and one cuboidal-4bs pose at
 # this bound peaks at 94 MiB under tracemalloc.  The presets draw 4,000
 # and the wide benchmark scenario 16,000; panel sizes are bounded with it.
 MAX_PATH_PHASES = 10**6
@@ -371,14 +371,26 @@ def parse_config(text_or_mapping) -> ScenarioConfig:
             for key, default in defaults.items()
         }
     )
-    if signal.carrier_hz <= 0 or signal.bandwidth_hz <= 0:
-        raise ConfigError("carrier_hz and bandwidth_hz must be positive")
     if signal.num_subcarriers < 1 or signal.num_transmissions < 1:
         raise ConfigError("num_subcarriers and num_transmissions must be at least 1")
     if signal.num_subcarriers > MAX_SUBCARRIERS:
         raise ConfigError(
             f"signal.num_subcarriers is {signal.num_subcarriers}, more than {MAX_SUBCARRIERS}"
         )
+    # The bound's scales, divisors first: inf or 0 would fail later.  K = 1 has no spread.
+    k, noise = signal.num_subcarriers, "noise_psd_dbm_hz, noise_figure_db, bandwidth_hz"
+    for keys, scale in (
+        ("power_dbm", lambda: signal.power_w), (noise, lambda: signal.noise_variance_w),
+        (f"power_dbm, {noise}", lambda: 2.0 * signal.power_w / signal.noise_variance_w),
+        ("carrier_hz", lambda: signal.wavelength_m),
+        ("bandwidth_hz", lambda: k == 1 or (math.pi * (k - 1) * signal.bandwidth_hz) ** 2 / k),
+    ):
+        try:
+            value = scale()
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"signal {keys} out of range: a scale of the bound is {value:g}")
     n_ue = max(s.panel.num_elements for s in subs)
     n_bs = max(b.panel.num_elements for b in stations)
     phases = signal.num_transmissions * (n_ue + n_bs)

@@ -213,11 +213,14 @@ def check_ccdf(config: ScenarioConfig) -> tuple[bool, str]:
 
 
 def run_validation(config: ScenarioConfig, trials: int = 50, seed: int = 0):
-    """Run all checks; yields (name, passed, detail) triples.  Raises
-    ValueError at the first step, before any check runs, for trials outside
-    1 to MAX_TRIALS."""
+    """All checks, an iterator of (name, passed, detail) triples; raises
+    ValueError at the call, before any check, for trials outside 1 to MAX_TRIALS."""
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be from 1 to {MAX_TRIALS}, got {trials}")
+    return _checks(config, trials, seed)
+
+
+def _checks(config: ScenarioConfig, trials: int, seed: int):
     rng = np.random.default_rng(seed)
     ok, row, block = check_state_jacobian(trials, rng)
     yield (

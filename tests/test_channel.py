@@ -10,7 +10,6 @@ from thzloc import ETA_NAMES, PRESET_NAMES, SignalConfig, draw_beamformers, load
 from thzloc.channel import (
     _PHASORS,
     _TURN_STEPS,
-    BeamBuffers,
     _unit_phasors,
     keyed_beam_rows,
     keyed_words,
@@ -282,10 +281,9 @@ def test_shared_generator_carries_no_state_between_fills():
     # A draw of several paths gives each path the bits it has alone.
     keys = spawn_keys(4, [0, 1, 2], [0, 0, 1], [0, 0, 0])
     for n_ue in (4, 2, 3, 5, 16, 64):
-        buffers = BeamBuffers(5, n_ue, 8, paths=3)
         for _ in range(3):
             for group in ([0], [1], [2, 0], [0, 1, 2], [1]):
-                ue, bs = keyed_beam_rows(keys[group], buffers)
+                ue, bs = keyed_beam_rows(keys[group], 5, n_ue, 8)
                 assert ue.shape == (len(group), 5, n_ue) and bs.shape == (len(group), 5, 8)
                 for row, key in enumerate(keys[group]):
                     fresh = np.random.Generator(np.random.Philox(key=key)).random(size=(5, n_ue + 8))
@@ -296,8 +294,8 @@ def test_shared_generator_carries_no_state_between_fills():
 
 
 def test_threads_sharing_the_generator_get_their_own_streams():
-    # Reseat and fill happen under one lock, so a thread never fills from
-    # a key another thread just set.
+    # Each thread reseats and fills its own generator, so a thread never
+    # fills from a key another thread just set.
     keys = spawn_keys(6, list(range(8)), [0] * 8, [0] * 8)
     fresh = [
         _phasors(np.random.Generator(np.random.Philox(key=key)).random(size=(4, 10)))
@@ -306,10 +304,9 @@ def test_threads_sharing_the_generator_get_their_own_streams():
     mismatches = []
 
     def work(which):
-        buffers = BeamBuffers(4, 2, 8)
         for _ in range(300):
-            keyed_beam_rows(keys[which : which + 1], buffers)
-            if not np.array_equal(buffers.rows[1].bs[0], fresh[which][:, 2:]):
+            _, bs = keyed_beam_rows(keys[which : which + 1], 4, 2, 8)
+            if not np.array_equal(bs[0], fresh[which][:, 2:]):
                 mismatches.append(which)
 
     interval = sys.getswitchinterval()

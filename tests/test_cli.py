@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import thzloc
-from thzloc import cli, coverage, crb, preset, validate
+from thzloc import cli, coverage, crb, preset, serialize_config, validate
 from thzloc.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_NOT_LOCALIZABLE,
@@ -112,6 +113,27 @@ def test_bad_config_file_exit_code(tmp_path, capsys):
     )
     assert code == EXIT_CONFIG_ERROR
     assert err.count("\n") == 1 and err.startswith("thzloc: error: scenario file is not valid YAML")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("power_dbm", 1e300), ("noise_psd_dbm_hz", 1e300), ("noise_psd_dbm_hz", -1e300),
+    ("noise_figure_db", -1e300), ("carrier_hz", 1e-300), ("bandwidth_hz", 1e300),
+    ("bandwidth_hz", 1e-300), ("power_dbm", -1e300),
+])
+def test_signal_values_out_of_the_float_range_are_config_errors(tmp_path, capsys, key, value):
+    # Each overflows a power, the SNR scale, the wavelength or the tone
+    # factor, or underflows one to 0; -1e300 dBm would read as comm_only.
+    config = preset("cuboidal-2bs")
+    signal = dataclasses.replace(config.signal, **{key: value})
+    path = tmp_path / "scene.yaml"
+    path.write_text(serialize_config(dataclasses.replace(config, signal=signal)))
+    code, out, err = run(
+        capsys, "bounds", "--config", str(path),
+        "--position", "1,1,1", "--orientation", "0,-90,45",
+    )
+    assert (code, out) == (EXIT_CONFIG_ERROR, "")
+    assert err.count("\n") == 1 and err.startswith("thzloc: error: signal ")
+    assert key in err and "Traceback" not in err
 
 
 def test_missing_config_file_exit_code(capsys):
@@ -227,6 +249,13 @@ def test_run_validation_refuses_trials_outside_its_bounds(monkeypatch, trials):
     monkeypatch.setattr(validate, "check_state_jacobian", ran)
     with pytest.raises(ValueError, match=f"trials must be from 1 to {validate.MAX_TRIALS}"):
         next(run_validation(preset("cuboidal-2bs"), trials=trials))
+
+
+@pytest.mark.parametrize("trials", [0, validate.MAX_TRIALS + 1])
+def test_run_validation_refuses_bad_trials_when_called(trials):
+    # The check comes before any iterator is handed back.
+    with pytest.raises(ValueError, match=f"trials must be from 1 to {validate.MAX_TRIALS}"):
+        run_validation(preset("cuboidal-2bs"), trials=trials)
 
 
 def test_config_and_preset_are_mutually_exclusive(capsys):

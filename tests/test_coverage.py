@@ -435,9 +435,9 @@ def test_orientation_field_draws_beams_only_for_cells_it_reports(monkeypatch):
     full = crb.evaluate_batch(cfg.realize(), poses_of(cells), cells, cfg.seed)
     drawn = []
 
-    def counting(keys, buffers):
+    def counting(keys, *shape):
         drawn.append(len(keys))
-        return keyed_beam_rows(keys, buffers)
+        return keyed_beam_rows(keys, *shape)
 
     monkeypatch.setattr(crb, "keyed_beam_rows", counting)
     grid = orientation_field(cfg, position, step_deg=30.0, threads=1)

@@ -9,9 +9,9 @@ five things: a pose's result does not depend on the batch it is evaluated
 in (bit for bit, against oracles.compose_paths too, whichever group of
 paths its beams are drawn in), the table's columns match the results
 built from them, the entry's seed and trial arguments (and that
-localizable_only changes only the one-BS poses), the beam buffers
-each thread keeps from call to call, one set per shape, the memory
-that path blocks bound, and the
+localizable_only changes only the one-BS poses), the beam scratch
+each thread keeps from call to call, sized to its largest group, the
+memory that path blocks bound, and the
 separable per-path FIM's agreement with the full (G, K, 5) signal-gradient
 tensor that it replaces.  Last, the bounds are checked against the
 13-entry Jacobian times the constraint basis, all in long double.
@@ -44,18 +44,13 @@ from thzloc import (
     preset,
     sample_pose,
 )
-from thzloc.channel import (
-    _GROUP_ELEMENTS,
-    _THREAD_BUFFERS,
-    draw_beamformers,
-    path_gain,
-    thread_buffers,
-)
+from thzloc.channel import _THREAD, draw_beamformers, keyed_beam_rows, path_gain, spawn_keys
 from thzloc.coverage import sample_poses
 from thzloc.crb import (
     COMM_ONLY,
     LOCALIZABLE,
     NO_LOS,
+    _GROUP_ELEMENTS,
     _PATH_BLOCK,
     _beam_fims,
     _path_groups,
@@ -164,8 +159,8 @@ def test_a_negative_trial_is_refused_whatever_the_pose_sees(call, match):
 
 
 def test_a_second_call_draws_into_the_same_beam_buffers():
-    # One beam buffer set of the wide scenario takes 0.95 MB; a batch of
-    # one reuses the set its thread made on the first call.
+    # The wide scenario's beam scratch takes 0.77 MB; a batch of one
+    # reuses the scratch its thread made on the first call.
     scn = SCENARIOS["planar-2bs-wide"].realize()
     pose = sample_pose(PoseDistribution(), 5, 1)
     first = evaluate_batch(scn, [pose], [0]).result(0)
@@ -180,7 +175,7 @@ def test_a_second_call_draws_into_the_same_beam_buffers():
 
 
 def test_threads_evaluating_at_once_match_serial_results():
-    # Each thread draws into its own beam buffers.
+    # Each thread draws into its own beam scratch.
     scn = SCENARIOS["planar-2bs-wide"].realize()
     poses = [sample_pose(PoseDistribution(), 3, t) for t in range(6)]
     serial = [evaluate_batch(scn, [pose], [t]).result(0) for t, pose in enumerate(poses)]
@@ -259,18 +254,28 @@ def _kernel_paths(scn, poses):
     return paths, path_angles(path_geometry(bs, mounts, frames, paths), scn.clock_bias_s)
 
 
+def _block_shapes(scn, paths):
+    """The (N_ue, N_bs) shapes of each block's paths, block by block."""
+    for first in range(0, paths[0].size, _PATH_BLOCK):
+        block = slice(first, first + _PATH_BLOCK)
+        yield [(scn.subarrays[n].elements.shape[0], scn.bs_elements[m].shape[0])
+               for m, n in zip(paths[1][block].tolist(), paths[2][block].tolist())]
+
+
+def _held(g, shape):
+    # The paths of one shape that a group holds at most.
+    return max(1, _GROUP_ELEMENTS // (g * sum(shape)))
+
+
 def _groups(scn, paths):
-    """(shapes in the block, group size, paths its buffers hold, sizes of
+    """(shapes in the block, group size, paths a group holds, sizes of
     the run's groups) of each group that _beam_fims draws at once."""
     g = scn.signal.num_transmissions
     groups = []
-    for first in range(0, paths[0].size, _PATH_BLOCK):
-        block = slice(first, first + _PATH_BLOCK)
-        shapes = [(scn.subarrays[n].elements.shape[0], scn.bs_elements[m].shape[0])
-                  for m, n in zip(paths[1][block].tolist(), paths[2][block].tolist())]
-        runs = itertools.groupby(_path_groups(shapes, g), key=lambda group: shapes[group[0]])
-        for _, run in runs:
-            run = [(stop - start, buffers.paths) for start, stop, buffers in run]
+    for shapes in _block_shapes(scn, paths):
+        runs = itertools.groupby(_path_groups(shapes, g), key=lambda group: group[2])
+        for shape, run in runs:
+            run = [(stop - start, _held(g, shape)) for start, stop, _ in run]
             sizes = [size for size, _ in run]
             groups += [(len(set(shapes)), size, held, sizes) for size, held in run]
     return groups
@@ -303,8 +308,8 @@ def test_path_groups_match_the_per_path_draws_bit_for_bit():
         assert [_composed(scn, pose, seed, t) for t, pose in zip(trials, poses)] == whole
         alone = [evaluate_batch(scn, [pose], [t], seed).result(0) for t, pose in zip(trials, poses)]
         assert alone == whole
-    # Blocks of several shapes, one-path groups, groups in their buffers'
-    # leading rows, full groups, and runs split into groups of two sizes.
+    # Blocks of several shapes, one-path groups, groups short of what a
+    # group holds, full groups, and runs split into groups of two sizes.
     assert max(shapes for shapes, _, _, _ in groups) > 2
     assert any(size == 1 for _, size, _, _ in groups)
     assert any(1 < size < held for _, size, held, _ in groups)
@@ -313,75 +318,71 @@ def test_path_groups_match_the_per_path_draws_bit_for_bit():
 
 
 def test_a_run_of_one_shape_splits_into_near_equal_groups():
-    # Buffers hold three paths of 50 x 80 or 50 x 68 phases and twelve of
+    # Groups hold three paths of 50 x 80 or 50 x 68 phases and twelve of
     # 50 x 20: runs of five and thirteen split unevenly, a run of three
     # fills one group and a lone path is a group of its own.
     shapes = [(16, 64)] * 5 + [(4, 64)] + [(16, 64)] * 3 + [(4, 16)] * 13
-    groups = [(start, stop, buffers.paths) for start, stop, buffers in _path_groups(shapes, 50)]
-    assert groups == [(0, 2, 3), (2, 5, 3), (5, 6, 3), (6, 9, 3), (9, 15, 12), (15, 22, 12)]
+    groups = list(_path_groups(shapes, 50))
+    assert groups == [(0, 2, (16, 64)), (2, 5, (16, 64)), (5, 6, (4, 64)), (6, 9, (16, 64)),
+                      (9, 15, (4, 16)), (15, 22, (4, 16))]
+    assert [_held(50, shape) for shape in [(16, 64), (4, 64), (4, 16)]] == [3, 3, 12]
 
 
-def _buffer_shapes(scn, poses):
-    # The beam buffer shapes that a fresh thread keeps after one batch.
-    shapes = set()
-
-    def work():
-        evaluate_batch(scn, poses, list(range(len(poses))), 3)
-        shapes.update(_THREAD_BUFFERS.sets)
-
+def _in_fresh_thread(work):
     thread = threading.Thread(target=work)
     thread.start()
     thread.join(timeout=60)
-    return shapes
+    assert not thread.is_alive()
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_a_thread_keeps_one_beam_buffer_set_per_path_shape(name):
-    # A group of fewer paths than its buffers hold draws into their leading
-    # rows, so there is one set per (G, N_ue, N_bs) that a path has.
-    scn = SCENARIOS[name].realize()
+@pytest.mark.parametrize("name", sorted(SCENARIOS) + ["mixed-panels"])
+def test_a_thread_keeps_one_beam_scratch_of_its_largest_group(name):
+    # A thread's draws of every shape share one scratch, 48 B per phase,
+    # which grows to the largest group of paths drawn at once (rounded up
+    # to whole 64 B lines, which these groups fill).
+    scn = _mixed_panels() if name == "mixed-panels" else SCENARIOS[name].realize()
     poses = sample_poses(PoseDistribution(), 3, list(range(30)))
     paths, _ = _kernel_paths(scn, poses)
     g = scn.signal.num_transmissions
-    want = {(g, scn.subarrays[n].elements.shape[0], scn.bs_elements[m].shape[0])
-            for m, n in zip(paths[1].tolist(), paths[2].tolist())}
-    assert _buffer_shapes(scn, poses) == want
-    for shape in want:
-        buffers = thread_buffers(*shape)
-        assert buffers.paths == max(1, _GROUP_ELEMENTS // (g * (shape[1] + shape[2])))
-        rows = buffers.rows[buffers.paths]
-        assert rows.phasors.shape == (buffers.paths, g, shape[1] + shape[2])
-        for k in range(1, buffers.paths):
-            assert all(np.shares_memory(a, b) for a, b in zip(buffers.rows[k], rows))
+    largest = max(g * (stop - start) * sum(shape) for shapes in _block_shapes(scn, paths)
+                  for start, stop, shape in _path_groups(shapes, g))
+    kept = []
+
+    def work():
+        evaluate_batch(scn, poses, list(range(len(poses))), 3)
+        kept.append(_THREAD.scratch.nbytes)
+
+    _in_fresh_thread(work)
+    assert kept == [48 * largest]
 
 
 def test_beam_buffers_stay_within_48_bytes_per_phase():
-    # A set holds a complex phasor, an index, a theta and a complex table
-    # phasor per phase, 48 B, and its objects and row views take under
-    # 4 KiB per path; a preset shape's set stays under 0.6 MiB.
+    # Each phase takes a complex phasor, an index, a theta and a complex
+    # table phasor.  Three preset paths of 50 x 80 phases take 576,000 B;
+    # one path of the wide scenario, 50 x 320 phases, then takes 768,000 B
+    # in place of them, not 1,344,000 B in a second set.  The scratch
+    # starts on a 64 B line, so each of its three arrays does.
     shapes = {(scn.signal.num_transmissions, sub.panel.num_elements, bs.panel.num_elements)
               for scn in SCENARIOS.values() for sub in scn.subarrays for bs in scn.bs}
-    assert len(shapes) == 2
-    peaks = {}
+    assert shapes == {(50, 16, 64), (50, 64, 256)}
+    keys = spawn_keys(2, [0, 1, 2], [0, 1, 1], [0, 0, 3])
+    kept = []
 
     def work():
-        for shape in sorted(shapes):
-            tracemalloc.start()
-            try:
-                buffers = thread_buffers(*shape)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            peaks[shape] = peak, buffers.paths
+        tracemalloc.start()
+        try:
+            for count, shape in [(3, (50, 16, 64)), (1, (50, 64, 256))]:
+                keyed_beam_rows(keys[:count], *shape)
+                scratch = _THREAD.scratch
+                kept.append((scratch.ctypes.data % 64, scratch.nbytes,
+                             tracemalloc.get_traced_memory()[0]))
+        finally:
+            tracemalloc.stop()
 
-    thread = threading.Thread(target=work)
-    thread.start()
-    thread.join(timeout=60)
-    assert set(peaks) == shapes
-    for (g, n_ue, n_bs), (peak, paths) in peaks.items():
-        assert peak <= paths * (48 * g * (n_ue + n_bs) + 4096)
-    peak, paths = peaks[(50, 16, 64)]
-    assert paths == 3 and peak <= 0.6 * 2**20
+    _in_fresh_thread(work)
+    assert [(line, nbytes) for line, nbytes, _ in kept] == [(0, 576_000), (0, 768_000)]
+    for _, nbytes, traced in kept:
+        assert nbytes <= traced <= nbytes + 8192
 
 
 def test_path_blocks_keep_a_batch_within_2_mib():
