@@ -84,14 +84,12 @@ def steering_stack(elements_m: np.ndarray, az, el, wavelength_m: float) -> np.nd
     amplitude taper.
 
     Args:
-        elements_m: panel element offsets, (N, 3), or one panel per
-            direction, (P, N, 3).
+        elements_m: panel element offsets, (N, 3).
         az, el: directions, each of shape (P,).
 
     Returns:
         (P, N, 3) complex array whose columns are a, da/daz and da/del.
-        Each direction's result does not depend on the others, and is the
-        same bits whether its panel is given once or per direction.
+        Each direction's result does not depend on the others.
     """
     az = np.asarray(az, dtype=float)[:, None]
     el = np.asarray(el, dtype=float)[:, None]

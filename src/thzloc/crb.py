@@ -18,21 +18,20 @@ once over all paths of a batch of poses (visibility, angles, state
 Jacobians, beam draws and per-path FIMs, state FIMs, constrained CRBs) and
 returns their columns, a BoundTable.  BoundTable.result(i) builds pose i's
 BoundResult for coverage.evaluate_pose, a batch of one.  What depends on
-the scenario alone (the stacked BS poses and mounts, the element stacks by
-panel size) is built once per Scenario and the tone Gram once per
-SignalConfig.  The beam layer derives the Philox keys of all paths in one
-pass, then takes the paths a block at a time: one steering_stack call per
-side and panel size, one fill of the thread's reseated generator per path,
-then per group of paths of one shape one phasor pass and one product per
-side to the (G, 3) couplings, in the calling thread's beam scratch.  The
-per-path public functions are batches of one through the same layers, and
-a pose's result does not depend on the batch it is evaluated in.
+the scenario alone (the stacked BS poses and mounts, the distinct panels)
+is built once per Scenario and the tone Gram once per SignalConfig.  The
+beam layer sorts the paths stably into runs of one (subarray panel, BS
+panel) pair, derives their Philox keys in one pass and takes each run a
+block at a time: one steering_stack call per side, one fill of the thread's
+reseated generator per path, then per group one phasor pass and one product
+per side to the (G, 3) couplings, in the calling thread's beam scratch.
+The per-path public functions are batches of one through the same layers,
+and a pose's result does not depend on the batch it is evaluated in.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 
@@ -46,7 +45,7 @@ from .channel import (
     spawn_keys,
     steering_stack,
 )
-from .errors import GeometryError
+from .errors import ConfigError, GeometryError
 from .geometry import (
     SPEED_OF_LIGHT,
     PathGeometry,
@@ -414,77 +413,55 @@ class BoundTable:
 # RSS grew 2.3 MiB over a 10-pose coverage loop and 4.2 MiB over
 # fields-cli rounds, and one block per batch ran no faster (0.9998x).
 _PATH_BLOCK = 16
-# Phases that a group of paths of one shape draws at once, or one path's if
-# more: three preset paths (50 x 80 phases) in 0.55 MiB of the thread's
-# beam scratch, 48 B per phase.  Measured against this value in paired
-# runs, 4,096-phase groups ran fields-cli at 0.916x and 49,152-phase
-# groups ran single-pose at 0.981x.
+# Phases that a group of paths of one panel pair draws at once, or one
+# path's if more: three preset paths (50 x 80 phases) in 0.55 MiB of the
+# thread's beam scratch, 48 B per phase.  Measured against this value in
+# paired runs, 4,096-phase groups ran fields-cli at 0.916x and
+# 49,152-phase groups ran single-pose at 0.981x.
 _GROUP_ELEMENTS = 12288
-
-
-def _size_steering(panels: np.ndarray, grouped, az, el, lam) -> list:
-    """Steering stacks of paths on the given panels, one steering_stack
-    call per panel size; entry p of the list is path p's (N, 3) stack and
-    those of its size's later paths.  grouped is the side's panels_by_size."""
-    sizes, stacks, slots = grouped
-    sizes = sizes[panels]
-    steering = [None] * panels.size
-    for size in set(sizes.tolist()):
-        members = (sizes == size).nonzero()[0]
-        elements = stacks[size][slots[panels[members]]]
-        rows = steering_stack(elements, az[members], el[members], lam)
-        for j, p in enumerate(members.tolist()):
-            steering[p] = rows[j:]
-    return steering
-
-
-def _path_groups(shapes: list, g: int):
-    """(start, stop, shape) of runs of paths of one (N_ue, N_bs) shape, each
-    run in the fewest near-equal groups of _GROUP_ELEMENTS phases or one path."""
-    start = 0
-    for shape, run in itertools.groupby(shapes):
-        size, held = len(list(run)), max(1, _GROUP_ELEMENTS // max(1, g * sum(shape)))
-        count = -(-size // held)
-        for i in range(count):
-            yield start + size * i // count, start + size * (i + 1) // count, shape
-        start += size
 
 
 def _beam_fims(scenario: Scenario, params, paths, trials, seed):
     """path_fims of the paths (owners, bs_index, sub_index), each with its
-    own keyed beam draw.
+    own keyed beam draw, in path order.
 
-    The Philox keys of all paths are derived in one pass.  Paths then go
-    _PATH_BLOCK at a time: steering stacks are built per panel size for
-    the block's paths, and draws are reduced group by group to (G, 3)
-    couplings in this thread's beam scratch, so memory does not grow with
-    the batch and a call allocates no scratch once its largest group fits.
+    The paths are sorted stably into runs of one (subarray panel, BS panel)
+    pair and their Philox keys derived in one pass.  Each run goes
+    _PATH_BLOCK paths at a time: one steering_stack call per side, then
+    draws reduced group by group to (G, 3) couplings in this thread's beam
+    scratch, so memory does not grow with the batch.
     """
     signal = scenario.signal
     lam = signal.wavelength_m
     g = signal.num_transmissions
-    owners, bs_index, sub_index = paths
+    (bs_panels, bs_of), (ue_panels, ue_of) = scenario.bs_panels, scenario.ue_panels
+    pairs = ue_of[paths[2]] * len(bs_panels) + bs_of[paths[1]]
+    order = np.argsort(pairs, kind="stable")
+    owners, bs_index, sub_index = (index[order] for index in paths)
     # Python ints, which the generator's state setter reads fastest.
     keys = spawn_keys(seed, [trials[o] for o in owners.tolist()], bs_index, sub_index).tolist()
-    fims = [np.zeros((0, 5, 5))]
-    for first in range(0, params.shape[0], _PATH_BLOCK):
-        block = slice(first, first + _PATH_BLOCK)
-        angles = params[block]
-        steer_bs = _size_steering(
-            bs_index[block], scenario.bs_panels, angles[:, 0], angles[:, 1], lam
-        )
-        steer_ue = _size_steering(
-            sub_index[block], scenario.ue_panels, angles[:, 2], angles[:, 3], lam
-        )
-        ue_c = np.empty((angles.shape[0], g, 3), dtype=complex)
-        bs_c = np.empty((angles.shape[0], g, 3), dtype=complex)
-        shapes = [(ue.shape[1], bs.shape[1]) for ue, bs in zip(steer_ue, steer_bs)]
-        for start, stop, shape in _path_groups(shapes, g):
-            ue, bs = keyed_beam_rows(keys[first + start : first + stop], g, *shape)
-            np.matmul(ue, steer_ue[start][: stop - start], out=ue_c[start:stop])
-            np.matmul(bs, steer_bs[start][: stop - start], out=bs_c[start:stop])
-        fims.append(path_fims(ue_c, bs_c, path_gain(angles[:, 5], lam), signal))
-    return np.concatenate(fims)
+    fims = np.empty((order.size, 5, 5))
+    starts = np.unique(pairs[order], return_index=True)[1].tolist()
+    for start, stop in zip(starts, starts[1:] + [order.size]):
+        ue_panel, bs_panel = ue_panels[ue_of[sub_index[start]]], bs_panels[bs_of[bs_index[start]]]
+        shape = ue_panel.shape[0], bs_panel.shape[0]
+        # Each block in the fewest near-equal groups of _GROUP_ELEMENTS phases, or of one path.
+        held = max(1, _GROUP_ELEMENTS // (g * sum(shape)))
+        for first in range(start, stop, _PATH_BLOCK):
+            block = order[first : min(first + _PATH_BLOCK, stop)]
+            angles = params[block]
+            size = block.size
+            steer_bs = steering_stack(bs_panel, angles[:, 0], angles[:, 1], lam)
+            steer_ue = steering_stack(ue_panel, angles[:, 2], angles[:, 3], lam)
+            ue_c, bs_c = np.empty((2, size, g, 3), dtype=complex)
+            count = -(-size // held)
+            for i in range(count):
+                a, b = size * i // count, size * (i + 1) // count
+                ue, bs = keyed_beam_rows(keys[first + a : first + b], g, *shape)
+                np.matmul(ue, steer_ue[a:b], out=ue_c[a:b])
+                np.matmul(bs, steer_bs[a:b], out=bs_c[a:b])
+            fims[block] = path_fims(ue_c, bs_c, path_gain(angles[:, 5], lam), signal)
+    return fims
 
 
 def evaluate_batch(
@@ -507,6 +484,7 @@ def evaluate_batch(
         ValueError: if trials and ue_poses differ in length, for a negative
             trial, whether or not its pose sees a BS, or for a pose with a
             position or rotation entry that is not finite.
+        ConfigError: if a path's information or a pose's overflows.
     """
     trials = [operator.index(t) for t in trials]
     if len(trials) != len(ue_poses):
@@ -538,11 +516,18 @@ def evaluate_batch(
         solvable &= num_visible_bs > 1
     solvable[owners[departure | arrival]] = False
     live = solvable[owners]
-    fims = _beam_fims(scenario, params[live], [index[live] for index in paths], trials, seed)
     # Each solvable pose's paths are live, one run of them per pose.
     poses = solvable.nonzero()[0]
     counts = num_paths[poses]
-    fim = state_fims(fims, jacobians[live], counts.cumsum() - counts)
+    # Only overflow makes the information not finite: branch-point paths
+    # draw nothing and coincident points raise GeometryError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fims = _beam_fims(scenario, params[live], [index[live] for index in paths], trials, seed)
+        fim = state_fims(fims, jacobians[live], counts.cumsum() - counts)
+    if not (np.isfinite(fims).all() and np.isfinite(fim).all()):
+        raise ConfigError("signal power_dbm, noise_psd_dbm_hz, noise_figure_db, bandwidth_hz or"
+                          " carrier_hz, or a panel spacing_wl, out of range: the information"
+                          " overflows")
 
     crbs, invertible, conditions = constrained_crbs(fim, constraint_bases(ue[1][poses]))
     peb, oeb_raw, oeb_deg, condition = np.full((4, count), np.inf)

@@ -189,9 +189,10 @@ class Scenario:
 
     Construction builds the stacks the kernel reads, once per scenario:
     bs_stack and mount_stack (stack_poses of the BS poses, stack_mounts of
-    the subarrays), bs_panels and ue_panels (panels_by_size).  The poses,
-    panels and subarrays are tuples and dataclasses.replace constructs
-    anew, so the stacks always match them.
+    the subarrays), bs_panels and ue_panels (the distinct element arrays,
+    and each BS's or subarray's index into them).  The poses, panels and
+    subarrays are tuples and dataclasses.replace constructs anew, so the
+    stacks always match them.
     """
 
     bs_poses: tuple[Pose, ...]
@@ -206,8 +207,8 @@ class Scenario:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "bs_stack", _read_only(stack_poses(self.bs_poses)))
         object.__setattr__(self, "mount_stack", _read_only(stack_mounts(self.subarrays)))
-        object.__setattr__(self, "bs_panels", panels_by_size(self.bs_elements))
-        object.__setattr__(self, "ue_panels", panels_by_size([s.elements for s in self.subarrays]))
+        object.__setattr__(self, "bs_panels", _distinct(self.bs_elements))
+        object.__setattr__(self, "ue_panels", _distinct([s.elements for s in self.subarrays]))
 
 
 def _read_only(arrays):
@@ -216,17 +217,13 @@ def _read_only(arrays):
     return arrays
 
 
-def panels_by_size(elements: list):
-    """Panels grouped by element count: each panel's count, the stacked
-    offsets of each count's panels and each panel's slot in its stack."""
-    sizes = np.array([e.shape[0] for e in elements])
-    stacks, slots = {}, np.empty(len(elements), dtype=int)
-    for size in sorted(set(sizes.tolist())):
-        members = np.flatnonzero(sizes == size)
-        stacks[size] = np.stack([elements[i] for i in members])
-        slots[members] = np.arange(members.size)
-    _read_only([sizes, slots, *stacks.values()])
-    return sizes, stacks, slots
+def _distinct(elements: list):
+    """The distinct element arrays, equal bytes stored once, read-only, and
+    each array's index into them."""
+    first = {}
+    arrays = [np.array(e, dtype=float) for e in elements]
+    index = [first.setdefault((e.shape, e.tobytes()), (len(first), e))[0] for e in arrays]
+    return tuple(_read_only([e for _, e in first.values()])), _read_only([np.array(index)])[0]
 
 
 def preset(name: str) -> ScenarioConfig:

@@ -136,6 +136,33 @@ def test_signal_values_out_of_the_float_range_are_config_errors(tmp_path, capsys
     assert key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("spacing_wl", 1e300), ("power_dbm", 3000.0), ("carrier_hz", 1e-299),
+])
+def test_values_that_overflow_the_information_are_config_errors(tmp_path, capsys, key, value):
+    # Each passes the parse-time scale checks of the signal, then overflows
+    # a path's information, in bs[0]'s steering or in the SNR and path gain
+    # scales; no RuntimeWarning (an error in this suite) may escape either.
+    config = preset("cuboidal-2bs")
+    if key == "spacing_wl":
+        first = config.bs[0]
+        first = dataclasses.replace(first, panel=dataclasses.replace(first.panel, spacing_wl=value))
+        config = dataclasses.replace(config, bs=(first,) + config.bs[1:])
+    else:
+        config = dataclasses.replace(
+            config, signal=dataclasses.replace(config.signal, **{key: value})
+        )
+    path = tmp_path / "scene.yaml"
+    path.write_text(serialize_config(config))
+    code, out, err = run(
+        capsys, "bounds", "--config", str(path),
+        "--position", "1,1,1", "--orientation", "0,-90,45",
+    )
+    assert (code, out) == (EXIT_CONFIG_ERROR, "")
+    assert err.count("\n") == 1 and err.startswith("thzloc: error: ")
+    assert key in err and "Traceback" not in err
+
+
 def test_missing_config_file_exit_code(capsys):
     code, _, err = run(
         capsys, "bounds", "--config", "/nonexistent.yaml",

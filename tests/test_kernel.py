@@ -5,20 +5,20 @@ the kernel: it takes a realized Scenario, runs every layer once over all
 paths of a batch of poses and returns a BoundTable of columns, whose
 result(i) is pose i's BoundResult.  evaluate_pose and the per-path public
 functions are batches of one through the same layers.  These tests pin
-five things: a pose's result does not depend on the batch it is evaluated
+six things: a pose's result does not depend on the batch it is evaluated
 in (bit for bit, against oracles.compose_paths too, whichever group of
-paths its beams are drawn in), the table's columns match the results
+paths its beams are drawn in), the beam layer's runs of one panel pair
+and their near-equal groups, the table's columns match the results
 built from them, the entry's seed and trial arguments (and that
-localizable_only changes only the one-BS poses), the beam scratch
-each thread keeps from call to call, sized to its largest group, the
-memory that path blocks bound, and the
-separable per-path FIM's agreement with the full (G, K, 5) signal-gradient
-tensor that it replaces.  Last, the bounds are checked against the
-13-entry Jacobian times the constraint basis, all in long double.
+localizable_only changes only the one-BS poses), the beam scratch each
+thread keeps from call to call, sized to its largest group, the memory
+that path blocks bound, and the separable per-path FIM's agreement with
+the full (G, K, 5) signal-gradient tensor that it replaces.  Last, the
+bounds are checked against the 13-entry Jacobian times the constraint
+basis, all in long double.
 """
 
 import dataclasses
-import itertools
 import math
 import sys
 import threading
@@ -44,17 +44,10 @@ from thzloc import (
     preset,
     sample_pose,
 )
+from thzloc import crb
 from thzloc.channel import _THREAD, draw_beamformers, keyed_beam_rows, path_gain, spawn_keys
 from thzloc.coverage import sample_poses
-from thzloc.crb import (
-    COMM_ONLY,
-    LOCALIZABLE,
-    NO_LOS,
-    _GROUP_ELEMENTS,
-    _PATH_BLOCK,
-    _beam_fims,
-    _path_groups,
-)
+from thzloc.crb import COMM_ONLY, LOCALIZABLE, NO_LOS, _GROUP_ELEMENTS, _PATH_BLOCK, _beam_fims
 from thzloc.geometry import path_angles, path_geometry, stack_poses, subarray_frames, visibility
 
 from oracles import compose_paths, long_double_bounds, signal_gradient
@@ -223,7 +216,7 @@ def _mixed_panels():
 
 
 def test_mixed_panel_sizes_match_the_per_path_composition():
-    # The kernel steers each block's paths once per panel size.
+    # The kernel steers each block of a panel pair's run once per side.
     scn = _mixed_panels()
     seed, count = 13, 40
     poses = _poses(scn, count, seed)
@@ -234,9 +227,8 @@ def test_mixed_panel_sizes_match_the_per_path_composition():
 
 
 def _grouped_panels():
-    # Five of the six subarrays share a size and one is smaller, and the
-    # BS panels have three sizes: a pose's paths to one BS are a run of up
-    # to five paths of one shape, then a path of its own.
+    # Five of the six subarrays share a panel and one is smaller, and the
+    # BS panels are four: a pose's paths to one BS fall in up to two runs.
     config = preset("cuboidal-4bs")
     config = dataclasses.replace(
         config,
@@ -254,38 +246,53 @@ def _kernel_paths(scn, poses):
     return paths, path_angles(path_geometry(bs, mounts, frames, paths), scn.clock_bias_s)
 
 
-def _block_shapes(scn, paths):
-    """The (N_ue, N_bs) shapes of each block's paths, block by block."""
-    for first in range(0, paths[0].size, _PATH_BLOCK):
-        block = slice(first, first + _PATH_BLOCK)
-        yield [(scn.subarrays[n].elements.shape[0], scn.bs_elements[m].shape[0])
-               for m, n in zip(paths[1][block].tolist(), paths[2][block].tolist())]
-
-
-def _held(g, shape):
-    # The paths of one shape that a group holds at most.
-    return max(1, _GROUP_ELEMENTS // (g * sum(shape)))
-
-
 def _groups(scn, paths):
-    """(shapes in the block, group size, paths a group holds, sizes of
-    the run's groups) of each group that _beam_fims draws at once."""
+    """(paths, (N_ue, N_bs), paths a group holds, sizes of the block's
+    groups) of each group of paths that _beam_fims draws at once, in turn:
+    the paths sorted stably by (subarray panel, BS panel) pair, each pair's
+    run in blocks of _PATH_BLOCK and each block in the fewest near-equal
+    groups of _GROUP_ELEMENTS phases, or of one path."""
     g = scn.signal.num_transmissions
+    (bs_panels, bs_of), (ue_panels, ue_of) = scn.bs_panels, scn.ue_panels
+    pairs = list(zip(ue_of[paths[2]].tolist(), bs_of[paths[1]].tolist()))
     groups = []
-    for shapes in _block_shapes(scn, paths):
-        runs = itertools.groupby(_path_groups(shapes, g), key=lambda group: group[2])
-        for shape, run in runs:
-            run = [(stop - start, _held(g, shape)) for start, stop, _ in run]
-            sizes = [size for size, _ in run]
-            groups += [(len(set(shapes)), size, held, sizes) for size, held in run]
+    for ue, bs in sorted(set(pairs)):
+        run = [p for p, pair in enumerate(pairs) if pair == (ue, bs)]
+        shape = ue_panels[ue].shape[0], bs_panels[bs].shape[0]
+        held = max(1, _GROUP_ELEMENTS // (g * sum(shape)))
+        for first in range(0, len(run), _PATH_BLOCK):
+            block = run[first : first + _PATH_BLOCK]
+            count = -(-len(block) // held)
+            cuts = [len(block) * i // count for i in range(count + 1)]
+            sizes = [b - a for a, b in zip(cuts, cuts[1:])]
+            groups += [(block[a:b], shape, held, sizes) for a, b in zip(cuts, cuts[1:])]
     return groups
 
 
-def test_path_groups_match_the_per_path_draws_bit_for_bit():
-    # Each group of paths of one shape is drawn in one phasor pass and one
-    # product per side; every path's FIM must still equal that of its own
-    # draw_beamformers and path_fim, and every pose's bounds those of the
-    # per-path composition and of a batch of one.  37 poses leave 10
+def _drawn(monkeypatch, scn, params, paths, trials, seed):
+    """_beam_fims' FIMs and the (keys, (N_ue, N_bs)) of each group it draws."""
+    drawn = []
+
+    def record(keys, g, n_ue, n_bs):
+        drawn.append((keys, (n_ue, n_bs)))
+        return keyed_beam_rows(keys, g, n_ue, n_bs)
+
+    monkeypatch.setattr(crb, "keyed_beam_rows", record)
+    fims = _beam_fims(scn, params, paths, trials, seed)
+    monkeypatch.undo()
+    return fims, drawn
+
+
+def _group_keys(groups, paths, trials, seed):
+    keys = spawn_keys(seed, [trials[o] for o in paths[0].tolist()], paths[1], paths[2]).tolist()
+    return [([keys[p] for p in members], shape) for members, shape, _, _ in groups]
+
+
+def test_path_groups_match_the_per_path_draws_bit_for_bit(monkeypatch):
+    # Each group of paths of one panel pair is drawn in one phasor pass and
+    # one product per side; every path's FIM must still equal that of its
+    # own draw_beamformers and path_fim, and every pose's bounds those of
+    # the per-path composition and of a batch of one.  37 poses leave 10
     # cuboidal-4bs paths in the last block.
     seed, count = 17, 37
     trials = list(range(count))
@@ -293,8 +300,10 @@ def test_path_groups_match_the_per_path_draws_bit_for_bit():
     groups = []
     for scn in (_grouped_panels(), SCENARIOS["cuboidal-4bs"].realize()):
         paths, params = _kernel_paths(scn, poses)
-        groups += _groups(scn, paths)
-        fims = _beam_fims(scn, params, paths, trials, seed)
+        fims, drawn = _drawn(monkeypatch, scn, params, paths, trials, seed)
+        expected = _groups(scn, paths)
+        assert drawn == _group_keys(expected, paths, trials, seed)
+        groups += expected
         for p, (owner, m, n) in enumerate(zip(*(index.tolist() for index in paths))):
             sub = scn.subarrays[n]
             beams = draw_beamformers(seed, m, n, scn.signal.num_transmissions,
@@ -308,24 +317,53 @@ def test_path_groups_match_the_per_path_draws_bit_for_bit():
         assert [_composed(scn, pose, seed, t) for t, pose in zip(trials, poses)] == whole
         alone = [evaluate_batch(scn, [pose], [t], seed).result(0) for t, pose in zip(trials, poses)]
         assert alone == whole
-    # Blocks of several shapes, one-path groups, groups short of what a
-    # group holds, full groups, and runs split into groups of two sizes.
-    assert max(shapes for shapes, _, _, _ in groups) > 2
-    assert any(size == 1 for _, size, _, _ in groups)
-    assert any(1 < size < held for _, size, held, _ in groups)
-    assert any(size == held > 1 for _, size, held, _ in groups)
-    assert any(len(set(run)) > 1 and max(run) - min(run) == 1 for _, _, _, run in groups)
+    # One-path groups, groups short of what a group holds, full groups, and
+    # blocks split into groups of two sizes.
+    assert any(len(members) == 1 for members, _, _, _ in groups)
+    assert any(1 < len(members) < held for members, _, held, _ in groups)
+    assert any(len(members) == held > 1 for members, _, held, _ in groups)
+    assert any(len(set(sizes)) > 1 and max(sizes) - min(sizes) == 1 for *_, sizes in groups)
 
 
-def test_a_run_of_one_shape_splits_into_near_equal_groups():
-    # Groups hold three paths of 50 x 80 or 50 x 68 phases and twelve of
-    # 50 x 20: runs of five and thirteen split unevenly, a run of three
-    # fills one group and a lone path is a group of its own.
-    shapes = [(16, 64)] * 5 + [(4, 64)] + [(16, 64)] * 3 + [(4, 16)] * 13
-    groups = list(_path_groups(shapes, 50))
-    assert groups == [(0, 2, (16, 64)), (2, 5, (16, 64)), (5, 6, (4, 64)), (6, 9, (16, 64)),
-                      (9, 15, (4, 16)), (15, 22, (4, 16))]
-    assert [_held(50, shape) for shape in [(16, 64), (4, 64), (4, 16)]] == [3, 3, 12]
+def test_a_run_of_one_shape_splits_into_near_equal_groups(monkeypatch):
+    # Groups hold three paths of 50 x 80 or 50 x 72 phases and twelve of
+    # 50 x 20.  Sorted by panel pair, a run of 21 paths is a block of 16 in
+    # six groups and one of 5 in two, a run of 13 splits into 6 and 7, and
+    # a lone path, first in the batch, is a group of its own.
+    scn = _mixed_panels()
+    bs_index = np.array([1] + [1, 0] * 13 + [1] * 8)
+    sub_index = np.array([3] + [0, 1] * 13 + [0] * 8)
+    count = bs_index.size
+    paths = (np.arange(count), bs_index, sub_index)
+    params = np.tile([0.1, -0.2, 0.3, -0.4, 1e-8, 3.0], (count, 1))
+    _, drawn = _drawn(monkeypatch, scn, params, paths, list(range(count)), 7)
+    assert [(len(keys), shape) for keys, shape in drawn] == (
+        [(size, (16, 64)) for size in [2, 3, 3, 2, 3, 3, 2, 3]]
+        + [(6, (4, 16)), (7, (4, 16)), (1, (8, 64))]
+    )
+    assert drawn == _group_keys(_groups(scn, paths), paths, list(range(count)), 7)
+
+
+def test_panels_of_one_size_and_two_shapes_are_separate_runs(monkeypatch):
+    # The 4x4 and 2x8 BS panels hold 16 elements each; paths from them that
+    # alternate in the batch are drawn in a run per panel.
+    scn = _mixed_panels()
+    panels, index = scn.bs_panels
+    assert index.tolist() == [0, 1, 2, 3] and panels[0].shape == panels[2].shape == (16, 3)
+    paths = (np.arange(6), np.array([0, 2] * 3), np.zeros(6, dtype=int))
+    params = np.tile([0.1, -0.2, 0.3, -0.4, 1e-8, 3.0], (6, 1))
+    _, drawn = _drawn(monkeypatch, scn, params, paths, list(range(6)), 7)
+    assert drawn == [(spawn_keys(7, [0, 2, 4], [0, 0, 0], [0, 0, 0]).tolist(), (16, 16)),
+                     (spawn_keys(7, [1, 3, 5], [2, 2, 2], [0, 0, 0]).tolist(), (16, 16))]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_each_scenario_has_one_panel_per_side(name):
+    # So the sort leaves the paths in order and a block's paths are one run.
+    scn = SCENARIOS[name].realize()
+    for (panels, index), count in [(scn.bs_panels, len(scn.bs_poses)),
+                                   (scn.ue_panels, len(scn.subarrays))]:
+        assert len(panels) == 1 and index.tolist() == [0] * count
 
 
 def _in_fresh_thread(work):
@@ -344,8 +382,7 @@ def test_a_thread_keeps_one_beam_scratch_of_its_largest_group(name):
     poses = sample_poses(PoseDistribution(), 3, list(range(30)))
     paths, _ = _kernel_paths(scn, poses)
     g = scn.signal.num_transmissions
-    largest = max(g * (stop - start) * sum(shape) for shapes in _block_shapes(scn, paths)
-                  for start, stop, shape in _path_groups(shapes, g))
+    largest = max(g * len(members) * sum(shape) for members, shape, _, _ in _groups(scn, paths))
     kept = []
 
     def work():

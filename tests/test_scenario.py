@@ -126,8 +126,26 @@ def test_replaced_scenario_gets_fresh_stacks():
     assert np.array_equal(moved.bs_stack[0], positions + 1.0)
     assert np.array_equal(scn.bs_stack[0], positions)
     fewer = dataclasses.replace(scn, bs_elements=scn.bs_elements[:2], bs_poses=scn.bs_poses[:2])
-    assert fewer.bs_panels[0].size == 2
+    assert fewer.bs_panels[1].tolist() == [0, 0]
     assert fewer.bs_stack[0].shape == (2, 3)
+
+
+def test_equal_panels_share_one_index():
+    # Each distinct element array is stored once, read-only, and every BS
+    # or subarray holds its index into them.
+    config = preset("cuboidal-3bs")
+    small = dataclasses.replace(config.bs[0].panel, rows=4, cols=4)
+    bs = (config.bs[0], dataclasses.replace(config.bs[1], panel=small), config.bs[2])
+    subs = tuple(dataclasses.replace(sub, panel=dataclasses.replace(sub.panel, rows=rows))
+                 for sub, rows in zip(config.subarrays, [4, 2, 4, 3, 2, 4]))
+    scn = dataclasses.replace(config, bs=bs, subarrays=subs).realize()
+    for (panels, index), elements in [
+        (scn.bs_panels, scn.bs_elements), (scn.ue_panels, [s.elements for s in scn.subarrays]),
+    ]:
+        assert all(np.array_equal(panels[i], e) for i, e in zip(index.tolist(), elements))
+        assert not any(panel.flags.writeable for panel in panels)
+    assert scn.bs_panels[1].tolist() == [0, 1, 0] and len(scn.bs_panels[0]) == 2
+    assert scn.ue_panels[1].tolist() == [0, 1, 0, 2, 1, 0] and len(scn.ue_panels[0]) == 3
 
 
 def test_config_hash_is_kept_and_follows_equality():
