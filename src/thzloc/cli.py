@@ -175,9 +175,11 @@ def cmd_bounds(args) -> int:
             for (bs, subarray), params in zip(result.paths, result.path_params)
         ],
     }
+    # Strict JSON, encoded before --out is opened: a value past the float range
+    # raises ValueError and writes nothing, where json would write Infinity.
+    text = json.dumps(payload, indent=2, allow_nan=False)
     with _output(args.out) as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+        handle.write(text + "\n")
     return EXIT_OK if result.localizable else EXIT_NOT_LOCALIZABLE
 
 

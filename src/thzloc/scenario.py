@@ -23,7 +23,12 @@ A scenario file is a single YAML document with four top-level sections::
       seed: 1
       clock_bias_s: 0.0
 
-Keys carry explicit units.  Unknown keys are rejected so typos fail loudly.
+Keys carry explicit units.  Unknown keys, and a key repeated in one
+mapping, are rejected so typos fail loudly.  Each BS entry, subarray
+entry, panel and `signal` is read field by field from its dataclass: an
+absent key takes the field's default, and a missing required key is
+named (`bs[0] is missing 'panel'`).  |sim.clock_bias_s| is at most
+MAX_CLOCK_BIAS_S.
 The named presets pair two UE layouts (six 4x4 subarrays, either coplanar
 or on the faces of a 0.1 m cube) with two, three, or four ceiling-mounted
 8x8 BS panels.
@@ -36,6 +41,7 @@ import functools
 import hashlib
 import json
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +76,9 @@ MAX_PATH_PHASES = 10**6
 # Most subcarriers K: the (K, 5) subcarrier factors, their conjugate and
 # the offsets peak at 17 MB at this bound; the presets have 10.
 MAX_SUBCARRIERS = 10**5
+# Largest |sim.clock_bias_s|: `thzloc bounds` reports each path delay, bias
+# included, in ns, and past about 1.8e299 s that product overflows.
+MAX_CLOCK_BIAS_S = 1e299
 
 _BS_SITES = (
     ((-10.5, -10.5, 5.0), (0.0, 90.0, 45.0)),
@@ -259,6 +268,25 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys {sorted(unknown, key=repr)} in {where}")
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """The safe loader, refusing a key repeated in one mapping, whose last
+    value YAML would otherwise keep without a word."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):
+                continue  # the base constructor refuses it
+            if key in seen:
+                line = key_node.start_mark.line + 1
+                raise ConfigError(f"scenario file repeats the key {key!r} at line {line}")
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def _number(value, where: str) -> float:
     if isinstance(value, bool):  # YAML reads on, yes, true as booleans
         raise ConfigError(f"{where} must be a number, got {value!r}")
@@ -289,19 +317,37 @@ def _triple(value, where: str) -> tuple[float, float, float]:
     return tuple(_number(x, where) for x in value)
 
 
-def _panel(section: dict, where: str) -> PanelConfig:
-    _require_keys(section, {"rows", "cols", "spacing_wl"}, where)
-    try:
-        rows = _integer(section["rows"], f"{where}.rows")
-        cols = _integer(section["cols"], f"{where}.cols")
-    except KeyError as exc:
-        raise ConfigError(f"{where} is missing {exc}") from exc
-    if rows < 1 or cols < 1:
+def _panel(section, where: str) -> PanelConfig:
+    panel = _section(PanelConfig, section, where)
+    if panel.rows < 1 or panel.cols < 1:
         raise ConfigError(f"{where} needs positive rows and cols")
-    spacing = _number(section.get("spacing_wl", 0.5), f"{where}.spacing_wl")
-    if spacing <= 0:
-        raise ConfigError(f"{where}.spacing_wl must be positive, got {spacing:g}")
-    return PanelConfig(rows=rows, cols=cols, spacing_wl=spacing)
+    if panel.spacing_wl <= 0:
+        raise ConfigError(f"{where}.spacing_wl must be positive, got {panel.spacing_wl:g}")
+    return panel
+
+
+# The reader of each field type of the dataclasses a scenario file holds,
+# keyed by the annotation as written (a string under postponed evaluation).
+_READERS = {
+    "int": _integer,
+    "float": _number,
+    "tuple[float, float, float]": _triple,
+    "PanelConfig": _panel,
+}
+
+
+def _section(cls, mapping, where: str):
+    """The dataclass cls from a mapping whose keys are its fields, each read
+    by the reader of its declared type; an absent key takes the default."""
+    fields = dataclasses.fields(cls)
+    _require_keys(mapping, {f.name for f in fields}, where)
+    values = {}
+    for f in fields:
+        if f.name in mapping:
+            values[f.name] = _READERS[f.type](mapping[f.name], f"{where}.{f.name}")
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"{where} is missing {f.name!r}")
+    return cls(**values)
 
 
 def parse_config(text_or_mapping) -> ScenarioConfig:
@@ -315,7 +361,7 @@ def parse_config(text_or_mapping) -> ScenarioConfig:
         doc = text_or_mapping
     else:
         try:
-            doc = yaml.safe_load(text_or_mapping)
+            doc = yaml.load(text_or_mapping, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"scenario file is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
@@ -327,47 +373,19 @@ def parse_config(text_or_mapping) -> ScenarioConfig:
         raise ConfigError("'bs' must be a non-empty list")
     stations = []
     for i, entry in enumerate(bs_section):
-        where = f"bs[{i}]"
-        _require_keys(entry, {"position_m", "orientation_deg", "panel"}, where)
-        stations.append(
-            BaseStationConfig(
-                position_m=_triple(entry.get("position_m"), f"{where}.position_m"),
-                orientation_deg=_triple(entry.get("orientation_deg"), f"{where}.orientation_deg"),
-                panel=_panel(entry.get("panel", {}), f"{where}.panel"),
-            )
-        )
+        stations.append(_section(BaseStationConfig, entry, f"bs[{i}]"))
         same = [b.position_m for b in stations].index(stations[-1].position_m)
         if same < i:
-            raise ConfigError(f"{where}.position_m repeats bs[{same}].position_m")
+            raise ConfigError(f"bs[{i}].position_m repeats bs[{same}].position_m")
 
     ue_section = doc.get("ue", {})
     _require_keys(ue_section, {"subarrays"}, "ue")
     sub_section = ue_section.get("subarrays")
     if not isinstance(sub_section, list) or not sub_section:
         raise ConfigError("'ue.subarrays' must be a non-empty list")
-    subs = []
-    for i, entry in enumerate(sub_section):
-        where = f"ue.subarrays[{i}]"
-        _require_keys(entry, {"offset_m", "orientation_deg", "panel"}, where)
-        subs.append(
-            SubarrayConfig(
-                offset_m=_triple(entry.get("offset_m"), f"{where}.offset_m"),
-                orientation_deg=_triple(entry.get("orientation_deg"), f"{where}.orientation_deg"),
-                panel=_panel(entry.get("panel", {}), f"{where}.panel"),
-            )
-        )
+    subs = [_section(SubarrayConfig, e, f"ue.subarrays[{i}]") for i, e in enumerate(sub_section)]
 
-    signal_section = doc.get("signal", {})
-    defaults = dataclasses.asdict(SignalConfig())
-    _require_keys(signal_section, set(defaults), "signal")
-    signal = SignalConfig(
-        **{
-            key: (_integer if isinstance(default, int) else _number)(
-                signal_section.get(key, default), f"signal.{key}"
-            )
-            for key, default in defaults.items()
-        }
-    )
+    signal = _section(SignalConfig, doc.get("signal", {}), "signal")
     if signal.num_subcarriers < 1 or signal.num_transmissions < 1:
         raise ConfigError("num_subcarriers and num_transmissions must be at least 1")
     if signal.num_subcarriers > MAX_SUBCARRIERS:
@@ -402,12 +420,15 @@ def parse_config(text_or_mapping) -> ScenarioConfig:
     seed = _integer(sim_section.get("seed", 1), "sim.seed")
     if seed < 0:
         raise ConfigError(f"sim.seed must be a non-negative integer, got {seed}")
+    bias = _number(sim_section.get("clock_bias_s", 0.0), "sim.clock_bias_s")
+    if abs(bias) > MAX_CLOCK_BIAS_S:
+        raise ConfigError(f"sim.clock_bias_s must be within +-{MAX_CLOCK_BIAS_S:g} s, got {bias:g}")
     return ScenarioConfig(
         bs=tuple(stations),
         subarrays=tuple(subs),
         signal=signal,
         seed=seed,
-        clock_bias_s=_number(sim_section.get("clock_bias_s", 0.0), "sim.clock_bias_s"),
+        clock_bias_s=bias,
     )
 
 

@@ -1,7 +1,9 @@
-"""Every thzloc name the benchmark under perfbench/ uses still exists.
+"""Every thzloc name the benchmark under perfbench/ uses still exists, and
+every name it takes from tests/oracles.py.
 
-The benchmark runs unchanged on successive versions of the package, so a
-name it imports cannot be removed without a change to the benchmark.
+The benchmark runs unchanged on successive versions of the package and
+of the test oracles, which its run puts on the import path, so a name it
+imports cannot be removed without a change to the benchmark.
 """
 
 import ast
@@ -9,6 +11,8 @@ import importlib
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# The package, and tests/oracles.py imported as the top-level `oracles`.
+ROOTS = ("thzloc", "oracles")
 
 
 def _dotted(node) -> str | None:
@@ -22,22 +26,22 @@ def _dotted(node) -> str | None:
     return ".".join([node.id] + parts[::-1])
 
 
-def _thzloc_names(source: str) -> set[str]:
-    """Dotted names the source imports from thzloc or reads off the
-    thzloc package: `from thzloc.crb import x` gives thzloc.crb.x,
-    `import thzloc.cli` thzloc.cli, and `thzloc.load_config(...)` after
-    `import thzloc` gives thzloc.load_config."""
+def _imported_names(source: str) -> set[str]:
+    """Dotted names the source imports from one of ROOTS or reads off it:
+    `from thzloc.crb import x` gives thzloc.crb.x, `import thzloc.cli`
+    thzloc.cli, `thzloc.load_config(...)` after `import thzloc` gives
+    thzloc.load_config, and `from oracles import C_LIGHT` oracles.C_LIGHT."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.level == 0:
             module = node.module or ""
-            if module.split(".")[0] == "thzloc":
+            if module.split(".")[0] in ROOTS:
                 names.update(f"{module}.{alias.name}" for alias in node.names)
         elif isinstance(node, ast.Import):
-            names.update(a.name for a in node.names if a.name.split(".")[0] == "thzloc")
+            names.update(a.name for a in node.names if a.name.split(".")[0] in ROOTS)
         elif isinstance(node, ast.Attribute):
             dotted = _dotted(node)
-            if dotted and dotted.split(".")[0] == "thzloc":
+            if dotted and dotted.split(".")[0] in ROOTS:
                 names.add(dotted)
     return names
 
@@ -61,8 +65,9 @@ def _resolves(dotted: str) -> bool:
 def test_benchmark_imports_resolve():
     used = {}
     for path in sorted(PERFBENCH.glob("*.py")):
-        for name in _thzloc_names(path.read_text(encoding="utf-8")):
+        for name in _imported_names(path.read_text(encoding="utf-8")):
             used.setdefault(name, path.name)
     assert "thzloc.evaluate_pose" in used, "no thzloc names found; is the path right?"
+    assert "oracles.state_jacobian_fd" in used, "no oracles names found"
     missing = sorted(f"{name} ({where})" for name, where in used.items() if not _resolves(name))
     assert not missing, missing

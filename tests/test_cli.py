@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,16 @@ def test_signal_values_out_of_the_float_range_are_config_errors(tmp_path, capsys
     assert key in err and "Traceback" not in err
 
 
+def _cuboidal_2bs_with(key, value):
+    """cuboidal-2bs with bs[0].panel.spacing_wl or a signal key set to value."""
+    config = preset("cuboidal-2bs")
+    if key == "spacing_wl":
+        first = config.bs[0]
+        first = dataclasses.replace(first, panel=dataclasses.replace(first.panel, spacing_wl=value))
+        return dataclasses.replace(config, bs=(first,) + config.bs[1:])
+    return dataclasses.replace(config, signal=dataclasses.replace(config.signal, **{key: value}))
+
+
 @pytest.mark.parametrize("key, value", [
     ("spacing_wl", 1e300), ("power_dbm", 3000.0), ("carrier_hz", 1e-299),
 ])
@@ -143,17 +154,8 @@ def test_values_that_overflow_the_information_are_config_errors(tmp_path, capsys
     # Each passes the parse-time scale checks of the signal, then overflows
     # a path's information, in bs[0]'s steering or in the SNR and path gain
     # scales; no RuntimeWarning (an error in this suite) may escape either.
-    config = preset("cuboidal-2bs")
-    if key == "spacing_wl":
-        first = config.bs[0]
-        first = dataclasses.replace(first, panel=dataclasses.replace(first.panel, spacing_wl=value))
-        config = dataclasses.replace(config, bs=(first,) + config.bs[1:])
-    else:
-        config = dataclasses.replace(
-            config, signal=dataclasses.replace(config.signal, **{key: value})
-        )
     path = tmp_path / "scene.yaml"
-    path.write_text(serialize_config(config))
+    path.write_text(serialize_config(_cuboidal_2bs_with(key, value)))
     code, out, err = run(
         capsys, "bounds", "--config", str(path),
         "--position", "1,1,1", "--orientation", "0,-90,45",
@@ -161,6 +163,47 @@ def test_values_that_overflow_the_information_are_config_errors(tmp_path, capsys
     assert (code, out) == (EXIT_CONFIG_ERROR, "")
     assert err.count("\n") == 1 and err.startswith("thzloc: error: ")
     assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("spacing_wl", 1e300), ("power_dbm", 3000.0)])
+def test_validate_fails_the_checks_whose_figures_overflow(tmp_path, capsys, key, value):
+    # The path FIMs path_fim_fd compares are not finite here; a NaN error
+    # must fail the check, not read as 0, and numpy must not warn.
+    path = tmp_path / "scene.yaml"
+    path.write_text(serialize_config(_cuboidal_2bs_with(key, value)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "validate", "--config", str(path), "--trials", "2")
+    assert code in (EXIT_VALIDATION_FAILED, EXIT_CONFIG_ERROR)
+    assert "FAIL path_fim_fd" in out and "PASS path_fim_fd" not in out
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+def test_bounds_refuses_a_clock_bias_whose_delays_overflow(tmp_path, capsys):
+    path = tmp_path / "scene.yaml"
+    path.write_text(serialize_config(dataclasses.replace(preset("cuboidal-2bs"), clock_bias_s=1e300)))
+    code, out, err = run(
+        capsys, "bounds", "--config", str(path),
+        "--position", "1,1,1", "--orientation", "0,-90,45",
+    )
+    assert (code, out) == (EXIT_CONFIG_ERROR, "")
+    assert err.count("\n") == 1 and err.startswith("thzloc: error: sim.clock_bias_s ")
+
+
+def test_bounds_writes_no_json_that_strict_readers_refuse(tmp_path, capsys, monkeypatch):
+    # A bias past parse_config's bound, set on the config itself, makes every
+    # delay_ns inf: that is an error, and neither stdout nor --out gets a byte.
+    biased = dataclasses.replace(preset("cuboidal-2bs"), clock_bias_s=1e300)
+    monkeypatch.setattr(cli, "preset", lambda name: biased)
+    out = tmp_path / "bounds.json"
+    out.write_text("kept\n")
+    for target in ("-", str(out)):
+        with pytest.raises(ValueError, match="Out of range float values"):
+            main(["bounds", "--preset", "cuboidal-2bs", "--out", target,
+                  "--position", "1,1,1", "--orientation", "0,-90,45"])
+        assert capsys.readouterr().out == ""
+    assert out.read_text() == "kept\n"
 
 
 def test_missing_config_file_exit_code(capsys):

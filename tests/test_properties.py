@@ -8,6 +8,7 @@ would start, so the examples stay cheap.
 
 import contextlib
 import io
+import json
 import math
 
 import pytest
@@ -120,6 +121,10 @@ def _stop(*args, **kwargs):
     raise _Evaluated
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} in the bounds JSON")
+
+
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -144,3 +149,6 @@ def test_cli_values_end_in_a_result_or_one_line_exit_2(tmp_path, data):
         assert stdout.getvalue() == ""
     else:
         assert argv[0] == "bounds" and code in (EXIT_OK, EXIT_NOT_LOCALIZABLE), (argv, code, err)
+        # Strict JSON: no NaN or Infinity, which json.loads would take by default.
+        written = stdout.getvalue() or (tmp_path / "out.txt").read_text()
+        json.loads(written, parse_constant=_refuse)

@@ -26,10 +26,15 @@ from thzloc import (
 from thzloc.geometry import Pose, stack_poses
 from thzloc.channel import SignalConfig
 from thzloc.scenario import (
+    _READERS,
+    MAX_CLOCK_BIAS_S,
     MAX_PATH_PHASES,
     MAX_SUBCARRIERS,
+    BaseStationConfig,
+    PanelConfig,
     Scenario,
     ScenarioConfig,
+    SubarrayConfig,
     config_to_mapping,
     load_config,
 )
@@ -290,6 +295,45 @@ def test_parse_rejects_booleans_as_numbers(keys, field, value):
         parse_config(doc)
 
 
+@pytest.mark.parametrize("cls", [BaseStationConfig, SubarrayConfig, PanelConfig, SignalConfig])
+def test_every_field_of_a_section_has_a_reader(cls):
+    # parse_config reads these sections field by field, with the reader of
+    # each field's annotation as written.
+    missing = [f"{f.name}: {f.type}" for f in dataclasses.fields(cls) if f.type not in _READERS]
+    assert not missing
+
+
+@pytest.mark.parametrize("keys, message", [
+    (("bs", 0, "panel"), "bs[0] is missing 'panel'"),
+    (("ue", "subarrays", 0, "offset_m"), "ue.subarrays[0] is missing 'offset_m'"),
+    (("bs", 0, "panel", "rows"), "bs[0].panel is missing 'rows'"),
+])
+def test_parse_names_a_missing_required_key(keys, message):
+    doc = config_to_mapping(preset("planar-2bs"))
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    del parent[keys[-1]]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("repeated, line", [
+    ("  power_dbm: 0.0\n", "  power_dbm: 30.0\n"),
+    ("sim:\n", "sim:\n  seed: 2\n"),
+], ids=["nested", "top-level"])
+def test_parse_refuses_a_repeated_key(repeated, line):
+    # YAML keeps the last of two equal keys; here that is the preset's own
+    # value, which would parse without a word.
+    text = serialize_config(preset("planar-2bs"))
+    at = text.index(repeated)
+    text = text[:at] + line + text[at:]
+    number = text.count("\n", 0, at) + line.count("\n") + 1  # of the later key
+    key = repeated.strip().split(":")[0]
+    with pytest.raises(ConfigError, match=f"^scenario file repeats the key '{key}' at line {number}$"):
+        parse_config(text)
+
+
 def _phases(g, n_bs):
     return (
         f"signal.num_transmissions x (UE + BS panel elements) is {g} x (16 + {n_bs})"
@@ -327,6 +371,20 @@ def test_parse_rejects_negative_seed():
     doc["sim"]["seed"] = -1
     with pytest.raises(ConfigError, match="sim.seed"):
         parse_config(doc)
+
+
+def test_parse_bounds_the_clock_bias():
+    # thzloc bounds writes each delay, bias included, in ns; past this
+    # bound that would overflow to inf.
+    doc = config_to_mapping(preset("planar-2bs"))
+    for bias in (MAX_CLOCK_BIAS_S, -MAX_CLOCK_BIAS_S):
+        doc["sim"]["clock_bias_s"] = bias
+        assert parse_config(doc).clock_bias_s == bias
+    for bias in (1.8e299, -1e300):
+        doc["sim"]["clock_bias_s"] = bias
+        message = f"sim.clock_bias_s must be within +-{MAX_CLOCK_BIAS_S:g} s, got {bias:g}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(doc)
 
 
 def test_parse_rejects_invalid_yaml_text():
