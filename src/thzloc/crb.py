@@ -12,27 +12,17 @@ PEB is the root-trace of the position block; OEB is the root-trace of the
 rotation block, converted to degrees through the small-angle relation
 |dR|_F = sqrt(2) * angle.
 
-evaluate_batch(scenario, ue_poses, trials, seed=None) is the one way into
-the evaluation kernel: it takes a realized Scenario whole, runs each layer
-once over all paths of a batch of poses (visibility, angles, state
-Jacobians, beam draws and per-path FIMs, state FIMs, constrained CRBs) and
-returns their columns, a BoundTable.  BoundTable.result(i) builds pose i's
-BoundResult for coverage.evaluate_pose, a batch of one.  What depends on
-the scenario alone (the stacked BS poses and mounts, the distinct panels)
-is built once per Scenario and the tone Gram once per SignalConfig.  The
-beam layer sorts the paths stably into runs of one (subarray panel, BS
-panel) pair, derives their Philox keys in one pass and takes each run a
-block at a time: one steering_stack call per side, one fill of the thread's
-reseated generator per path, then per group one phasor pass and one product
-per side to the (G, 3) couplings, in the calling thread's beam scratch.
-The per-path public functions are batches of one through the same layers,
-and a pose's result does not depend on the batch it is evaluated in.
+evaluate_batch is the one way into the evaluation kernel.  It composes
+four stages over all paths of a batch of poses: _geometry, the _solvable
+rule on a selection of paths, _beam_fims and _bound.  The per-path public
+functions are batches of one through the same layers.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,17 +201,16 @@ def state_jacobian(bs_pose: Pose, ue_pose: Pose, subarray: Subarray) -> np.ndarr
     return jac[0]
 
 
-def state_fims(path_fims: np.ndarray, jacobians: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """(len(starts), 7, 7) information in the tangent coordinates.
+def state_fims(path_fims: np.ndarray, jacobians: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(len(counts), 7, 7) information in the tangent coordinates.
 
-    Path p adds J_p^T F_p J_p; pose i sums the paths from starts[i] up to
-    the next start one after another, so each pose has at least one path.
-    (np.add.reduceat would sum them pairwise, np.add.at is slow.)
+    Path p adds J_p^T F_p J_p, and pose i sums the next counts[i] paths one
+    after another (np.add.reduceat would sum them pairwise, np.add.at is slow).
     """
     terms = _transpose(jacobians) @ path_fims @ jacobians
-    fim = np.empty((starts.size,) + terms.shape[1:])
-    ends = starts[1:].tolist() + [terms.shape[0]]
-    for i, (start, end) in enumerate(zip(starts.tolist(), ends)):
+    fim = np.empty((counts.size,) + terms.shape[1:])
+    ends = counts.cumsum().tolist()
+    for i, (start, end) in enumerate(zip([0] + ends[:-1], ends)):
         np.add.reduce(terms[start:end], axis=0, out=fim[i])
     return _symmetric(fim)
 
@@ -230,11 +219,9 @@ def state_fim(path_fims: list[np.ndarray], jacobians: list[np.ndarray]) -> np.nd
     """7x7 information in the tangent coordinates, summed over paths."""
     if len(path_fims) != len(jacobians):
         raise ValueError(f"{len(path_fims)} path FIMs for {len(jacobians)} Jacobians")
-    return state_fims(
-        np.array(path_fims, dtype=float).reshape(-1, 5, 5),
-        np.array(jacobians, dtype=float).reshape(-1, 5, CONSTRAINED_DIM),
-        np.zeros(1, dtype=int),
-    )[0]
+    fims = np.array(path_fims, dtype=float).reshape(-1, 5, 5)
+    jacobians = np.array(jacobians, dtype=float).reshape(-1, 5, CONSTRAINED_DIM)
+    return state_fims(fims, jacobians, np.array([len(fims)]))[0]
 
 
 _EYE4 = np.eye(4)
@@ -464,6 +451,56 @@ def _beam_fims(scenario: Scenario, params, paths, trials, seed):
     return fims
 
 
+# Per-path columns of a batch, each pose's paths in visible_paths order.
+_Paths = namedtuple("_Paths", "owners bs subarray params jacobians branch")
+
+
+def _geometry(scenario: Scenario, ue: tuple[np.ndarray, np.ndarray]) -> _Paths:
+    """The paths that the stacked UE poses ue see."""
+    bs, mounts = scenario.bs_stack, scenario.mount_stack
+    frames = subarray_frames(ue, mounts)
+    paths = np.nonzero(visibility(bs, frames))
+    geo = path_geometry(bs, mounts, frames, paths)
+    jacobians, departure, arrival = state_jacobians(geo)
+    return _Paths(*paths, path_angles(geo, scenario.clock_bias_s), jacobians, departure | arrival)
+
+
+def _solvable(paths: _Paths, shape: tuple[int, int], localizable_only: bool):
+    """(solvable, num_visible_bs) per pose of a selection of the paths of
+    shape (poses, BSs).  A solvable pose has a path and none at the arcsin
+    branch point; with localizable_only it also sees two BSs."""
+    seen = np.zeros(shape, dtype=bool)
+    seen[paths.owners, paths.bs] = True
+    num_visible_bs = seen.sum(axis=1)
+    solvable = num_visible_bs > int(localizable_only)
+    solvable[paths.owners[paths.branch]] = False
+    return solvable, num_visible_bs
+
+
+def _bound(paths: _Paths, fims, solvable, num_visible_bs, rotations) -> BoundTable:
+    """The BoundTable of a path selection from its solvable poses' path
+    FIMs: state_fims, an overflow check, constrained_crbs and labels."""
+    count = solvable.size
+    num_paths = np.bincount(paths.owners, minlength=count)
+    poses = solvable.nonzero()[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        fim = state_fims(fims, paths.jacobians[solvable[paths.owners]], num_paths[poses])
+    if not (np.isfinite(fims).all() and np.isfinite(fim).all()):
+        raise ConfigError("signal power_dbm, noise_psd_dbm_hz, noise_figure_db, bandwidth_hz or"
+                          " carrier_hz, or a panel spacing_wl, out of range: the information"
+                          " overflows")
+    crbs, invertible, conditions = constrained_crbs(fim, constraint_bases(rotations[poses]))
+    peb, oeb_raw, oeb_deg, condition = np.full((4, count), np.inf)
+    condition[poses] = conditions
+    solved = poses[invertible]
+    peb[solved], oeb_raw[solved], oeb_deg[solved] = error_bounds_stack(crbs)
+    has_bound = (np.bincount(solved, minlength=count) > 0).tolist()
+    labels = map(classify_localizability, num_visible_bs.tolist(), has_bound)
+    return BoundTable(np.array(list(labels), dtype=object), peb, oeb_deg, oeb_raw, condition,
+                      num_paths, num_visible_bs, np.array([paths.bs, paths.subarray]).T,
+                      paths.params)
+
+
 def evaluate_batch(
     scenario: Scenario, ue_poses: list[Pose], trials: list[int], seed: int | None = None,
     *, localizable_only: bool = False,
@@ -471,13 +508,13 @@ def evaluate_batch(
     """Bounds for a batch of UE poses under a realized scenario, as columns.
 
     Pose i draws its beamformers per (seed, trials[i], bs, subarray), with
-    seed the scenario's unless given, so results are reproducible and
-    nested BS sets share their common paths' draws.  A pose's result is the
-    same bits in any batch, a batch of one included.  Memory grows with
-    the number of paths in the batch, so callers with many poses feed them
-    in chunks.  With localizable_only, a pose that sees fewer than two BSs
-    draws no beams and gets bound and condition inf, for callers that
-    report only localizable poses; its label and paths are unchanged.
+    seed the scenario's unless given, so results are reproducible, a pose's
+    result is the same bits in any batch, a batch of one included, and
+    nested BS sets share their common paths' draws (test_kernel.py's
+    test_bs_prefix_selections_match_the_smaller_presets).  Memory grows
+    with the paths in the batch, so callers feed many poses in chunks.
+    With localizable_only, a pose that sees fewer than two BSs draws no
+    beams and gets bound and condition inf; its label and paths are kept.
 
     Raises:
         TypeError: for a trial that is not an integer.
@@ -497,49 +534,12 @@ def evaluate_batch(
     if bad.size:
         raise ValueError(f"UE pose {bad[0]} (trial {trials[bad[0]]}) is not finite")
     seed = scenario.seed if seed is None else seed
-    bs, mounts = scenario.bs_stack, scenario.mount_stack
-    count = len(trials)
-    frames = subarray_frames(ue, mounts)
-    mask = visibility(bs, frames)
-    paths = np.nonzero(mask)  # visible_paths order per pose
-    owners = paths[0]
-    geo = path_geometry(bs, mounts, frames, paths)
-    params = path_angles(geo, scenario.clock_bias_s)
-    jacobians, departure, arrival = state_jacobians(geo)
-
-    # A path at the arcsin branch point has no Jacobian, so its pose gets
-    # no finite bound; with localizable_only, neither does a one-BS pose.
-    num_paths = np.bincount(owners, minlength=count)
-    num_visible_bs = mask.any(axis=2).sum(axis=1)
-    solvable = num_paths > 0
-    if localizable_only:
-        solvable &= num_visible_bs > 1
-    solvable[owners[departure | arrival]] = False
-    live = solvable[owners]
-    # Each solvable pose's paths are live, one run of them per pose.
-    poses = solvable.nonzero()[0]
-    counts = num_paths[poses]
+    paths = _geometry(scenario, ue)
+    shape = len(trials), len(scenario.bs_poses)
+    solvable, num_visible_bs = _solvable(paths, shape, localizable_only)
+    live = solvable[paths.owners]
     # Only overflow makes the information not finite: branch-point paths
     # draw nothing and coincident points raise GeometryError.
     with np.errstate(over="ignore", invalid="ignore"):
-        fims = _beam_fims(scenario, params[live], [index[live] for index in paths], trials, seed)
-        fim = state_fims(fims, jacobians[live], counts.cumsum() - counts)
-    if not (np.isfinite(fims).all() and np.isfinite(fim).all()):
-        raise ConfigError("signal power_dbm, noise_psd_dbm_hz, noise_figure_db, bandwidth_hz or"
-                          " carrier_hz, or a panel spacing_wl, out of range: the information"
-                          " overflows")
-
-    crbs, invertible, conditions = constrained_crbs(fim, constraint_bases(ue[1][poses]))
-    peb, oeb_raw, oeb_deg, condition = np.full((4, count), np.inf)
-    condition[poses] = conditions
-    solved = poses[invertible]
-    peb[solved], oeb_raw[solved], oeb_deg[solved] = error_bounds_stack(crbs)
-
-    has_bound = np.zeros(count, dtype=bool)
-    has_bound[solved] = True
-    labels = map(classify_localizability, num_visible_bs.tolist(), has_bound.tolist())
-    return BoundTable(
-        classification=np.array(list(labels), dtype=object), peb_m=peb, oeb_deg=oeb_deg,
-        oeb_raw=oeb_raw, condition_number=condition, num_paths=num_paths,
-        num_visible_bs=num_visible_bs, paths=np.array(paths[1:]).T, path_params=params,
-    )
+        fims = _beam_fims(scenario, paths.params[live], [i[live] for i in paths[:3]], trials, seed)
+    return _bound(paths, fims, solvable, num_visible_bs, ue[1])

@@ -73,6 +73,11 @@ PRESET_NAMES = (
 # this bound peaks at 94 MiB under tracemalloc.  The presets draw 4,000
 # and the wide benchmark scenario 16,000; panel sizes are bounded with it.
 MAX_PATH_PHASES = 10**6
+# Most BS-subarray pairs, so paths per pose: the kernel's per-chunk arrays
+# grow with them, and `coverage --trials 64` on the cuboidal-4bs BSs with
+# 250 subarrays (this bound) peaks at 96 MiB RSS against 40 MiB at the
+# preset's 24 pairs.  The presets have 12 to 24.
+MAX_PAIRS = 1000
 # Most subcarriers K: the (K, 5) subcarrier factors, their conjugate and
 # the offsets peak at 17 MB at this bound; the presets have 10.
 MAX_SUBCARRIERS = 10**5
@@ -384,6 +389,11 @@ def parse_config(text_or_mapping) -> ScenarioConfig:
     if not isinstance(sub_section, list) or not sub_section:
         raise ConfigError("'ue.subarrays' must be a non-empty list")
     subs = [_section(SubarrayConfig, e, f"ue.subarrays[{i}]") for i, e in enumerate(sub_section)]
+    if len(stations) * len(subs) > MAX_PAIRS:
+        raise ConfigError(
+            f"bs and ue.subarrays make {len(stations)} x {len(subs)} ="
+            f" {len(stations) * len(subs)} BS-subarray pairs, more than {MAX_PAIRS}"
+        )
 
     signal = _section(SignalConfig, doc.get("signal", {}), "signal")
     if signal.num_subcarriers < 1 or signal.num_transmissions < 1:

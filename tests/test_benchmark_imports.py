@@ -1,14 +1,21 @@
 """Every thzloc name the benchmark under perfbench/ uses still exists, and
-every name it takes from tests/oracles.py.
+every name it takes from tests/oracles.py; and the benchmark's traced
+runs, whose per-path composition must give evaluate_pose's bits.
 
 The benchmark runs unchanged on successive versions of the package and
 of the test oracles, which its run puts on the import path, so a name it
-imports cannot be removed without a change to the benchmark.
+imports cannot be removed without a change to the benchmark, and a traced
+pose that differs from evaluate_pose in any bit makes its run incorrect.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
+
+import pytest
+
+from thzloc import PoseDistribution, evaluate_pose, load_config, preset, sample_pose
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # The package, and tests/oracles.py imported as the top-level `oracles`.
@@ -71,3 +78,21 @@ def test_benchmark_imports_resolve():
     assert "oracles.state_jacobian_fd" in used, "no oracles names found"
     missing = sorted(f"{name} ({where})" for name, where in used.items() if not _resolves(name))
     assert not missing, missing
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+@pytest.mark.parametrize("name", ["cuboidal-4bs", "planar-2bs", "planar-2bs-wide"])
+def test_the_traced_composition_matches_evaluate_pose(name):
+    config = load_config(PERFBENCH / f"{name}.yaml") if name.endswith("wide") else preset(name)
+    scn, tracer, seed = config.realize(), _tracer(), 1
+    for trial in range(1, 21):
+        tracer.run(scn, lambda: sample_pose(PoseDistribution(), seed, trial), seed, trial,
+                   lambda pose: evaluate_pose(config, pose, seed=seed, trial=trial))
+    assert tracer.poses == 20 and tracer.finite > 0
+    assert tracer.mismatches == []

@@ -20,7 +20,7 @@ from thzloc import (
     state_jacobian,
 )
 from thzloc.channel import draw_beamformers, path_gain
-from thzloc.crb import classify_localizability, state_jacobians
+from thzloc.crb import CONDITION_LIMIT, classify_localizability, state_jacobians
 from thzloc.geometry import element_grid, path_params, visible_paths
 from thzloc.validate import check_state_jacobian, random_geometry, run_validation, state_jacobian_error
 
@@ -177,6 +177,28 @@ def test_constrained_crb_flags_singular_information():
     crb, condition = constrained_crb(fim, basis)
     assert crb is None
     assert condition > 1e12 or np.isinf(condition)
+
+
+@pytest.mark.parametrize("condition", [2e11, 2e13])
+def test_the_condition_cutoff_applies_after_equilibration(condition):
+    # Unit diagonal but for x and the clock bias, correlated at r: the
+    # eigenvalues are 1 + r, 1 - r and five 1s, so the condition number is
+    # (1 + r) / (1 - r).  The clock-bias entry scaled by 1e18 puts the raw
+    # matrix far past the cutoff in both cases.
+    r = (condition - 1.0) / (condition + 1.0)
+    unit = np.eye(7)
+    unit[0, 3] = unit[3, 0] = r
+    scale = np.array([1.0, 1.0, 1.0, 1e9, 1.0, 1.0, 1.0])
+    fim = scale[:, None] * unit * scale
+    assert np.linalg.cond(fim) > 1e6 * CONDITION_LIMIT
+    crb, got = constrained_crb(fim, constraint_basis(np.eye(3)))
+    assert got == pytest.approx(condition, rel=1e-2)
+    if condition < CONDITION_LIMIT:
+        inverse = 1.0 / (1.0 - r * r)  # of the unit matrix, at [0, 0] and [3, 3]
+        assert crb[0, 0] == pytest.approx(inverse, rel=1e-3)
+        assert crb[3, 3] == pytest.approx(inverse / 1e18, rel=1e-3)
+    else:
+        assert crb is None
 
 
 def test_error_bounds_blocks():

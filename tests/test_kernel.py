@@ -1,16 +1,18 @@
 """The batched evaluation kernel against its per-path layers and a reference.
 
 evaluate_batch(scenario, ue_poses, trials, seed=None) is the one way into
-the kernel: it takes a realized Scenario, runs every layer once over all
+the kernel: it takes a realized Scenario, composes its stages over all
 paths of a batch of poses and returns a BoundTable of columns, whose
 result(i) is pose i's BoundResult.  evaluate_pose and the per-path public
 functions are batches of one through the same layers.  These tests pin
-six things: a pose's result does not depend on the batch it is evaluated
+seven things: a pose's result does not depend on the batch it is evaluated
 in (bit for bit, against oracles.compose_paths too, whichever group of
 paths its beams are drawn in), the beam layer's runs of one panel pair
 and their near-equal groups, the table's columns match the results
 built from them, the entry's seed and trial arguments (and that
-localizable_only changes only the one-BS poses), the beam scratch each
+localizable_only changes only the one-BS poses and draws only for the
+poses it solves), the stages' BS-prefix selections against the presets
+with fewer BSs, the beam scratch each
 thread keeps from call to call, sized to its largest group, the memory
 that path blocks bound, and the separable per-path FIM's agreement with
 the full (G, K, 5) signal-gradient tensor that it replaces.  Last, the
@@ -19,6 +21,7 @@ basis, all in long double.
 """
 
 import dataclasses
+import importlib.util
 import math
 import sys
 import threading
@@ -31,6 +34,7 @@ import pytest
 from thzloc import (
     PRESET_NAMES,
     EulerAngles,
+    GeometryError,
     PathParams,
     Pose,
     PoseDistribution,
@@ -43,16 +47,20 @@ from thzloc import (
     position_field,
     preset,
     sample_pose,
+    state_jacobian,
 )
 from thzloc import crb
 from thzloc.channel import _THREAD, draw_beamformers, keyed_beam_rows, path_gain, spawn_keys
 from thzloc.coverage import sample_poses
-from thzloc.crb import COMM_ONLY, LOCALIZABLE, NO_LOS, _GROUP_ELEMENTS, _PATH_BLOCK, _beam_fims
-from thzloc.geometry import path_angles, path_geometry, stack_poses, subarray_frames, visibility
+from thzloc.crb import (
+    COMM_ONLY, LOCALIZABLE, NO_LOS, _GROUP_ELEMENTS, _PATH_BLOCK, BoundTable, _beam_fims,
+)
+from thzloc.geometry import stack_poses
 
 from oracles import compose_paths, long_double_bounds, signal_gradient
 
-WIDE = Path(__file__).resolve().parents[1] / "perfbench" / "planar-2bs-wide.yaml"
+ROOT = Path(__file__).resolve().parents[1]
+WIDE = ROOT / "perfbench" / "planar-2bs-wide.yaml"
 SCENARIOS = {name: preset(name) for name in PRESET_NAMES}
 SCENARIOS["planar-2bs-wide"] = load_config(WIDE)
 
@@ -240,10 +248,8 @@ def _grouped_panels():
 
 def _kernel_paths(scn, poses):
     """(paths, params) of the poses, as evaluate_batch finds them."""
-    bs, mounts = scn.bs_stack, scn.mount_stack
-    frames = subarray_frames(stack_poses(poses), mounts)
-    paths = np.nonzero(visibility(bs, frames))
-    return paths, path_angles(path_geometry(bs, mounts, frames, paths), scn.clock_bias_s)
+    paths = crb._geometry(scn, stack_poses(poses))
+    return paths[:3], paths.params
 
 
 def _groups(scn, paths):
@@ -458,14 +464,18 @@ def test_table_columns_match_the_results_they_build():
     assert table.path_params.tolist() == [list(dataclasses.astuple(row)) for row in params]
 
 
-def test_localizable_only_skips_just_the_one_bs_poses():
-    # Planar-2bs orientation cells at the origin: most see one BS, some
-    # none, a few both.
-    scn = SCENARIOS["planar-2bs"].realize()
+def _orientation_cells():
+    """Planar-2bs orientation cells at the origin: most see one BS, some
+    none, a few both."""
     angles = np.arange(0.0, 360.0, 30.0)
     betas, gammas = (a.ravel() for a in np.meshgrid(angles, angles, indexing="ij"))
     rotations = euler_to_rotation(EulerAngles(0.0, betas, gammas))
-    poses = [Pose(np.zeros(3), rotation) for rotation in rotations]
+    return [Pose(np.zeros(3), rotation) for rotation in rotations]
+
+
+def test_localizable_only_skips_just_the_one_bs_poses():
+    scn = SCENARIOS["planar-2bs"].realize()
+    poses = _orientation_cells()
     trials = list(range(len(poses)))
     full = evaluate_batch(scn, poses, trials, 7)
     only = evaluate_batch(scn, poses, trials, 7, localizable_only=True)
@@ -488,6 +498,83 @@ def test_localizable_only_skips_just_the_one_bs_poses():
     assert only.num_visible_bs.tolist() == full.num_visible_bs.tolist()
     assert only.paths.tolist() == full.paths.tolist()
     assert only.path_params.tobytes() == full.path_params.tobytes()
+
+
+def _at_branch_point(scn, pose, m, n):
+    try:
+        state_jacobian(scn.bs_poses[m], pose, scn.subarrays[n])
+    except GeometryError:
+        return True
+    return False
+
+
+def test_localizable_only_draws_just_for_the_poses_it_solves(monkeypatch):
+    # The beam layer receives the keys of the paths of the poses that see
+    # two BSs and have no path at the branch point, in path order, and no
+    # other.  The branch-point pose sees both BSs.
+    scn = SCENARIOS["planar-2bs"].realize()
+    poses = _orientation_cells() + [_branch_point_pose(scn)]
+    trials = list(range(len(poses)))
+    results = _results(evaluate_batch(scn, poses, trials, 7))
+    assert results[-1].num_visible_bs == 2
+    expected = []
+    for t, (pose, result) in enumerate(zip(poses, results)):
+        at_branch = any(_at_branch_point(scn, pose, m, n) for m, n in result.paths)
+        assert at_branch == (t == len(poses) - 1)
+        if result.num_visible_bs > 1 and not at_branch:
+            bs_index, sub_index = zip(*result.paths)
+            expected += spawn_keys(7, [t] * len(bs_index), bs_index, sub_index).tolist()
+    drawn = []
+
+    def record(keys, g, n_ue, n_bs):
+        drawn.extend(keys)
+        return keyed_beam_rows(keys, g, n_ue, n_bs)
+
+    monkeypatch.setattr(crb, "keyed_beam_rows", record)
+    evaluate_batch(scn, poses, trials, 7, localizable_only=True)
+    monkeypatch.undo()
+    assert expected and drawn == expected
+
+
+def _reference_numbers():
+    """tools/reference_numbers.py, which holds the stored poses' seeds."""
+    spec = importlib.util.spec_from_file_location(
+        "reference_numbers", ROOT / "tools" / "reference_numbers.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("layout", ["cuboidal", "planar"])
+def test_bs_prefix_selections_match_the_smaller_presets(layout):
+    # The paths of a pose's first k BSs are a prefix of its paths with the
+    # draws of the k-BS preset, whose BSs are the first k of the 4-BS one.
+    # Through the kernel's stages, that prefix gives every column of the
+    # k-BS preset's table bit for bit, on the reference file's poses.
+    reference = _reference_numbers()
+    scn = SCENARIOS[f"{layout}-4bs"].realize()
+    trials = list(range(reference.POSES))
+    poses = sample_poses(PoseDistribution(), reference.POSE_SEED, trials)
+    ue = stack_poses(poses)
+    paths = crb._geometry(scn, ue)
+    for k in (2, 3):
+        prefix = crb._Paths(*(column[paths.bs < k] for column in paths))
+        for only in (False, True):
+            solvable, num_visible_bs = crb._solvable(prefix, (len(trials), k), only)
+            live = solvable[prefix.owners]
+            fims = _beam_fims(scn, prefix.params[live], [i[live] for i in prefix[:3]],
+                              trials, reference.BEAM_SEED)
+            staged = crb._bound(prefix, fims, solvable, num_visible_bs, ue[1])
+            direct = evaluate_batch(SCENARIOS[f"{layout}-{k}bs"].realize(), poses, trials,
+                                    reference.BEAM_SEED, localizable_only=only)
+            assert np.isfinite(direct.peb_m).any() and prefix.owners.size < paths.owners.size
+            for field in dataclasses.fields(BoundTable):
+                a, b = getattr(staged, field.name), getattr(direct, field.name)
+                assert a.dtype == b.dtype and a.shape == b.shape, (k, only, field.name)
+                assert a.tolist() == b.tolist(), (k, only, field.name)
+                if a.dtype != object:
+                    assert a.tobytes() == b.tobytes(), (k, only, field.name)
 
 
 @pytest.mark.parametrize(

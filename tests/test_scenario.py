@@ -28,6 +28,7 @@ from thzloc.channel import SignalConfig
 from thzloc.scenario import (
     _READERS,
     MAX_CLOCK_BIAS_S,
+    MAX_PAIRS,
     MAX_PATH_PHASES,
     MAX_SUBCARRIERS,
     BaseStationConfig,
@@ -351,6 +352,10 @@ def _phases(g, n_bs):
          _phases(50, MAX_PATH_PHASES // 50 - 15)),
         (("signal", "num_subcarriers"), MAX_SUBCARRIERS,
          f"signal.num_subcarriers is {MAX_SUBCARRIERS + 1}, more than {MAX_SUBCARRIERS}"),
+        # Two BSs, so one more subarray is two more pairs.
+        (("ue", "subarrays"), MAX_PAIRS // 2,
+         f"bs and ue.subarrays make 2 x {MAX_PAIRS // 2 + 1} = {MAX_PAIRS + 2} BS-subarray"
+         f" pairs, more than {MAX_PAIRS}"),
     ],
 )
 def test_parse_bounds_what_a_scenario_allocates(keys, largest, message):
@@ -359,9 +364,15 @@ def test_parse_bounds_what_a_scenario_allocates(keys, largest, message):
     parent = doc
     for key in keys[:-1]:
         parent = parent[key]
-    parent[keys[-1]] = largest
+    entry = parent[keys[-1]]
+
+    def put(value):
+        # A list takes that many copies of its first entry.
+        parent[keys[-1]] = [entry[0]] * value if isinstance(entry, list) else value
+
+    put(largest)
     parse_config(doc)
-    parent[keys[-1]] = largest + 1
+    put(largest + 1)
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         parse_config(doc)
 
