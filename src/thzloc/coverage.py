@@ -37,7 +37,8 @@ _POSE_CHUNK = 64
 # Most cells a position or orientation field may hold; the default 5 deg
 # orientation sweep has 5,329.
 MAX_FIELD_CELLS = 10**6
-# Most trials of a coverage run: 25 min in one process on cuboidal-4bs.
+# Most trials of a coverage run: about 15 min in one process on cuboidal-4bs
+# at 0.93 ms per trial (2-core x86-64, one OpenBLAS thread).
 MAX_TRIALS = 10**6
 # Most processes a run may ask for, the calling one included; a run starts
 # all its child processes at once.
@@ -74,7 +75,10 @@ def sample_poses(distribution: PoseDistribution, seed: int, trials) -> list[Pose
     """Poses of the given trials: trial t reads six words w of the keyed
     Philox with spawn key (t,), and x, y, z, alpha, beta and gamma are
     low + (high - low) * ((w >> 11) * 2^-53), as Generator.uniform draws
-    and refuses them, so each pose depends on (seed, trial) alone."""
+    and refuses them, so each pose depends on (seed, trial) alone.  The
+    rotations come from one euler_to_rotation call.  tests/test_coverage.py
+    pins the poses against the per-trial SeedSequence and Generator code
+    of tests/oracles.py."""
     keys = spawn_keys(seed, trials)
     low, span = distribution._low_and_span
     words = np.array([keyed_words(key, 6) for key in keys.tolist()], dtype=np.uint64).reshape(-1, 6)
@@ -117,7 +121,8 @@ class CcdfCurve:
 def _evaluate_share(config, poses_of, seed, columns, share, localizable_only=False):
     """The given BoundTable columns of the poses of the indices in share, a
     range, trial i for index i, by column name; poses_of(indices) builds
-    each _POSE_CHUNK's poses, and only these columns outlive its table."""
+    each _POSE_CHUNK's poses, and only these columns outlive its table, so
+    no run holds or sends the per-path rows."""
     scn = config.realize()
     out = {}
     for first in range(0, len(share), _POSE_CHUNK):
@@ -144,7 +149,16 @@ def _run_shares(worker, count: int, threads: int) -> dict:
     """worker(share) over the indices [0, count), its columns in index
     order.  With N = min(threads, count) > 1, share k is range(k, count, N)
     and its values go to column[k::N]: this process computes share 0, and
-    N - 1 child processes send theirs back over pipes."""
+    N - 1 child processes send theirs back over pipes.
+
+    A planar sweep's localizable orientations lie in bands, and
+    interleaving deals each band out to every process, where contiguous
+    ranges gave one process most of the beam work.  The children are
+    daemonic multiprocessing processes of the platform's default start
+    method, and their columns travel pickled.  On any error, this
+    process's share's included, every child is terminated and joined; a
+    child that exits without a result is an error naming its exit code.
+    """
     if not 1 <= threads <= MAX_WORKERS:
         raise ValueError(f"threads must be from 1 to {MAX_WORKERS}, got {threads}")
     processes = min(threads, count)
@@ -291,7 +305,8 @@ def position_field(
     grid: tuple[float, float, float] = (-10.0, 10.0, 1.0),
     threads: int = 1,
 ) -> FieldGrid:
-    """Bounds over an x-y grid at fixed height and orientation."""
+    """Bounds over an x-y grid at fixed height and orientation, whose
+    rotation matrix is built once for all cells."""
     xs = _axis(*grid)
     ys = xs.copy()
     poses_of = functools.partial(_position_poses, xs, ys, euler_to_rotation(orientation), z_m)

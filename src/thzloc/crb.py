@@ -7,15 +7,20 @@ constraint: [p, rho] and the turns dR = R [omega]_x / sqrt(2).  Information
 flows per visible path from the five channel parameters (ETA_NAMES order)
 through the chain rule into those 7 coordinates [p, rho, omega] (5x7
 Jacobians) and is summed over paths into F (7x7); the constrained bound is
-M F^{-1} M^T, which is M (M^T I(r) M)^{-1} M^T for the information I(r) in r.
+M F^{-1} M^T, which is M (M^T I(r) M)^{-1} M^T for the information I(r) in r;
+neither I(r) nor a 13-entry Jacobian is formed.  thzloc.oracles holds the
+finite-difference Jacobian in r, which thzloc validate multiplies by M, and
+tests/oracles.py the analytic one, the long-double reference of the bounds.
 PEB is the root-trace of the position block; OEB is the root-trace of the
 rotation block, converted to degrees through the small-angle relation
 |dR|_F = sqrt(2) * angle.
 
 evaluate_batch is the one way into the evaluation kernel.  It composes
 four stages over all paths of a batch of poses: _geometry, the _solvable
-rule on a selection of paths, _beam_fims and _bound.  The per-path public
-functions are batches of one through the same layers.
+rule on a selection of paths, _beam_fims and _bound.  A selection of the
+paths of the first k BSs gives the k-BS preset's table bit for bit.  The
+per-path public functions are batches of one through the same layers, so
+composing them gives the kernel's result bit for bit.
 """
 
 from __future__ import annotations
@@ -224,7 +229,9 @@ def state_fim(path_fims: list[np.ndarray], jacobians: list[np.ndarray]) -> np.nd
     return state_fims(fims, jacobians, np.array([len(fims)]))[0]
 
 
-_EYE4 = np.eye(4)
+_EYE3, _EYE4 = np.eye(3), np.eye(4)
+# Largest entry of |R^T R - I| that a UE rotation may have.
+_ROTATION_TOL = 1e-6
 _HALF_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
@@ -364,7 +371,10 @@ class BoundTable:
     """Bounds of a batch of poses as columns named after BoundResult's
     fields, one entry per pose, except paths, (P, 2) rows of (bs, subarray),
     and path_params, (P, 6) rows of PathParams fields, which hold the
-    poses' paths in turn, each pose's in visible_paths order."""
+    poses' paths in turn, each pose's in visible_paths order.  The
+    classification column is an object array of classify_localizability's
+    labels.  The kernel builds no object per pose or path; result(i) does,
+    for evaluate_pose."""
 
     classification: np.ndarray
     peb_m: np.ndarray
@@ -402,7 +412,8 @@ class BoundTable:
 _PATH_BLOCK = 16
 # Phases that a group of paths of one panel pair draws at once, or one
 # path's if more: three preset paths (50 x 80 phases) in 0.55 MiB of the
-# thread's beam scratch, 48 B per phase.  Measured against this value in
+# thread's beam scratch, 48 B per phase, or one wide-scenario path
+# (50 x 320) in 0.73 MiB.  Measured against this value in
 # paired runs, 4,096-phase groups ran fields-cli at 0.916x and
 # 49,152-phase groups ran single-pose at 0.981x.
 _GROUP_ELEMENTS = 12288
@@ -416,7 +427,9 @@ def _beam_fims(scenario: Scenario, params, paths, trials, seed):
     pair and their Philox keys derived in one pass.  Each run goes
     _PATH_BLOCK paths at a time: one steering_stack call per side, then
     draws reduced group by group to (G, 3) couplings in this thread's beam
-    scratch, so memory does not grow with the batch.
+    scratch, so memory does not grow with the batch.  Per group it makes one
+    phasor pass, one combiner scaling and one stacked matmul per side; per
+    path it pays only the generator's reseat and its raw words.
     """
     signal = scenario.signal
     lam = signal.wavelength_m
@@ -501,6 +514,13 @@ def _bound(paths: _Paths, fims, solvable, num_visible_bs, rotations) -> BoundTab
                       paths.params)
 
 
+def _trial(value) -> int:
+    # operator.index takes a bool as an int, but True is no trial number.
+    if isinstance(value, bool):
+        raise TypeError("a trial must be an integer, not a bool")
+    return operator.index(value)
+
+
 def evaluate_batch(
     scenario: Scenario, ue_poses: list[Pose], trials: list[int], seed: int | None = None,
     *, localizable_only: bool = False,
@@ -517,13 +537,15 @@ def evaluate_batch(
     beams and gets bound and condition inf; its label and paths are kept.
 
     Raises:
-        TypeError: for a trial that is not an integer.
+        TypeError: for a trial that is not an integer, a bool included.
         ValueError: if trials and ue_poses differ in length, for a negative
-            trial, whether or not its pose sees a BS, or for a pose with a
-            position or rotation entry that is not finite.
+            trial, whether or not its pose sees a BS, for a pose with a
+            position or rotation entry that is not finite, or for a rotation
+            R with an entry of R^T R more than 1e-6 from I's or with a
+            negative determinant.
         ConfigError: if a path's information or a pose's overflows.
     """
-    trials = [operator.index(t) for t in trials]
+    trials = [_trial(t) for t in trials]
     if len(trials) != len(ue_poses):
         raise ValueError(f"{len(ue_poses)} UE poses but {len(trials)} trials")
     negative = [i for i, t in enumerate(trials) if t < 0]
@@ -533,6 +555,12 @@ def evaluate_batch(
     bad = np.flatnonzero(~np.isfinite(np.hstack([ue[0], ue[1].reshape(-1, 9)])).all(axis=1))
     if bad.size:
         raise ValueError(f"UE pose {bad[0]} (trial {trials[bad[0]]}) is not finite")
+    rotations = ue[1]
+    skewed = np.abs(_transpose(rotations) @ rotations - _EYE3).max(axis=(1, 2)) > _ROTATION_TOL
+    bad = np.flatnonzero(skewed | (np.linalg.det(rotations) < 0.0))
+    if bad.size:
+        raise ValueError(f"UE pose {bad[0]} (trial {trials[bad[0]]}) has a matrix that is not"
+                         " a rotation")
     seed = scenario.seed if seed is None else seed
     paths = _geometry(scenario, ue)
     shape = len(trials), len(scenario.bs_poses)

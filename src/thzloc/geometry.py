@@ -55,14 +55,19 @@ def euler_to_rotation(angles: EulerAngles) -> np.ndarray:
     entries = np.zeros((5,) + deg.shape)
     entries[1] = 1.0
     rad = np.deg2rad(deg)
-    cos, sin = np.cos(rad, out=entries[2]), np.sin(rad, out=entries[3])
-    remainder = np.fmod(deg, 90.0)
+    # An infinite angle gives NaN entries quietly, as a NaN angle does; the
+    # kernel refuses the pose as not finite.
+    with np.errstate(invalid="ignore"):
+        cos, sin = np.cos(rad, out=entries[2]), np.sin(rad, out=entries[3])
+        remainder = np.fmod(deg, 90.0)
     if np.count_nonzero(remainder) < remainder.size:
         exact = remainder == 0.0
-        # Mod 4 in float first: a quarter-turn count may not fit an int.
+        # Mod 4 in float first: a quarter-turn count such as 90 * 2^1000 may
+        # not fit an int.
         sin[exact], cos[exact] = _QUARTER[:, np.fmod(deg[exact] / 90.0, 4.0).astype(int)]
     np.negative(sin, out=entries[4])
-    # matmul forms each product of a stack as it would a lone pair.
+    # matmul forms each product of a stack as it would a lone pair, so a
+    # triple gets the same bits alone or in any batch.
     rot = entries.reshape(15, -1).take(_ENTRY, axis=0).transpose(0, 3, 1, 2)
     rx, ry, rz = np.ascontiguousarray(rot)
     return (rz @ ry @ rx).reshape(shape + (3, 3))

@@ -4,6 +4,8 @@ Written from the definitions with plain Python loops and the math modules,
 never with the package's vectorized code or any import of the package, so
 that a bug in the package cannot hide by also being present in an oracle.
 The tests and ``thzloc validate`` both compare against these functions.
+The module imports only math, cmath and NumPy; tests/test_oracles.py keeps
+it free of imports from the package.
 """
 
 from __future__ import annotations

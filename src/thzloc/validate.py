@@ -1,9 +1,10 @@
 """Numeric checks of the bounds' building blocks, one implementation each.
 
 `thzloc validate` runs them on the scenario it is given; the acceptance
-criteria and unit tests call the same checks at their own seeds and
-counts.  Each numeric check takes a count and a numpy Generator (the power
-check, the poses to try) and returns its verdict, then its worst figures.
+criteria (1, 2 and 4) and unit tests call the same checks at their own
+seeds and counts.  Each numeric check takes a count and a numpy Generator
+(the power check, the poses to try) and returns its verdict, then its
+worst figures.
 The derivative references come from thzloc.oracles.  A figure that is not
 finite fails its check.  check_path_fim forms path FIMs from the scenario's
 waveform and panels outside the kernel's overflow check, so it keeps
@@ -30,7 +31,8 @@ from .oracles import (
 )
 from .scenario import ScenarioConfig, parse_config, serialize_config
 
-# Most cases per numeric check: 17 min on the presets, 10 ms per case.
+# Most cases per numeric check: about 9 min on the presets at 5.6 ms per case
+# (2-core x86-64, one OpenBLAS thread).
 MAX_TRIALS = 10**5
 
 

@@ -33,7 +33,7 @@ from thzloc.coverage import (
 from thzloc import coverage, crb
 from thzloc.channel import keyed_beam_rows
 from thzloc.crb import COMM_ONLY, LOCALIZABLE, NO_LOS
-from thzloc.geometry import Pose
+from thzloc.geometry import Pose, euler_to_rotation
 
 from oracles import sample_pose_oracle
 
@@ -453,6 +453,16 @@ def test_orientation_field_draws_beams_only_for_cells_it_reports(monkeypatch):
 
 
 _NAN_POSE = Pose(np.array([np.nan, 0.0, 0.0]), np.eye(3))
+_ROTATION = euler_to_rotation(EulerAngles(10.0, 40.0, -30.0))
+
+
+def _batch_of(matrix):
+    # One pose at (2, -1, 1), trial 3, whose rotation is the given matrix.
+    pose = Pose(np.array([2.0, -1.0, 1.0]), matrix)
+    return lambda cfg: crb.evaluate_batch(cfg.realize(), [pose], [3])
+
+
+_NOT_A_ROTATION = "UE pose 0 .trial 3. has a matrix that is not a rotation"
 
 
 @pytest.mark.parametrize("call, match", [
@@ -466,9 +476,22 @@ _NAN_POSE = Pose(np.array([np.nan, 0.0, 0.0]), np.eye(3))
      "UE pose 0 .trial 0. is not finite"),
     (lambda cfg: position_field(cfg, EulerAngles(0, 0, 0), z_m=np.nan, grid=(0.0, 1.0, 1.0)),
      "UE pose 0 .trial 0. is not finite"),
-], ids=["evaluate_pose", "evaluate_batch", "sweep-alpha", "sweep-position", "map-height"])
+    # An infinite angle makes NaN entries without a RuntimeWarning.
+    (lambda cfg: orientation_field(cfg, (0.0, 0.0, 0.0), step_deg=90.0, alpha_deg=np.inf),
+     "UE pose 0 .trial 0. is not finite"),
+    (lambda cfg: position_field(cfg, EulerAngles(np.inf, 0, 0), grid=(0.0, 1.0, 1.0)),
+     "UE pose 0 .trial 0. is not finite"),
+    # Matrices that are not rotations, the reflection with R^T R = I included.
+    (_batch_of(0.5 * _ROTATION), _NOT_A_ROTATION),
+    (_batch_of(_ROTATION @ np.diag([1.0, 1.0, -1.0])), _NOT_A_ROTATION),
+    (_batch_of(np.zeros((3, 3))), _NOT_A_ROTATION),
+    (_batch_of(2.0 * _ROTATION), _NOT_A_ROTATION),
+], ids=["evaluate_pose", "evaluate_batch", "sweep-alpha", "sweep-position", "map-height",
+        "sweep-infinite-alpha", "map-infinite-alpha", "half-rotation", "reflection",
+        "zero-matrix", "double-rotation"])
 def test_a_pose_that_is_not_finite_is_an_input_error(call, match):
     # Not a pose that sees no BS: the kernel refuses it before visibility.
+    # A finite pose whose matrix is not a rotation is refused alike.
     with pytest.raises(ValueError, match=match):
         call(preset("planar-2bs"))
 

@@ -126,6 +126,11 @@ def test_trials_must_be_integers():
     pose = sample_pose(PoseDistribution(), 5, 0)
     with pytest.raises(TypeError):
         evaluate_pose(config, pose, trial=1.5)
+    # A bool is an int to Python, but True is no trial number.
+    with pytest.raises(TypeError):
+        evaluate_pose(config, pose, trial=True)
+    with pytest.raises(TypeError):
+        evaluate_batch(config.realize(), [pose, pose], [0, True])
     assert evaluate_pose(config, pose, trial=np.int64(3)) == evaluate_pose(config, pose, trial=3)
 
 

@@ -26,7 +26,16 @@ tree's median call in ms, the median of the paired ratios old / new over
 all calls (above 1 when the new tree is faster), a 95% bootstrap interval
 of that median, the share of calls the new tree won, and each process
 pair's median ratio with their spread (largest less smallest); then how
-many calls gave equal outputs in both trees, and the same as one JSON line.
+many calls gave equal outputs in both trees, and the same as one JSON line
+(its pair_ratios are the pairs' median ratios).
+
+Pairing cancels the load that other processes put on a shared host, which
+moves whole perfbench runs by more than a few percent.  A one-pair
+interval can still be narrower than the spread between runs: three
+single-pair runs of the same two trees read 1.007, 1.012 and 0.989
+(BENCH_15.json, note), so a ratio nearer 1 than the pairs' spread is
+no evidence.  The tool adds evidence to the benchmark's own pairs and does
+not replace them.
 """
 
 from __future__ import annotations
