@@ -204,6 +204,13 @@ def _mixed_keys(seed: int, words: np.ndarray) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8")
 
 
+def as_index(value, what: str) -> int:
+    # operator.index takes a bool as an int, but True is no count or seed.
+    if isinstance(value, bool):
+        raise TypeError(f"a {what} must be an integer, not a bool")
+    return operator.index(value)
+
+
 def spawn_keys(seed: int, *spawn_rows) -> np.ndarray:
     """Philox keys of many streams, shape (P, 2) uint64.
 
@@ -216,9 +223,10 @@ def spawn_keys(seed: int, *spawn_rows) -> np.ndarray:
     boundary too.
 
     Raises:
+        TypeError: for a seed that is not an integer, a bool included.
         ValueError: for a negative seed or spawn entry.
     """
-    seed = operator.index(seed)
+    seed = as_index(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     spawn = np.array(spawn_rows)

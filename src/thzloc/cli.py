@@ -74,10 +74,6 @@ def _load_scenario(args) -> ScenarioConfig:
     _require(
         1 <= threads <= MAX_WORKERS, f"--threads must be from 1 to {MAX_WORKERS}, got {threads}"
     )
-    _require(
-        args.seed is None or args.seed >= 0,
-        f"--seed must be a non-negative integer, got {args.seed}",
-    )
     if args.config is not None:
         try:
             config = load_config(args.config)

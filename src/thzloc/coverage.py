@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import keyed_words, spawn_keys
+from .channel import as_index, keyed_words, spawn_keys
 from .crb import LOCALIZABLE, BoundResult, evaluate_batch
 from .errors import ConfigError
 from .geometry import EulerAngles, Pose, euler_to_rotation
@@ -159,7 +159,7 @@ def _run_shares(worker, count: int, threads: int) -> dict:
     process's share's included, every child is terminated and joined; a
     child that exits without a result is an error naming its exit code.
     """
-    if not 1 <= threads <= MAX_WORKERS:
+    if not 1 <= as_index(threads, "thread count") <= MAX_WORKERS:
         raise ValueError(f"threads must be from 1 to {MAX_WORKERS}, got {threads}")
     processes = min(threads, count)
     if processes <= 1:
@@ -223,7 +223,7 @@ def coverage_ccdf(
         threads: processes, the calling one included; results are
             independent of this value.
     """
-    if not 1 <= trials <= MAX_TRIALS:
+    if not 1 <= as_index(trials, "trial count") <= MAX_TRIALS:
         raise ValueError(f"trials must be from 1 to {MAX_TRIALS}, got {trials}")
     if metric not in _METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -265,8 +265,8 @@ def _axis(start: float, stop: float, step: float) -> np.ndarray:
     # One axis of a square field grid, checked before anything is allocated.
     # The last point does not pass stop, up to a relative _AXIS_SLACK that
     # keeps the end point of steps such as 0.1 that binary cannot hold.
-    if not step > 0:
-        raise ConfigError(f"grid step must be positive, got {step:g}")
+    if not 0 < step < np.inf:
+        raise ConfigError(f"grid step must be positive and finite, got {step:g}")
     # A Python float, so a count past the float range is inf without warnings.
     points = float(np.floor((stop - start) / step * (1.0 + _AXIS_SLACK))) + 1.0
     where = f"grid from {start:g} to {stop:g} in steps of {step:g}"

@@ -26,7 +26,6 @@ composing them gives the kernel's result bit for bit.
 from __future__ import annotations
 
 import functools
-import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -35,6 +34,7 @@ import numpy as np
 from .channel import (
     BeamformerSet,
     SignalConfig,
+    as_index,
     keyed_beam_rows,
     path_gain,
     spawn_keys,
@@ -514,13 +514,6 @@ def _bound(paths: _Paths, fims, solvable, num_visible_bs, rotations) -> BoundTab
                       paths.params)
 
 
-def _trial(value) -> int:
-    # operator.index takes a bool as an int, but True is no trial number.
-    if isinstance(value, bool):
-        raise TypeError("a trial must be an integer, not a bool")
-    return operator.index(value)
-
-
 def evaluate_batch(
     scenario: Scenario, ue_poses: list[Pose], trials: list[int], seed: int | None = None,
     *, localizable_only: bool = False,
@@ -537,7 +530,7 @@ def evaluate_batch(
     beams and gets bound and condition inf; its label and paths are kept.
 
     Raises:
-        TypeError: for a trial that is not an integer, a bool included.
+        TypeError: for a trial or seed that is not an integer, a bool included.
         ValueError: if trials and ue_poses differ in length, for a negative
             trial, whether or not its pose sees a BS, for a pose with a
             position or rotation entry that is not finite, or for a rotation
@@ -545,7 +538,7 @@ def evaluate_batch(
             negative determinant.
         ConfigError: if a path's information or a pose's overflows.
     """
-    trials = [_trial(t) for t in trials]
+    trials = [as_index(t, "trial") for t in trials]
     if len(trials) != len(ue_poses):
         raise ValueError(f"{len(ue_poses)} UE poses but {len(trials)} trials")
     negative = [i for i, t in enumerate(trials) if t < 0]

@@ -2,7 +2,8 @@
 
 
 class ConfigError(ValueError):
-    """A scenario file, preset or field grid request is malformed."""
+    """A scenario or a field grid request is malformed: a ScenarioConfig,
+    from a file or built in code, raises it when it breaks a rule."""
 
 
 class GeometryError(ValueError):

@@ -23,12 +23,13 @@ A scenario file is a single YAML document with four top-level sections::
       seed: 1
       clock_bias_s: 0.0
 
-Keys carry explicit units.  Unknown keys, and a key repeated in one
-mapping, are rejected so typos fail loudly.  Each BS entry, subarray
-entry, panel and `signal` is read field by field from its dataclass: an
-absent key takes the field's default, and a missing required key is
-named (`bs[0] is missing 'panel'`).  |sim.clock_bias_s| is at most
-MAX_CLOCK_BIAS_S.
+Keys carry explicit units.  parse_config refuses unknown keys, a key
+repeated in one mapping and a missing required key (`bs[0] is missing
+'panel'`); an absent optional key takes its field's default.  The rules
+on values hold for every ScenarioConfig, however it is built (parsed,
+preset, dataclasses.replace or the constructor): one that breaks a rule
+raises ConfigError when built, with the text a file gets
+(`sim.seed must be a non-negative integer, got -1`).
 The named presets pair two UE layouts (six 4x4 subarrays, either coplanar
 or on the faces of a 0.1 m cube) with two, three, or four ceiling-mounted
 8x8 BS panels.
@@ -154,6 +155,9 @@ class ScenarioConfig:
     signal: SignalConfig = field(default_factory=SignalConfig)
     seed: int = 1
     clock_bias_s: float = 0.0
+
+    def __post_init__(self):
+        _check(self)  # however the config is built: parsed, preset, replaced
 
     def __hash__(self) -> int:
         return self._hash
@@ -322,8 +326,8 @@ def _triple(value, where: str) -> tuple[float, float, float]:
     return tuple(_number(x, where) for x in value)
 
 
-def _panel(section, where: str) -> PanelConfig:
-    panel = _section(PanelConfig, section, where)
+def _panel(panel, where: str) -> PanelConfig:
+    panel = _fields(PanelConfig, panel, where)
     if panel.rows < 1 or panel.cols < 1:
         raise ConfigError(f"{where} needs positive rows and cols")
     if panel.spacing_wl <= 0:
@@ -331,8 +335,8 @@ def _panel(section, where: str) -> PanelConfig:
     return panel
 
 
-# The reader of each field type of the dataclasses a scenario file holds,
-# keyed by the annotation as written (a string under postponed evaluation).
+# The reader of each field type of the dataclasses a scenario holds, keyed
+# by the annotation as written (a string under postponed evaluation).
 _READERS = {
     "int": _integer,
     "float": _number,
@@ -341,61 +345,32 @@ _READERS = {
 }
 
 
-def _section(cls, mapping, where: str):
-    """The dataclass cls from a mapping whose keys are its fields, each read
-    by the reader of its declared type; an absent key takes the default."""
-    fields = dataclasses.fields(cls)
-    _require_keys(mapping, {f.name for f in fields}, where)
-    values = {}
-    for f in fields:
-        if f.name in mapping:
-            values[f.name] = _READERS[f.type](mapping[f.name], f"{where}.{f.name}")
-        elif f.default is dataclasses.MISSING:
-            raise ConfigError(f"{where} is missing {f.name!r}")
-    return cls(**values)
+def _fields(cls, value, where: str):
+    """value, a cls, anew with each field read by the reader of its type."""
+    if not isinstance(value, cls):
+        raise ConfigError(f"{where} must be a {cls.__name__}, got {type(value).__name__}")
+    return cls(**{f.name: _READERS[f.type](getattr(value, f.name), f"{where}.{f.name}")
+                  for f in dataclasses.fields(cls)})
 
 
-def parse_config(text_or_mapping) -> ScenarioConfig:
-    """Parse a scenario from YAML text or an already-loaded mapping.
-
-    Raises:
-        ConfigError: on syntax errors, unknown keys, missing sections, or
-            out-of-range values.
-    """
-    if isinstance(text_or_mapping, dict):
-        doc = text_or_mapping
-    else:
-        try:
-            doc = yaml.load(text_or_mapping, Loader=_UniqueKeyLoader)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"scenario file is not valid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario file must contain a mapping at top level")
-    _require_keys(doc, {"bs", "ue", "signal", "sim"}, "scenario")
-
-    bs_section = doc.get("bs")
-    if not isinstance(bs_section, list) or not bs_section:
-        raise ConfigError("'bs' must be a non-empty list")
+def _check(config: ScenarioConfig) -> None:
+    """Hold config to every rule of a scenario; store its fields as read."""
+    for entries, key in ((config.bs, "bs"), (config.subarrays, "ue.subarrays")):
+        if not isinstance(entries, (list, tuple)) or not entries:
+            raise ConfigError(f"'{key}' must be a non-empty list")
     stations = []
-    for i, entry in enumerate(bs_section):
-        stations.append(_section(BaseStationConfig, entry, f"bs[{i}]"))
+    for i, entry in enumerate(config.bs):
+        stations.append(_fields(BaseStationConfig, entry, f"bs[{i}]"))
         same = [b.position_m for b in stations].index(stations[-1].position_m)
         if same < i:
             raise ConfigError(f"bs[{i}].position_m repeats bs[{same}].position_m")
-
-    ue_section = doc.get("ue", {})
-    _require_keys(ue_section, {"subarrays"}, "ue")
-    sub_section = ue_section.get("subarrays")
-    if not isinstance(sub_section, list) or not sub_section:
-        raise ConfigError("'ue.subarrays' must be a non-empty list")
-    subs = [_section(SubarrayConfig, e, f"ue.subarrays[{i}]") for i, e in enumerate(sub_section)]
+    subs = [_fields(SubarrayConfig, e, f"ue.subarrays[{i}]") for i, e in enumerate(config.subarrays)]
     if len(stations) * len(subs) > MAX_PAIRS:
         raise ConfigError(
             f"bs and ue.subarrays make {len(stations)} x {len(subs)} ="
             f" {len(stations) * len(subs)} BS-subarray pairs, more than {MAX_PAIRS}"
         )
-
-    signal = _section(SignalConfig, doc.get("signal", {}), "signal")
+    signal = _fields(SignalConfig, config.signal, "signal")
     if signal.num_subcarriers < 1 or signal.num_transmissions < 1:
         raise ConfigError("num_subcarriers and num_transmissions must be at least 1")
     if signal.num_subcarriers > MAX_SUBCARRIERS:
@@ -424,21 +399,62 @@ def parse_config(text_or_mapping) -> ScenarioConfig:
             f"signal.num_transmissions x (UE + BS panel elements) is {signal.num_transmissions}"
             f" x ({n_ue} + {n_bs}) = {phases} beam phases per path, more than {MAX_PATH_PHASES}"
         )
-
-    sim_section = doc.get("sim", {})
-    _require_keys(sim_section, {"seed", "clock_bias_s"}, "sim")
-    seed = _integer(sim_section.get("seed", 1), "sim.seed")
+    seed = _integer(config.seed, "sim.seed")
     if seed < 0:
         raise ConfigError(f"sim.seed must be a non-negative integer, got {seed}")
-    bias = _number(sim_section.get("clock_bias_s", 0.0), "sim.clock_bias_s")
-    if abs(bias) > MAX_CLOCK_BIAS_S:
+    bias = _number(config.clock_bias_s, "sim.clock_bias_s")
+    if not abs(bias) <= MAX_CLOCK_BIAS_S:
         raise ConfigError(f"sim.clock_bias_s must be within +-{MAX_CLOCK_BIAS_S:g} s, got {bias:g}")
+    for name, value in dict(bs=tuple(stations), subarrays=tuple(subs), signal=signal,
+                            seed=seed, clock_bias_s=bias).items():
+        object.__setattr__(config, name, value)
+
+
+def _section(cls, mapping, where: str):
+    """The dataclass cls from a mapping whose keys are its fields, a panel
+    from a mapping of its own; an absent key takes the field's default."""
+    fields = dataclasses.fields(cls)
+    _require_keys(mapping, {f.name for f in fields}, where)
+    for f in fields:
+        if f.name not in mapping and f.default is dataclasses.MISSING:
+            raise ConfigError(f"{where} is missing {f.name!r}")
+    if "panel" in mapping:
+        mapping = {**mapping, "panel": _section(PanelConfig, mapping["panel"], f"{where}.panel")}
+    return cls(**mapping)
+
+
+def _sections(cls, entries, where: str):
+    if not isinstance(entries, list):  # for ScenarioConfig to refuse
+        return entries
+    return tuple(_section(cls, entry, f"{where}[{i}]") for i, entry in enumerate(entries))
+
+
+def parse_config(text_or_mapping) -> ScenarioConfig:
+    """Parse a scenario from YAML text or an already-loaded mapping: its
+    keys here, its values by the rules of every ScenarioConfig when built.
+
+    Raises:
+        ConfigError: on syntax errors, repeated, unknown or missing keys,
+            or a value that breaks a rule of ScenarioConfig.
+    """
+    if isinstance(text_or_mapping, dict):
+        doc = text_or_mapping
+    else:
+        try:
+            doc = yaml.load(text_or_mapping, Loader=_UniqueKeyLoader)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"scenario file is not valid YAML: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("scenario file must contain a mapping at top level")
+    _require_keys(doc, {"bs", "ue", "signal", "sim"}, "scenario")
+    ue, sim = doc.get("ue", {}), doc.get("sim", {})
+    _require_keys(ue, {"subarrays"}, "ue")
+    _require_keys(sim, {"seed", "clock_bias_s"}, "sim")
     return ScenarioConfig(
-        bs=tuple(stations),
-        subarrays=tuple(subs),
-        signal=signal,
-        seed=seed,
-        clock_bias_s=bias,
+        bs=_sections(BaseStationConfig, doc.get("bs"), "bs"),
+        subarrays=_sections(SubarrayConfig, ue.get("subarrays"), "ue.subarrays"),
+        signal=_section(SignalConfig, doc.get("signal", {}), "signal"),
+        **sim,
     )
 
 

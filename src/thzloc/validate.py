@@ -17,7 +17,7 @@ import dataclasses
 
 import numpy as np
 
-from .channel import draw_beamformers, path_gain
+from .channel import as_index, draw_beamformers, path_gain
 from .coverage import PoseDistribution, coverage_ccdf, evaluate_pose, sample_pose
 from .crb import constraint_basis, path_fim, state_jacobian
 from .errors import GeometryError
@@ -219,9 +219,9 @@ def check_ccdf(config: ScenarioConfig) -> tuple[bool, str]:
 
 
 def run_validation(config: ScenarioConfig, trials: int = 50, seed: int = 0):
-    """All checks, an iterator of (name, passed, detail) triples; raises
-    ValueError at the call, before any check, for trials outside 1 to MAX_TRIALS."""
-    if not 1 <= trials <= MAX_TRIALS:
+    """All checks, an iterator of (name, passed, detail) triples.  At the call,
+    trials raise TypeError if a bool, ValueError outside 1 to MAX_TRIALS."""
+    if not 1 <= as_index(trials, "trial count") <= MAX_TRIALS:
         raise ValueError(f"trials must be from 1 to {MAX_TRIALS}, got {trials}")
     return _checks(config, trials, seed)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import thzloc
 from thzloc import cli, coverage, crb, preset, serialize_config, validate
@@ -18,6 +19,7 @@ from thzloc.cli import (
     EXIT_VALIDATION_FAILED,
     main,
 )
+from thzloc.scenario import config_to_mapping
 from thzloc.validate import run_validation
 
 
@@ -116,6 +118,15 @@ def test_bad_config_file_exit_code(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("thzloc: error: scenario file is not valid YAML")
 
 
+def _scene_file(path, section, key, value):
+    """path holding cuboidal-2bs with one key of a section set to value:
+    a file, since ScenarioConfig refuses such a value when it is built."""
+    doc = config_to_mapping(preset("cuboidal-2bs"))
+    doc[section][key] = value
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    return path
+
+
 @pytest.mark.parametrize("key, value", [
     ("power_dbm", 1e300), ("noise_psd_dbm_hz", 1e300), ("noise_psd_dbm_hz", -1e300),
     ("noise_figure_db", -1e300), ("carrier_hz", 1e-300), ("bandwidth_hz", 1e300),
@@ -124,10 +135,7 @@ def test_bad_config_file_exit_code(tmp_path, capsys):
 def test_signal_values_out_of_the_float_range_are_config_errors(tmp_path, capsys, key, value):
     # Each overflows a power, the SNR scale, the wavelength or the tone
     # factor, or underflows one to 0; -1e300 dBm would read as comm_only.
-    config = preset("cuboidal-2bs")
-    signal = dataclasses.replace(config.signal, **{key: value})
-    path = tmp_path / "scene.yaml"
-    path.write_text(serialize_config(dataclasses.replace(config, signal=signal)))
+    path = _scene_file(tmp_path / "scene.yaml", "signal", key, value)
     code, out, err = run(
         capsys, "bounds", "--config", str(path),
         "--position", "1,1,1", "--orientation", "0,-90,45",
@@ -181,8 +189,7 @@ def test_validate_fails_the_checks_whose_figures_overflow(tmp_path, capsys, key,
 
 
 def test_bounds_refuses_a_clock_bias_whose_delays_overflow(tmp_path, capsys):
-    path = tmp_path / "scene.yaml"
-    path.write_text(serialize_config(dataclasses.replace(preset("cuboidal-2bs"), clock_bias_s=1e300)))
+    path = _scene_file(tmp_path / "scene.yaml", "sim", "clock_bias_s", 1e300)
     code, out, err = run(
         capsys, "bounds", "--config", str(path),
         "--position", "1,1,1", "--orientation", "0,-90,45",
@@ -192,10 +199,14 @@ def test_bounds_refuses_a_clock_bias_whose_delays_overflow(tmp_path, capsys):
 
 
 def test_bounds_writes_no_json_that_strict_readers_refuse(tmp_path, capsys, monkeypatch):
-    # A bias past parse_config's bound, set on the config itself, makes every
-    # delay_ns inf: that is an error, and neither stdout nor --out gets a byte.
-    biased = dataclasses.replace(preset("cuboidal-2bs"), clock_bias_s=1e300)
-    monkeypatch.setattr(cli, "preset", lambda name: biased)
+    # A result whose path distance is inf, as the kernel never returns, is
+    # an error in the strict JSON: neither stdout nor --out gets a byte.
+    def far(config, pose):
+        result = coverage.evaluate_pose(config, pose)
+        first = dataclasses.replace(result.path_params[0], distance=np.inf)
+        return dataclasses.replace(result, path_params=(first,) + result.path_params[1:])
+
+    monkeypatch.setattr(cli, "evaluate_pose", far)
     out = tmp_path / "bounds.json"
     out.write_text("kept\n")
     for target in ("-", str(out)):
@@ -360,7 +371,7 @@ def test_threads_is_unknown_to_the_commands_that_start_no_process(capsys, argv):
         (
             ["bounds", "--preset", "planar-2bs", "--seed", "-1",
              "--position", "1,1,1", "--orientation", "0,0,0"],
-            "--seed",
+            "sim.seed",
         ),
         (["map", "--preset", "planar-2bs", "--grid=-inf,10,1"], "--grid"),
         (["map", "--preset", "planar-2bs", "--grid=nan,10,1"], "--grid"),

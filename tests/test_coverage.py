@@ -33,7 +33,9 @@ from thzloc.coverage import (
 from thzloc import coverage, crb
 from thzloc.channel import keyed_beam_rows
 from thzloc.crb import COMM_ONLY, LOCALIZABLE, NO_LOS
+from thzloc.errors import ConfigError
 from thzloc.geometry import Pose, euler_to_rotation
+from thzloc.validate import run_validation
 
 from oracles import sample_pose_oracle
 
@@ -222,6 +224,28 @@ def test_worker_count_must_be_positive(threads):
         position_field(cfg, EulerAngles(0, 0, 0), grid=(0.0, 1.0, 1.0), threads=threads)
     with pytest.raises(ValueError, match="threads"):
         orientation_field(cfg, (0.0, 0.0, 0.0), step_deg=180.0, threads=threads)
+
+
+# A planar-2bs pose that sees no BS, so draws no beams.
+_FLAT_POSE = Pose(np.zeros(3), euler_to_rotation(EulerAngles(0.0, 90.0, 0.0)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: coverage_ccdf(cfg, True),
+    lambda cfg: coverage_ccdf(cfg, 5, threads=True),
+    lambda cfg: coverage_ccdf(cfg, 5, seed=True),
+    lambda cfg: position_field(cfg, EulerAngles(0, 0, 0), grid=(0.0, 1.0, 1.0), threads=True),
+    lambda cfg: orientation_field(cfg, (0.0, 0.0, 0.0), step_deg=180.0, threads=True),
+    lambda cfg: run_validation(cfg, trials=True),
+    lambda cfg: evaluate_pose(cfg, sample_pose(PoseDistribution(), 1, 0), seed=True),
+    lambda cfg: evaluate_pose(cfg, _FLAT_POSE, seed=True),
+    lambda cfg: sample_poses(PoseDistribution(), True, [0]),
+], ids=["trials", "threads", "ccdf-seed", "map-threads", "sweep-threads", "validate-trials",
+        "pose-seed", "no-los-pose-seed", "sampling-seed"])
+def test_a_bool_is_no_count_or_seed(call):
+    # Python takes True as 1, but it is no count and no seed.
+    with pytest.raises(TypeError, match="must be an integer, not a bool"):
+        call(preset("planar-2bs"))
 
 
 class _InProcessContext:
@@ -523,3 +547,13 @@ def test_field_rejects_bad_grid():
     assert len(_axis(0.0, side - 1.0, 1.0)) == side
     with pytest.raises(ValueError, match="more than"):
         _axis(0.0, float(side), 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: orientation_field(cfg, (0, 0, 0), step_deg=math.inf),
+    lambda cfg: position_field(cfg, EulerAngles(0, -90, 45), grid=(0, 1, math.inf)),
+], ids=["orientation_field", "position_field"])
+def test_an_infinite_grid_step_is_a_config_error(call):
+    # inf * 0 would make the first axis value NaN, with a RuntimeWarning.
+    with pytest.raises(ConfigError, match="^grid step must be positive and finite, got inf$"):
+        call(preset("planar-2bs"))

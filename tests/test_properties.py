@@ -1,24 +1,34 @@
-"""Property tests at the input boundary: scenario mappings and CLI values.
+"""Property tests at the input boundary: scenario mappings, configs built
+in code and CLI values.
 
 Every input ends either in a result or in exit 2 with one line on stderr,
-never in a traceback or exit 1.  Only `bounds` evaluates; `map`,
+never in a traceback or exit 1.  A config built in code meets the rules of
+a scenario file when it is built.  Only `bounds` evaluates; `map`,
 `orient-sweep`, `coverage` and `validate` stop where their evaluation
 would start, so the examples stay cheap.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import re
+import warnings
 
+import numpy as np
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from thzloc import PRESET_NAMES, parse_config, preset
+from thzloc import (
+    PRESET_NAMES, EulerAngles, Pose, SignalConfig, evaluate_pose, euler_to_rotation, parse_config,
+    preset,
+)
 from thzloc.cli import EXIT_CONFIG_ERROR, EXIT_NOT_LOCALIZABLE, EXIT_OK, main
 from thzloc.coverage import MAX_WORKERS
-from thzloc.errors import ConfigError
+from thzloc.errors import ConfigError, GeometryError
 from thzloc.scenario import ScenarioConfig, config_to_mapping
 
 EDGE_NUMBERS = [0, -1, 2**31, 2**64, 10**400, -(10**400), 1e308, -0.0, 5e-324,
@@ -73,6 +83,84 @@ def test_parse_config_returns_a_scenario_or_a_one_line_config_error(doc):
         assert "\n" not in str(exc)
     else:
         assert isinstance(config, ScenarioConfig)
+
+
+def _replaced(node, keys, value):
+    """node, a config or a part of one, with the entry at keys set to value
+    through dataclasses.replace; a tuple's entry is keyed by its index."""
+    if not keys:
+        return value
+    key, rest = keys[0], keys[1:]
+    if isinstance(node, tuple):
+        return node[:key] + (_replaced(node[key], rest, value),) + node[key + 1:]
+    return dataclasses.replace(node, **{key: _replaced(getattr(node, key), rest, value)})
+
+
+# A config's fields that a scenario file holds under `sim`.
+_SIM_KEYS = {"seed", "clock_bias_s"}
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("signal", "num_transmissions"), 0, "num_subcarriers and num_transmissions must be at least 1"),
+    (("signal", "num_subcarriers"), 0, "num_subcarriers and num_transmissions must be at least 1"),
+    (("signal", "carrier_hz"), 0.0, "signal carrier_hz out of range: a scale of the bound is inf"),
+    (("signal", "power_dbm"), 1e308, "signal power_dbm out of range: a scale of the bound is inf"),
+    (("bs", 0, "panel", "rows"), 0, "bs[0].panel needs positive rows and cols"),
+    (("bs", 0, "panel", "spacing_wl"), -1.0, "bs[0].panel.spacing_wl must be positive, got -1"),
+    (("bs",), (), "'bs' must be a non-empty list"),
+    (("bs", 1, "position_m"), (-10.5, -10.5, 5.0), "bs[1].position_m repeats bs[0].position_m"),
+    (("clock_bias_s",), math.nan, "sim.clock_bias_s must be finite, got nan"),
+    (("seed",), -1, "sim.seed must be a non-negative integer, got -1"),
+    (("seed",), True, "sim.seed must be an integer, got True"),
+], ids=["num_transmissions", "num_subcarriers", "carrier_hz", "power_dbm", "rows", "spacing_wl",
+        "no-bs", "repeated-bs", "clock_bias_s", "seed", "bool-seed"])
+def test_a_config_built_in_code_meets_the_rules_of_a_file(keys, value, message):
+    # The same value in a file, which parse_config reads, is refused alike.
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        _replaced(preset("cuboidal-2bs"), keys, value)
+    doc = config_to_mapping(preset("cuboidal-2bs"))
+    if keys[0] in _SIM_KEYS:
+        keys = ("sim",) + keys
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = list(value) if isinstance(value, tuple) else value
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(yaml.safe_dump(doc))
+
+
+# Fields that one replacement sets in a preset's config: each signal field,
+# panel fields, a BS or subarray triple or one of its entries, the seed and
+# the bias.
+BUILT_FIELDS = [
+    *(("signal", f.name) for f in dataclasses.fields(SignalConfig)),
+    ("bs", 0, "panel", "rows"), ("bs", 1, "panel", "cols"), ("bs", 0, "panel", "spacing_wl"),
+    ("subarrays", 3, "panel", "rows"), ("subarrays", 0, "panel", "spacing_wl"),
+    ("bs", 0, "position_m", 2), ("bs", 1, "orientation_deg", 1),
+    ("subarrays", 2, "offset_m", 0), ("subarrays", 5, "orientation_deg", 2),
+    ("bs", 1, "position_m"), ("subarrays", 4, "offset_m"), ("seed",), ("clock_bias_s",),
+]
+BUILT_VALUES = st.one_of(
+    st.sampled_from(EDGE_NUMBERS), st.booleans(), st.integers(-5, 100), st.floats(-100.0, 100.0),
+)
+# A pose that sees BSs of every preset.
+_POSE = Pose(np.array([1.0, 2.0, 1.0]), euler_to_rotation(EulerAngles(0.0, -90.0, 45.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(PRESET_NAMES), st.sampled_from(BUILT_FIELDS), BUILT_VALUES)
+def test_a_config_built_in_code_is_refused_when_built_or_evaluates(name, keys, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            config = _replaced(preset(name), keys, value)
+        except ConfigError as exc:
+            assert "\n" not in str(exc)
+            return
+        try:
+            evaluate_pose(config, _POSE)
+        except (ConfigError, GeometryError) as exc:
+            assert "\n" not in str(exc)
 
 
 def _numbers_text(count):
