@@ -8,7 +8,7 @@ the UE orientation treated as a constrained unknown on the rotation manifold,
 and estimates localizability coverage over random poses by Monte Carlo.
 """
 
-from .channel import ETA_NAMES, SignalConfig, draw_beamformers
+from .channel import ETA_NAMES, draw_beamformers
 from .coverage import (
     PoseDistribution,
     coverage_ccdf,
@@ -44,6 +44,7 @@ from .geometry import (
 from .scenario import (
     PRESET_NAMES,
     PanelConfig,
+    SignalConfig,
     load_config,
     parse_config,
     preset,

@@ -5,10 +5,10 @@ The received pilot on transmission g and subcarrier k is
     mu[g, k] = sqrt(P) * w_ue^T H[k] w_bs,
     H[k] = gain * exp(-j 2 pi f_k tau) * a_ue(aoa) a_bs(aod)^T,
 
-with unit pilot symbol, deterministic free-space gain, and random
-phase-shifter beamformers redrawn per transmission.  Subcarriers sit on a
-symmetric grid around the carrier, f_k = (k - (K + 1) / 2) * W / K for
-k = 1..K, so the grid never contains the carrier itself for even K.
+with unit pilot symbol, deterministic free-space gain, and random phase-
+shifter beams redrawn per transmission; f_k = (k - (K + 1) / 2) * W / K for
+k = 1..K, a grid symmetric around the carrier, never on it for even K.  The
+waveform is a scenario.SignalConfig, taken as numbers: no package import.
 
 The beams of a path come from the Philox stream keyed by
 SeedSequence(seed, spawn_key=(trial, bs, subarray)), a trial's pose from
@@ -31,44 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT
-
 # Order of the per-path channel parameters everywhere in this package.
 ETA_NAMES = ("aod_az", "aod_el", "aoa_az", "aoa_el", "delay")
-
-
-@dataclass(frozen=True)
-class SignalConfig:
-    """Waveform and noise parameters shared by all paths."""
-
-    power_dbm: float = 0.0
-    carrier_hz: float = 140e9
-    bandwidth_hz: float = 1e9
-    num_subcarriers: int = 10
-    num_transmissions: int = 50
-    noise_psd_dbm_hz: float = -173.855
-    noise_figure_db: float = 10.0
-
-    @property
-    def power_w(self) -> float:
-        return 10.0 ** (self.power_dbm / 10.0) * 1e-3
-
-    @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_hz
-
-    def subcarrier_offsets_hz(self) -> np.ndarray:
-        """Baseband frequency of each subcarrier, symmetric around zero."""
-        k = np.arange(1, self.num_subcarriers + 1)
-        return (k - (self.num_subcarriers + 1) / 2.0) * (
-            self.bandwidth_hz / self.num_subcarriers
-        )
-
-    @property
-    def noise_variance_w(self) -> float:
-        """Post-combining noise power over the full signal bandwidth."""
-        psd_w_hz = 10.0 ** ((self.noise_psd_dbm_hz + self.noise_figure_db) / 10.0) * 1e-3
-        return psd_w_hz * self.bandwidth_hz
 
 
 def path_gain(distance_m: float, wavelength_m: float) -> float:

@@ -33,7 +33,6 @@ import numpy as np
 
 from .channel import (
     BeamformerSet,
-    SignalConfig,
     as_index,
     keyed_beam_rows,
     path_gain,
@@ -54,7 +53,7 @@ from .geometry import (
     subarray_frames,
     visibility,
 )
-from .scenario import Scenario
+from .scenario import Scenario, SignalConfig
 
 STATE_DIM = 13
 CONSTRAINED_DIM = 7

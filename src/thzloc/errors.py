@@ -2,8 +2,8 @@
 
 
 class ConfigError(ValueError):
-    """A scenario or a field grid request is malformed: a ScenarioConfig,
-    from a file or built in code, raises it when it breaks a rule."""
+    """A scenario or a field grid request is malformed: a ScenarioConfig or
+    SignalConfig that breaks a rule raises it when built, in code or parsed."""
 
 
 class GeometryError(ValueError):

@@ -28,8 +28,8 @@ repeated in one mapping and a missing required key (`bs[0] is missing
 'panel'`); an absent optional key takes its field's default.  The rules
 on values hold for every ScenarioConfig, however it is built (parsed,
 preset, dataclasses.replace or the constructor): one that breaks a rule
-raises ConfigError when built, with the text a file gets
-(`sim.seed must be a non-negative integer, got -1`).
+raises ConfigError when built, with the text a file gets (`sim.seed must
+be a non-negative integer, got -1`); a SignalConfig checks itself alike.
 The named presets pair two UE layouts (six 4x4 subarrays, either coplanar
 or on the faces of a 0.1 m cube) with two, three, or four ceiling-mounted
 8x8 BS panels.
@@ -48,9 +48,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .channel import SignalConfig
 from .errors import ConfigError
 from .geometry import (
+    SPEED_OF_LIGHT,
     EulerAngles,
     Pose,
     Subarray,
@@ -144,6 +144,64 @@ class SubarrayConfig:
     offset_m: tuple[float, float, float]
     orientation_deg: tuple[float, float, float]
     panel: PanelConfig
+
+
+@dataclass(frozen=True)
+class SignalConfig:
+    """Waveform and noise parameters shared by all paths.  The one config
+    that checks itself when built, as its path in a file is always `signal`:
+    a panel, BS or subarray entry learns its path (`bs[1].panel`) only from
+    the ScenarioConfig that holds it, and is checked there."""
+
+    power_dbm: float = 0.0
+    carrier_hz: float = 140e9
+    bandwidth_hz: float = 1e9
+    num_subcarriers: int = 10
+    num_transmissions: int = 50
+    noise_psd_dbm_hz: float = -173.855
+    noise_figure_db: float = 10.0
+
+    def __post_init__(self):
+        self.__dict__.update(_read(self, "signal"))  # frozen bars only setattr
+        k, noise = self.num_subcarriers, "noise_psd_dbm_hz, noise_figure_db, bandwidth_hz"
+        if k < 1 or self.num_transmissions < 1:
+            raise ConfigError("num_subcarriers and num_transmissions must be at least 1")
+        if k > MAX_SUBCARRIERS:
+            raise ConfigError(f"signal.num_subcarriers is {k}, more than {MAX_SUBCARRIERS}")
+        # The bound's scales, divisors first: inf or 0 would fail later.  K = 1 has no spread.
+        for keys, scale in (
+            ("power_dbm", lambda: self.power_w), (noise, lambda: self.noise_variance_w),
+            (f"power_dbm, {noise}", lambda: 2.0 * self.power_w / self.noise_variance_w),
+            ("carrier_hz", lambda: self.wavelength_m),
+            ("bandwidth_hz", lambda: k == 1 or (math.pi * (k - 1) * self.bandwidth_hz) ** 2 / k),
+        ):
+            try:
+                value = scale()
+            except (OverflowError, ZeroDivisionError):
+                value = math.inf
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"signal {keys} out of range: a scale of the bound is {value:g}")
+
+    @property
+    def power_w(self) -> float:
+        return 10.0 ** (self.power_dbm / 10.0) * 1e-3
+
+    @property
+    def wavelength_m(self) -> float:
+        return SPEED_OF_LIGHT / self.carrier_hz
+
+    def subcarrier_offsets_hz(self) -> np.ndarray:
+        """Baseband frequency of each subcarrier, symmetric around zero."""
+        k = np.arange(1, self.num_subcarriers + 1)
+        return (k - (self.num_subcarriers + 1) / 2.0) * (
+            self.bandwidth_hz / self.num_subcarriers
+        )
+
+    @property
+    def noise_variance_w(self) -> float:
+        """Post-combining noise power over the full signal bandwidth."""
+        psd_w_hz = 10.0 ** ((self.noise_psd_dbm_hz + self.noise_figure_db) / 10.0) * 1e-3
+        return psd_w_hz * self.bandwidth_hz
 
 
 @dataclass(frozen=True)
@@ -305,7 +363,7 @@ def _number(value, where: str) -> float:
         raise ConfigError(f"{where} must be a number: {exc}") from exc
     if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite, got {value!r}")
-    return number
+    return number + 0.0  # -0.0 as 0.0, which it equals, for scenario_hash
 
 
 def _integer(value, where: str) -> int:
@@ -345,16 +403,21 @@ _READERS = {
 }
 
 
+def _read(value, where: str) -> dict:
+    """Each field of the dataclass value, read by the reader of its type."""
+    return {f.name: _READERS[f.type](getattr(value, f.name), f"{where}.{f.name}")
+            for f in dataclasses.fields(value)}
+
+
 def _fields(cls, value, where: str):
-    """value, a cls, anew with each field read by the reader of its type."""
+    """value, a cls, anew with its fields as read."""
     if not isinstance(value, cls):
         raise ConfigError(f"{where} must be a {cls.__name__}, got {type(value).__name__}")
-    return cls(**{f.name: _READERS[f.type](getattr(value, f.name), f"{where}.{f.name}")
-                  for f in dataclasses.fields(cls)})
+    return cls(**_read(value, where))
 
 
 def _check(config: ScenarioConfig) -> None:
-    """Hold config to every rule of a scenario; store its fields as read."""
+    """Hold config to every rule of a scenario but the signal's own; store its fields as read."""
     for entries, key in ((config.bs, "bs"), (config.subarrays, "ue.subarrays")):
         if not isinstance(entries, (list, tuple)) or not entries:
             raise ConfigError(f"'{key}' must be a non-empty list")
@@ -370,27 +433,9 @@ def _check(config: ScenarioConfig) -> None:
             f"bs and ue.subarrays make {len(stations)} x {len(subs)} ="
             f" {len(stations) * len(subs)} BS-subarray pairs, more than {MAX_PAIRS}"
         )
-    signal = _fields(SignalConfig, config.signal, "signal")
-    if signal.num_subcarriers < 1 or signal.num_transmissions < 1:
-        raise ConfigError("num_subcarriers and num_transmissions must be at least 1")
-    if signal.num_subcarriers > MAX_SUBCARRIERS:
-        raise ConfigError(
-            f"signal.num_subcarriers is {signal.num_subcarriers}, more than {MAX_SUBCARRIERS}"
-        )
-    # The bound's scales, divisors first: inf or 0 would fail later.  K = 1 has no spread.
-    k, noise = signal.num_subcarriers, "noise_psd_dbm_hz, noise_figure_db, bandwidth_hz"
-    for keys, scale in (
-        ("power_dbm", lambda: signal.power_w), (noise, lambda: signal.noise_variance_w),
-        (f"power_dbm, {noise}", lambda: 2.0 * signal.power_w / signal.noise_variance_w),
-        ("carrier_hz", lambda: signal.wavelength_m),
-        ("bandwidth_hz", lambda: k == 1 or (math.pi * (k - 1) * signal.bandwidth_hz) ** 2 / k),
-    ):
-        try:
-            value = scale()
-        except (OverflowError, ZeroDivisionError):
-            value = math.inf
-        if not 0.0 < value < math.inf:
-            raise ConfigError(f"signal {keys} out of range: a scale of the bound is {value:g}")
+    signal = config.signal  # checked by itself when built
+    if not isinstance(signal, SignalConfig):
+        raise ConfigError(f"signal must be a SignalConfig, got {type(signal).__name__}")
     n_ue = max(s.panel.num_elements for s in subs)
     n_bs = max(b.panel.num_elements for b in stations)
     phases = signal.num_transmissions * (n_ue + n_bs)
@@ -405,9 +450,7 @@ def _check(config: ScenarioConfig) -> None:
     bias = _number(config.clock_bias_s, "sim.clock_bias_s")
     if not abs(bias) <= MAX_CLOCK_BIAS_S:
         raise ConfigError(f"sim.clock_bias_s must be within +-{MAX_CLOCK_BIAS_S:g} s, got {bias:g}")
-    for name, value in dict(bs=tuple(stations), subarrays=tuple(subs), signal=signal,
-                            seed=seed, clock_bias_s=bias).items():
-        object.__setattr__(config, name, value)
+    config.__dict__.update(bs=tuple(stations), subarrays=tuple(subs), seed=seed, clock_bias_s=bias)
 
 
 def _section(cls, mapping, where: str):
@@ -435,7 +478,7 @@ def parse_config(text_or_mapping) -> ScenarioConfig:
 
     Raises:
         ConfigError: on syntax errors, repeated, unknown or missing keys,
-            or a value that breaks a rule of ScenarioConfig.
+            or a value that breaks a rule of ScenarioConfig or SignalConfig.
     """
     if isinstance(text_or_mapping, dict):
         doc = text_or_mapping

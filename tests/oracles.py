@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from thzloc.channel import BeamformerSet, SignalConfig, draw_beamformers, path_gain, steering_stack
+from thzloc.channel import BeamformerSet, draw_beamformers, path_gain, steering_stack
 from thzloc.crb import (
     BoundResult,
     _beam_fims,
@@ -65,6 +65,7 @@ from thzloc.oracles import (  # noqa: F401  (re-exported)
     signal_jacobian_fd,
     state_jacobian_fd,
 )
+from thzloc.scenario import SignalConfig
 
 
 # --- rotations ---------------------------------------------------------------

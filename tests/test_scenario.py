@@ -24,7 +24,6 @@ from thzloc import (
     serialize_config,
 )
 from thzloc.geometry import Pose, stack_poses
-from thzloc.channel import SignalConfig
 from thzloc.scenario import (
     _READERS,
     MAX_CLOCK_BIAS_S,
@@ -35,6 +34,7 @@ from thzloc.scenario import (
     PanelConfig,
     Scenario,
     ScenarioConfig,
+    SignalConfig,
     SubarrayConfig,
     config_to_mapping,
     load_config,
@@ -205,6 +205,20 @@ def test_hashes_are_distinct():
     assert len(hashes) == 6
 
 
+@pytest.mark.parametrize("replace", [
+    lambda config, zero: dataclasses.replace(config, clock_bias_s=zero),
+    lambda config, zero: dataclasses.replace(config, bs=(
+        dataclasses.replace(config.bs[0], position_m=(-10.5, zero, 5.0)), *config.bs[1:])),
+], ids=["clock_bias_s", "bs-position_m"])
+def test_a_negative_zero_gets_the_stamp_of_zero(replace):
+    # -0.0 == 0.0: the two configs are equal, hash alike and share one
+    # realized Scenario, so they must share one stamp too.
+    config = preset("planar-2bs")
+    zero, negative = replace(config, 0.0), replace(config, -0.0)
+    assert negative == zero and hash(negative) == hash(zero)
+    assert scenario_hash(negative) == scenario_hash(zero)
+
+
 def test_parse_rejects_unknown_top_level_key():
     doc = config_to_mapping(preset("planar-2bs"))
     doc["extra"] = 1
@@ -333,6 +347,34 @@ def test_parse_refuses_a_repeated_key(repeated, line):
     key = repeated.strip().split(":")[0]
     with pytest.raises(ConfigError, match=f"^scenario file repeats the key '{key}' at line {number}$"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("num_subcarriers", 0),
+    ("carrier_hz", 0),
+    ("power_dbm", 1e308),
+    ("bandwidth_hz", float("nan")),
+    ("num_subcarriers", 10**9),
+    ("num_subcarriers", MAX_SUBCARRIERS + 1),
+    ("num_transmissions", True),
+])
+def test_a_signal_config_built_alone_meets_the_rules_of_a_file(key, value):
+    # The waveform's path in a file is always `signal`, so a SignalConfig
+    # built on its own is refused with the text the file gets.
+    doc = config_to_mapping(preset("cuboidal-2bs"))
+    doc["signal"][key] = value
+    with pytest.raises(ConfigError) as in_file:
+        parse_config(yaml.safe_dump(doc))
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(in_file.value))}$"):
+        SignalConfig(**{key: value})
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_scenario_keeps_the_signal_it_was_given(name):
+    # A SignalConfig checked itself when built; a ScenarioConfig neither
+    # reads nor rebuilds it.
+    config = preset(name)
+    assert dataclasses.replace(config, seed=3).signal is config.signal
 
 
 def _phases(g, n_bs):
