@@ -280,9 +280,8 @@ def path_geometry(bs, mounts, pose_frames, paths) -> PathGeometry:
         raise GeometryError("BS-to-subarray distance exceeds the float range")
     frames = np.empty((v.shape[0], 2, 3, 3))
     frames[:, 0], frames[:, 1] = bs[1][bs_index], axes[owners, sub_index]
-    return PathGeometry(
-        mounts[1][sub_index], mounts[0][sub_index], v, distance, frames, _resolve(frames, v[:, None])
-    )
+    local = _rotate(frames.swapaxes(-1, -2), v[:, None])
+    return PathGeometry(mounts[1][sub_index], mounts[0][sub_index], v, distance, frames, local)
 
 
 def one_path(bs_pose: Pose, ue_pose: Pose, subarray: Subarray) -> PathGeometry:
@@ -291,15 +290,6 @@ def one_path(bs_pose: Pose, ue_pose: Pose, subarray: Subarray) -> PathGeometry:
     frames = subarray_frames(stack_poses([ue_pose]), mounts)
     paths = (np.zeros(1, dtype=int),) * 3
     return path_geometry(stack_poses([bs_pose]), mounts, frames, paths)
-
-
-def _resolve(rotation: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    # rotation^T @ vector over the leading axes.
-    return (
-        rotation[..., 0, :] * vector[..., 0, None]
-        + rotation[..., 1, :] * vector[..., 1, None]
-        + rotation[..., 2, :] * vector[..., 2, None]
-    )
 
 
 def _safe_asin(x: np.ndarray) -> np.ndarray:
