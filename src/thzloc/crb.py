@@ -1,19 +1,21 @@
 """Constrained Cramer-Rao bounds on UE position and orientation.
 
-The estimation state is r = [p (3), rho (1), vec(R) (9)] with vec stacking
-the columns of the UE rotation matrix, 13 entries total.  The columns of
-the constraint basis M span the tangent space of R's orthonormality
-constraint: [p, rho] and the turns dR = R [omega]_x / sqrt(2).  Information
-flows per visible path from the five channel parameters (ETA_NAMES order)
-through the chain rule into those 7 coordinates [p, rho, omega] (5x7
-Jacobians) and is summed over paths into F (7x7); the constrained bound is
-M F^{-1} M^T, which is M (M^T I(r) M)^{-1} M^T for the information I(r) in r;
-neither I(r) nor a 13-entry Jacobian is formed.  thzloc.oracles holds the
-finite-difference Jacobian in r, which thzloc validate multiplies by M, and
-tests/oracles.py the analytic one, the long-double reference of the bounds.
-PEB is the root-trace of the position block; OEB is the root-trace of the
-rotation block, converted to degrees through the small-angle relation
-|dR|_F = sqrt(2) * angle.
+The estimation state is r = [p (3), rho (1), vec(R) (9)], vec stacking the
+columns of the UE rotation matrix; R's orthonormality leaves the 7 tangent
+coordinates [p, rho, omega], omega the turns dR = R [omega]_x / sqrt(2).
+Information flows per visible path from the five channel parameters
+(ETA_NAMES order) through the chain rule into those coordinates (5x7
+Jacobians) and is summed over paths into F (7x7).  The kernel ends at the
+constrained bound C = F^{-1}; in r it is M C M^T = M (M^T I(r) M)^{-1} M^T
+for the information I(r) in r and the orthonormal tangent basis
+M = constraint_basis(R).  M keeps C's position block and, its rotation
+columns being orthonormal, the rotation block's trace: PEB is the root
+trace of C's position block and OEB that of its omega block, which is the
+root trace over vec(R), in degrees through |dR|_F = sqrt(2) * angle.
+Neither I(r), a 13-entry Jacobian nor M is formed; constraint_basis is
+left for thzloc validate, which projects thzloc.oracles' finite-difference
+Jacobian in r onto M, and for the benchmark's tracer.  tests/oracles.py
+holds the analytic Jacobian in r, the long-double reference of the bounds.
 
 evaluate_batch is the one way into the evaluation kernel.  It composes
 four stages over all paths of a batch of poses: _geometry, the _solvable
@@ -228,45 +230,45 @@ def state_fim(path_fims: list[np.ndarray], jacobians: list[np.ndarray]) -> np.nd
     return state_fims(fims, jacobians, np.array([len(fims)]))[0]
 
 
-_EYE3, _EYE4 = np.eye(3), np.eye(4)
+_EYE3 = np.eye(3)
 # Largest entry of |R^T R - I| that a UE rotation may have.
 _ROTATION_TOL = 1e-6
 _HALF_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def constraint_bases(rotations: np.ndarray) -> np.ndarray:
-    """constraint_basis of each rotation in a (B, 3, 3) stack."""
-    c1, c2, c3 = (rotations * _HALF_SQRT2).transpose(2, 0, 1)  # columns of R
-    basis = np.zeros((rotations.shape[0], STATE_DIM, CONSTRAINED_DIM))
-    basis[:, :4, :4] = _EYE4
-    # vec(R [omega]_x) / sqrt(2) for omega = e_x, e_y, e_z.
-    basis[:, 7:10, 4] = c3
-    basis[:, 10:13, 4] = -c2
-    basis[:, 4:7, 5] = -c3
-    basis[:, 10:13, 5] = c1
-    basis[:, 4:7, 6] = c2
-    basis[:, 7:10, 6] = -c1
-    return basis
-
-
 def constraint_basis(rotation: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tangent space of the constrained state.
+    """Orthonormal (13, 7) basis M of the tangent space of the state in r.
 
     Position and clock bias are unconstrained; the rotation part spans the
     three infinitesimal rotations of R, each normalized to unit length.
     M satisfies M^T M = I_7 and J_h M = 0 for the Jacobian J_h of the
-    orthonormality constraints on R.
+    orthonormality constraints on R.  The kernel forms none; validate uses it.
     """
-    return constraint_bases(np.asarray(rotation, dtype=float)[None])[0]
+    c1, c2, c3 = np.asarray(rotation, dtype=float).T * _HALF_SQRT2  # columns of R
+    basis = np.zeros((STATE_DIM, CONSTRAINED_DIM))
+    basis[:4, :4] = np.eye(4)
+    # vec(R [omega]_x) / sqrt(2) for omega = e_x, e_y, e_z.
+    basis[7:10, 4] = c3
+    basis[10:13, 4] = -c2
+    basis[4:7, 5] = -c3
+    basis[10:13, 5] = c1
+    basis[4:7, 6] = c2
+    basis[7:10, 6] = -c1
+    return basis
 
 
-def constrained_crbs(
-    fims: np.ndarray, bases: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _batch_of_one(matrix: np.ndarray, what: str) -> np.ndarray:
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape != (CONSTRAINED_DIM, CONSTRAINED_DIM):
+        raise ValueError(f"{what} must be 7x7 in [p, rho, omega], got shape {matrix.shape}")
+    return matrix[None]
+
+
+def constrained_crbs(fims: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """constrained_crb over a stack of B (7, 7) information matrices.
 
     Returns:
-        (crbs (n, 13, 13) of the n invertible ones in order, invertible
+        (crbs (n, 7, 7) of the n invertible ones in order, invertible
         (B,), conditions (B,)).
     """
     diag = fims.diagonal(axis1=1, axis2=2)
@@ -287,42 +289,46 @@ def constrained_crbs(
     inverse = scale[:, :, None] * inv_balanced * scale[:, None, :]
     invertible = np.zeros(fims.shape[0], dtype=bool)
     invertible[usable[keep]] = True
-    basis = bases[invertible]
-    return _symmetric(basis @ inverse @ _transpose(basis)), invertible, conditions
+    return _symmetric(inverse), invertible, conditions
 
 
 def constrained_crb(fim: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """Constrained CRB M F^{-1} M^T of the 7x7 information F in the
-    tangent coordinates, with a singularity check.
+    """Constrained CRB C = F^{-1} of the 7x7 information F in the tangent
+    coordinates [p, rho, omega], with a singularity check.
 
     F mixes units (meters, seconds, dimensionless rotation angles), so the
     condition number is measured after Jacobi equilibration
     D^{-1/2} F D^{-1/2}; that leaves the inverse unchanged while making the
-    threshold scale-free.
+    threshold scale-free.  basis is unused (M C M^T is the same bound in r);
+    it stays while the benchmark's tracer passes one, until ROADMAP item
+    1(b).
 
     Returns:
         (crb, condition) with crb None when the information is singular.
+
+    Raises:
+        ValueError: if fim is not 7x7.
     """
-    crbs, invertible, conditions = constrained_crbs(
-        np.asarray(fim, dtype=float)[None], np.asarray(basis, dtype=float)[None]
-    )
+    crbs, invertible, conditions = constrained_crbs(_batch_of_one(fim, "the information"))
     return (crbs[0] if invertible[0] else None), float(conditions[0])
 
 
 def error_bounds_stack(crbs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(peb_m, oeb_raw, oeb_deg) arrays from a (B, 13, 13) stack of CRBs."""
+    """(peb_m, oeb_raw, oeb_deg) arrays from a (B, 7, 7) stack of CRBs C:
+    the root traces of C's position and omega blocks, and the latter in
+    degrees."""
     diag = _transpose(crbs.diagonal(axis1=1, axis2=2))
-    position = diag[0] + diag[1] + diag[2]
-    rotation = diag[4]
-    for i in range(5, STATE_DIM):
-        rotation = rotation + diag[i]
-    oeb_raw = np.sqrt(rotation)
-    return np.sqrt(position), oeb_raw, np.rad2deg(oeb_raw / np.sqrt(2.0))
+    oeb_raw = np.sqrt(diag[4] + diag[5] + diag[6])
+    return np.sqrt(diag[0] + diag[1] + diag[2]), oeb_raw, np.rad2deg(oeb_raw / np.sqrt(2.0))
 
 
 def error_bounds(crb: np.ndarray) -> tuple[float, float, float]:
-    """(peb_m, oeb_raw, oeb_deg) from a 13x13 constrained CRB."""
-    peb, oeb_raw, oeb_deg = error_bounds_stack(np.asarray(crb, dtype=float)[None])
+    """(peb_m, oeb_raw, oeb_deg) from a 7x7 constrained CRB in [p, rho, omega].
+
+    Raises:
+        ValueError: if crb is not 7x7.
+    """
+    peb, oeb_raw, oeb_deg = error_bounds_stack(_batch_of_one(crb, "the CRB"))
     return float(peb[0]), float(oeb_raw[0]), float(oeb_deg[0])
 
 
@@ -489,7 +495,7 @@ def _solvable(paths: _Paths, shape: tuple[int, int], localizable_only: bool):
     return solvable, num_visible_bs
 
 
-def _bound(paths: _Paths, fims, solvable, num_visible_bs, rotations) -> BoundTable:
+def _bound(paths: _Paths, fims, solvable, num_visible_bs) -> BoundTable:
     """The BoundTable of a path selection from its solvable poses' path
     FIMs: state_fims, an overflow check, constrained_crbs and labels."""
     count = solvable.size
@@ -501,7 +507,7 @@ def _bound(paths: _Paths, fims, solvable, num_visible_bs, rotations) -> BoundTab
         raise ConfigError("signal power_dbm, noise_psd_dbm_hz, noise_figure_db, bandwidth_hz or"
                           " carrier_hz, or a panel spacing_wl, out of range: the information"
                           " overflows")
-    crbs, invertible, conditions = constrained_crbs(fim, constraint_bases(rotations[poses]))
+    crbs, invertible, conditions = constrained_crbs(fim)
     peb, oeb_raw, oeb_deg, condition = np.full((4, count), np.inf)
     condition[poses] = conditions
     solved = poses[invertible]
@@ -562,4 +568,4 @@ def evaluate_batch(
     # draw nothing and coincident points raise GeometryError.
     with np.errstate(over="ignore", invalid="ignore"):
         fims = _beam_fims(scenario, paths.params[live], [i[live] for i in paths[:3]], trials, seed)
-    return _bound(paths, fims, solvable, num_visible_bs, ue[1])
+    return _bound(paths, fims, solvable, num_visible_bs)

@@ -456,14 +456,15 @@ def long_double_bounds(scn, poses, trials, seed, which):
 class Composition(NamedTuple):
     result: BoundResult
     fim: np.ndarray | None  # 7x7 state FIM, None without paths or at a branch point
-    crb: np.ndarray | None
+    crb: np.ndarray | None  # 7x7 constrained CRB in [p, rho, omega], None if not invertible
 
 
 def compose_paths(scn, pose: Pose, seed, trial: int, fim_of=path_fim) -> Composition:
     """A pose's bounds from the per-path public functions, one visible path
     at a time: path_params, state_jacobian, draw_beamformers (with seed, or
     the scenario's seed for None, and trial) and fim_of, then state_fim,
-    constrained_crb and error_bounds.
+    constrained_crb and error_bounds, whose fim and crb are 7x7 in the
+    tangent coordinates [p, rho, omega].
 
     fim_of(params, gain, beams, bs_elements, sub_elements, signal) gives a
     path's 5x5 FIM; path_fim makes the result the kernel's bit for bit.  A

@@ -7,6 +7,7 @@ from thzloc import (
     NO_LOS,
     EulerAngles,
     Pose,
+    PoseDistribution,
     SignalConfig,
     constrained_crb,
     constraint_basis,
@@ -20,6 +21,7 @@ from thzloc import (
     state_jacobian,
 )
 from thzloc.channel import draw_beamformers, path_gain
+from thzloc.coverage import sample_poses
 from thzloc.crb import CONDITION_LIMIT, classify_localizability, state_jacobians
 from thzloc.geometry import element_grid, path_params, visible_paths
 from thzloc.validate import check_state_jacobian, random_geometry, run_validation, state_jacobian_error
@@ -151,8 +153,39 @@ def test_constrained_crb_agrees_with_direct_inverse():
     basis = constraint_basis(pose.rotation)
     crb, condition = constrained_crb(fim, basis)
     assert crb is not None and np.isfinite(condition)
-    direct = basis @ np.linalg.inv(fim) @ basis.T
+    direct = np.linalg.inv(fim)
     assert np.linalg.norm(crb - direct) < 1e-8 * np.linalg.norm(direct)
+
+
+@pytest.mark.parametrize("name", ["cuboidal-4bs", "planar-2bs"])
+def test_the_tangent_crb_gives_the_bounds_in_the_rotation_entries(name):
+    # README defines oeb_raw as the root trace over the nine rotation-matrix
+    # entries, the rotation block of M C M^T in [p, rho, vec(R)].  M's
+    # identity block keeps C's position diagonal bit for bit, and its
+    # orthonormal rotation columns keep the trace of C's omega block.
+    scn = preset(name).realize()
+    trials = list(range(64))
+    solved = 0
+    for pose in sample_poses(PoseDistribution(), 3, trials):
+        crb = compose_paths(scn, pose, None, 0).crb
+        if crb is None:
+            continue
+        solved += 1
+        basis = constraint_basis(pose.rotation)
+        full = (basis @ crb @ basis.T).diagonal()
+        assert crb.shape == (7, 7)
+        assert full[:3].tolist() == crb.diagonal()[:3].tolist()
+        assert full[4:].sum() == pytest.approx(crb.diagonal()[4:].sum(), rel=1e-14, abs=0.0)
+    assert solved > len(trials) // 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda: constrained_crb(np.eye(13), constraint_basis(np.eye(3))),
+    lambda: error_bounds(np.eye(13)),
+], ids=["constrained_crb", "error_bounds"])
+def test_crb_inputs_must_be_7x7(call):
+    with pytest.raises(ValueError, match=r"7x7.*\(13, 13\)"):
+        call()
 
 
 def test_constrained_crb_scales_inversely_with_information():
@@ -202,7 +235,7 @@ def test_the_condition_cutoff_applies_after_equilibration(condition):
 
 
 def test_error_bounds_blocks():
-    crb = np.zeros((13, 13))
+    crb = np.zeros((7, 7))
     crb[0, 0] = crb[1, 1] = crb[2, 2] = 3.0
     crb[4, 4] = 2.0
     peb, oeb_raw, oeb_deg = error_bounds(crb)

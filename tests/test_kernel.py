@@ -570,7 +570,7 @@ def test_bs_prefix_selections_match_the_smaller_presets(layout):
             live = solvable[prefix.owners]
             fims = _beam_fims(scn, prefix.params[live], [i[live] for i in prefix[:3]],
                               trials, reference.BEAM_SEED)
-            staged = crb._bound(prefix, fims, solvable, num_visible_bs, ue[1])
+            staged = crb._bound(prefix, fims, solvable, num_visible_bs)
             direct = evaluate_batch(SCENARIOS[f"{layout}-{k}bs"].realize(), poses, trials,
                                     reference.BEAM_SEED, localizable_only=only)
             assert np.isfinite(direct.peb_m).any() and prefix.owners.size < paths.owners.size

@@ -48,6 +48,18 @@ def test_stored_bounds_lie_within_roundoff_of_long_double(name):
     assert worst <= 1e-14
 
 
+def test_the_report_counts_moves_per_column():
+    old = [["localizable", "9", "0x1.0p+0", "0x1.0p+1", "0x1.0p+3", "1.0", "2.0"],
+           ["comm_only", "3", "inf", "inf", "inf", "inf", "inf"]]
+    new = [["localizable", "9", "0x1.0p+0", "0x1.0000000000001p+1", "0x1.0p+3", "1.5", "2.0"],
+           ["no_los", "0", "inf", "0x1.8p+1", "0x1.0p+3", "inf", "inf"]]
+    # The long-double columns beside the bits are not counted.
+    assert reference_numbers.moved_columns(old, new) == {
+        "label": 1, "paths": 1, "PEB": 0, "OEB": 2, "condition": 1
+    }
+    assert reference_numbers.moved_columns(old, old) == dict.fromkeys(reference_numbers.COLUMNS, 0)
+
+
 @same_build
 @pytest.mark.parametrize(
     "entry", STORED["commands"], ids=lambda entry: f"{entry['argv'][0]}-{entry['argv'][2]}"

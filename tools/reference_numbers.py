@@ -15,7 +15,8 @@ produced it all.  tests/test_reference_numbers.py requires every bit and
 byte.
 
 Before it writes, the tool prints per scenario how many poses moved in
-any bit against the stored file, how many PEB and OEB values moved in the
+any bit of each column (label, path count, PEB, OEB, condition) against
+the stored file, how many PEB and OEB values moved in the
 `.10g` digits that the CSVs print, and the worst
 max(|dPEB|/PEB, |dOEB|/OEB) / condition of the stored and of the new
 values against the new long-double ones.  A change that moves bits on
@@ -80,6 +81,10 @@ def _inputs(config):
     return config.realize(), sample_poses(PoseDistribution(), POSE_SEED, trials), trials
 
 
+# The columns of a pose that bit_rows writes.
+COLUMNS = ("label", "paths", "PEB", "OEB", "condition")
+
+
 def bit_rows(config) -> list[list[str]]:
     """Per pose [label, path count, PEB, OEB, condition], floats in hex."""
     scn, poses, trials = _inputs(config)
@@ -142,12 +147,18 @@ def _digests() -> tuple[list[dict], list[dict]]:
     return csvs, jsons
 
 
+def moved_columns(old: list[list[str]], new: list[list[str]]) -> dict[str, int]:
+    """Per column of COLUMNS, how many poses' entries differ between the
+    old and the new rows."""
+    return {name: sum(a[k] != b[k] for a, b in zip(old, new)) for k, name in enumerate(COLUMNS)}
+
+
 def report(name: str, old: list[list[str]], new: list[list[str]]) -> None:
     """One line on how the new rows of a scenario differ from the old."""
     if len(old) != len(new):
         print(f"{name:16s} poses {len(new)}  no stored rows  worst error/cond {worst_error(new):.2e}")
         return
-    bits = sum(a[:5] != b[:5] for a, b in zip(old, new))
+    moved = "  ".join(f"{column} {count}" for column, count in moved_columns(old, new).items())
     digits = [
         sum(format(float.fromhex(a[k]), ".10g") != format(float.fromhex(b[k]), ".10g")
             for a, b in zip(old, new))
@@ -155,7 +166,7 @@ def report(name: str, old: list[list[str]], new: list[list[str]]) -> None:
     ]
     stored = worst_error([a[:5] + b[5:] for a, b in zip(old, new)])
     print(
-        f"{name:16s} poses {len(new)}  moved in bits {bits}  PEB .10g moved {digits[0]}  "
+        f"{name:16s} poses {len(new)}  moved in bits: {moved}  PEB .10g moved {digits[0]}  "
         f"OEB .10g moved {digits[1]}  worst error/cond: stored {stored:.2e}, "
         f"new {worst_error(new):.2e}"
     )
