@@ -245,8 +245,7 @@ def keyed_beam_rows(keys, num_transmissions: int, n_ue: int, n_bs: int):
     e^{2 pi i u} of Generator.random's u = (w >> 11) * 2^-53, the phase
     that uniform(0, 2 pi) scales from u.  Of a path's N_ue + N_bs columns,
     the first N_ue, scaled to unit norm, are the combiner, the rest the
-    precoder.  One path's words are _unit_phasors' scratch as drawn;
-    several paths' are gathered in the phasors' first half for one pass.
+    precoder.  The words are gathered in the phasors' first half for one pass.
     """
     step = num_transmissions * (n_ue + n_bs)
     size = len(keys) * step
@@ -259,12 +258,9 @@ def keyed_beam_rows(keys, num_transmissions: int, n_ue: int, n_bs: int):
         scratch = _THREAD.scratch = raw[-raw.ctypes.data % 64 // 16 :][: 3 * span]
     phasors, base = scratch[:size], scratch[span : span + size]
     rest = scratch[2 * span :].view(np.float64)
-    if len(keys) == 1:
-        words = keyed_words(keys[0], size)
-    else:
-        words = phasors.view(np.uint64)[:size]
-        for start, key in zip(range(0, size, step), keys):
-            words[start : start + step] = keyed_words(key, step)
+    words = phasors.view(np.uint64)[:size]
+    for i, key in enumerate(keys):
+        words[i * step : (i + 1) * step] = keyed_words(key, step)
     _unit_phasors(words, rest[:size].view(np.intp), rest[span : span + size], base, phasors)
     phasors = phasors.reshape(len(keys), num_transmissions, n_ue + n_bs)
     # NumPy's complex division by sqrt(N_ue) multiplies both parts by this.

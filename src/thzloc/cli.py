@@ -328,15 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flags whose values may start with a minus sign ("--grid -10,10,1").  argparse
+# Numeric flags, whose values may start with a minus sign ("--z -1e0").  argparse
 # would read such a value as an unknown option, so fold it into the flag token.
-_COORDINATE_FLAGS = ("--position", "--orientation", "--grid")
+_NUMERIC_FLAGS = ("--position", "--orientation", "--grid", "--z", "--alpha", "--step",
+                  "--seed", "--trials", "--threads")
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
     merged = []
     for token in argv:
-        if merged and merged[-1] in _COORDINATE_FLAGS and re.match(r"-([\d.]|inf)", token, re.I):
+        if merged and merged[-1] in _NUMERIC_FLAGS and re.match(r"-([\d.]|inf|nan)", token, re.I):
             merged[-1] += f"={token}"
         else:
             merged.append(token)

@@ -315,8 +315,8 @@ def constrained_crb(fim: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray | No
 
 def error_bounds_stack(crbs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(peb_m, oeb_raw, oeb_deg) arrays from a (B, 7, 7) stack of CRBs C:
-    the root traces of C's position and omega blocks, and the latter in
-    degrees."""
+    the root traces of C's position and omega blocks, and the latter over
+    sqrt(2) in degrees."""
     diag = _transpose(crbs.diagonal(axis1=1, axis2=2))
     oeb_raw = np.sqrt(diag[4] + diag[5] + diag[6])
     return np.sqrt(diag[0] + diag[1] + diag[2]), oeb_raw, np.rad2deg(oeb_raw / np.sqrt(2.0))
@@ -324,6 +324,9 @@ def error_bounds_stack(crbs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def error_bounds(crb: np.ndarray) -> tuple[float, float, float]:
     """(peb_m, oeb_raw, oeb_deg) from a 7x7 constrained CRB in [p, rho, omega].
+
+    oeb_raw = sqrt(2) * radians(oeb_deg), which no result holds, stays
+    while the benchmark's tracer unpacks three values, until ROADMAP 1(b).
 
     Raises:
         ValueError: if crb is not 7x7.
@@ -345,8 +348,10 @@ def classify_localizability(num_visible_bs: int, invertible: bool) -> str:
 class BoundResult:
     """Error bounds and diagnostics for one UE pose.
 
-    peb_m and oeb_deg are +inf when the constrained information matrix is
-    singular or no path is visible.  A pose with exactly one visible BS is
+    peb_m is the root trace of the CRB's position block in meters, oeb_deg
+    that of its omega block over sqrt(2) in degrees, the small-angle
+    rotation error; both are +inf when the constrained information matrix
+    is singular or no path is visible.  A pose with exactly one visible BS is
     classified comm_only, yet its numeric bounds are reported whenever the
     matrix inverts: such poses are weakly identifiable through subarray
     parallax, and coverage statistics count them at their finite value.
@@ -359,7 +364,6 @@ class BoundResult:
     classification: str
     peb_m: float
     oeb_deg: float
-    oeb_raw: float
     num_paths: int
     num_visible_bs: int
     condition_number: float
@@ -373,21 +377,20 @@ class BoundResult:
 
 @dataclass(frozen=True)
 class BoundTable:
-    """Bounds of a batch of poses as columns named after BoundResult's
-    fields, one entry per pose, except paths, (P, 2) rows of (bs, subarray),
-    and path_params, (P, 6) rows of PathParams fields, which hold the
-    poses' paths in turn, each pose's in visible_paths order.  The
-    classification column is an object array of classify_localizability's
-    labels.  The kernel builds no object per pose or path; result(i) does,
-    for evaluate_pose."""
+    """Bounds of a batch of poses as columns, one per BoundResult field in
+    its order, each with one entry per pose, except paths, (P, 2) rows of
+    (bs, subarray), and path_params, (P, 6) rows of PathParams fields,
+    which hold the poses' paths in turn, each pose's in visible_paths
+    order.  The classification column is an object array of
+    classify_localizability's labels.  The kernel builds no object per pose
+    or path; result(i) does, for evaluate_pose."""
 
     classification: np.ndarray
     peb_m: np.ndarray
     oeb_deg: np.ndarray
-    oeb_raw: np.ndarray
-    condition_number: np.ndarray
     num_paths: np.ndarray
     num_visible_bs: np.ndarray
+    condition_number: np.ndarray
     paths: np.ndarray
     path_params: np.ndarray
 
@@ -399,7 +402,6 @@ class BoundTable:
             classification=self.classification[i],
             peb_m=float(self.peb_m[i]),
             oeb_deg=float(self.oeb_deg[i]),
-            oeb_raw=float(self.oeb_raw[i]),
             num_paths=int(self.num_paths[i]),
             num_visible_bs=int(self.num_visible_bs[i]),
             condition_number=float(self.condition_number[i]),
@@ -508,14 +510,14 @@ def _bound(paths: _Paths, fims, solvable, num_visible_bs) -> BoundTable:
                           " carrier_hz, or a panel spacing_wl, out of range: the information"
                           " overflows")
     crbs, invertible, conditions = constrained_crbs(fim)
-    peb, oeb_raw, oeb_deg, condition = np.full((4, count), np.inf)
+    peb, oeb_deg, condition = np.full((3, count), np.inf)
     condition[poses] = conditions
     solved = poses[invertible]
-    peb[solved], oeb_raw[solved], oeb_deg[solved] = error_bounds_stack(crbs)
+    peb[solved], _, oeb_deg[solved] = error_bounds_stack(crbs)
     has_bound = (np.bincount(solved, minlength=count) > 0).tolist()
     labels = map(classify_localizability, num_visible_bs.tolist(), has_bound)
-    return BoundTable(np.array(list(labels), dtype=object), peb, oeb_deg, oeb_raw, condition,
-                      num_paths, num_visible_bs, np.array([paths.bs, paths.subarray]).T,
+    return BoundTable(np.array(list(labels), dtype=object), peb, oeb_deg, num_paths,
+                      num_visible_bs, condition, np.array([paths.bs, paths.subarray]).T,
                       paths.params)
 
 

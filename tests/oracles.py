@@ -492,18 +492,17 @@ def compose_paths(scn, pose: Pose, seed, trial: int, fim_of=path_fim) -> Composi
         )
         fims.append(fim_of(params, gain, beams, scn.bs_elements[m], sub.elements, scn.signal))
     fim = crb = None
-    condition = peb = oeb_raw = oeb_deg = math.inf
+    condition = peb = oeb_deg = math.inf
     if pairs and not degenerate:
         fim = state_fim(fims, jacobians)
         crb, condition = constrained_crb(fim, constraint_basis(pose.rotation))
     if crb is not None:
-        peb, oeb_raw, oeb_deg = error_bounds(crb)
+        peb, _, oeb_deg = error_bounds(crb)
     num_visible_bs = len({m for m, _ in pairs})
     result = BoundResult(
         classification=classify_localizability(num_visible_bs, crb is not None),
         peb_m=peb,
         oeb_deg=oeb_deg,
-        oeb_raw=oeb_raw,
         num_paths=len(pairs),
         num_visible_bs=num_visible_bs,
         condition_number=condition,

@@ -192,6 +192,12 @@ def test_unit_phasors_keep_shape_and_whole_turns():
         assert beams.ue.shape == (g, n_ue) and beams.bs.shape == (g, n_bs)
 
 
+@pytest.mark.parametrize("g, n_ue, n_bs", [(0, 4, 4), (5, 0, 0)])
+def test_a_zero_size_draw_of_several_keys_is_empty(g, n_ue, n_bs):
+    ue, bs = keyed_beam_rows(spawn_keys(1, [0, 1], [0, 0], [0, 0]).tolist(), g, n_ue, n_bs)
+    assert ue.shape == (2, g, n_ue) and bs.shape == (2, g, n_bs)
+
+
 def test_one_wide_draw_peaks_under_a_mebibyte():
     # 50 transmissions on an 8x8 subarray and a 16x16 panel: the uniforms,
     # the phasors and their temporaries stay under 1 MiB at their peak.

@@ -94,6 +94,29 @@ def test_negative_coordinates_parse(capsys):
     assert json.loads(out)["position_m"] == [-1.0, -2.0, 0.5]
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value, same",
+    [
+        (["map", "--preset", "cuboidal-4bs", "--grid", "-10,10,5"], "--z", "-1e0", "-1.0"),
+        (["orient-sweep", "--preset", "cuboidal-4bs", "--step", "120"], "--alpha", "-4.5e1",
+         "-45"),
+    ],
+)
+def test_a_numeric_flag_takes_any_negative_number_as_its_value(capsys, argv, flag, value, same):
+    code, out, err = run(capsys, *argv, flag, value)
+    assert code == EXIT_OK, err
+    assert run(capsys, *argv, flag, same)[:2] == (EXIT_OK, out)
+
+
+def test_a_negative_nan_coordinate_is_refused_in_one_line(capsys):
+    code, out, err = run(
+        capsys, "bounds", "--preset", "cuboidal-4bs",
+        "--position", "-nan,0,0", "--orientation", "0,0,0",
+    )
+    assert (code, out) == (EXIT_CONFIG_ERROR, "")
+    assert err.count("\n") == 1 and "--position must be finite" in err
+
+
 def test_config_file_and_seed_override(tmp_path, capsys):
     from thzloc import preset, serialize_config
 

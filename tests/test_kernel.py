@@ -53,7 +53,8 @@ from thzloc import crb
 from thzloc.channel import _THREAD, draw_beamformers, keyed_beam_rows, path_gain, spawn_keys
 from thzloc.coverage import sample_poses
 from thzloc.crb import (
-    COMM_ONLY, LOCALIZABLE, NO_LOS, _GROUP_ELEMENTS, _PATH_BLOCK, BoundTable, _beam_fims,
+    COMM_ONLY, LOCALIZABLE, NO_LOS, _GROUP_ELEMENTS, _PATH_BLOCK, BoundResult, BoundTable,
+    _beam_fims,
 )
 from thzloc.geometry import stack_poses
 
@@ -63,6 +64,9 @@ ROOT = Path(__file__).resolve().parents[1]
 WIDE = ROOT / "perfbench" / "planar-2bs-wide.yaml"
 SCENARIOS = {name: preset(name) for name in PRESET_NAMES}
 SCENARIOS["planar-2bs-wide"] = load_config(WIDE)
+# BoundResult's fields that hold one entry per pose: all but the paths.
+POSE_COLUMNS = [f.name for f in dataclasses.fields(BoundResult)
+                if f.name not in ("paths", "path_params")]
 
 
 def _branch_point_pose(scn):
@@ -456,10 +460,9 @@ def test_table_columns_match_the_results_they_build():
     seed, count = 13, 40
     table = evaluate_batch(scn, _poses(scn, count, seed), list(range(count)), seed)
     results = _results(table)
-    for name in (
-        "classification", "peb_m", "oeb_deg", "oeb_raw",
-        "condition_number", "num_paths", "num_visible_bs",
-    ):
+    fields = [f.name for f in dataclasses.fields(BoundTable)]
+    assert fields == [f.name for f in dataclasses.fields(BoundResult)]
+    for name in POSE_COLUMNS:
         assert getattr(table, name).tolist() == [getattr(r, name) for r in results], name
     pairs = [pair for result in results for pair in result.paths]
     params = [row for result in results for row in result.path_params]
@@ -488,15 +491,12 @@ def test_localizable_only_skips_just_the_one_bs_poses():
     assert one_bs.any() and (full.num_visible_bs == 0).any()
     assert (full.classification[~one_bs] == LOCALIZABLE).any()
     assert np.isfinite(full.peb_m[one_bs]).any()
-    for name in (
-        "classification", "peb_m", "oeb_deg", "oeb_raw",
-        "condition_number", "num_paths", "num_visible_bs",
-    ):
+    for name in POSE_COLUMNS:
         a, b = getattr(full, name)[~one_bs], getattr(only, name)[~one_bs]
         assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
         if a.dtype != object:
             assert a.tobytes() == b.tobytes(), name
-    for name in ("peb_m", "oeb_deg", "oeb_raw", "condition_number"):
+    for name in ("peb_m", "oeb_deg", "condition_number"):
         assert np.isposinf(getattr(only, name)[one_bs]).all(), name
     assert (only.classification[one_bs] == COMM_ONLY).all()
     assert only.num_paths.tolist() == full.num_paths.tolist()

@@ -163,6 +163,11 @@ def test_a_config_built_in_code_is_refused_when_built_or_evaluates(name, keys, v
             assert "\n" not in str(exc)
 
 
+class _Text(str):
+    """A value drawn as free text, which a command line gives only as
+    --flag=value: as a token of its own, "-x" would read as a flag."""
+
+
 def _numbers_text(count):
     """count comma-separated numbers, mostly in the room and finite; or
     another count; or any text."""
@@ -170,7 +175,7 @@ def _numbers_text(count):
     exact = st.lists(number, min_size=count, max_size=count)
     return st.one_of(exact, exact, exact, st.lists(number, max_size=count + 1)).map(
         lambda values: ",".join(map(repr, values))
-    ) | st.text(max_size=12)
+    ) | st.text(max_size=12).map(_Text)
 
 
 SEEDS = st.one_of(st.integers(min_value=0), st.integers(), st.sampled_from([2**32, 2**200]))
@@ -197,7 +202,13 @@ def command_lines(draw, out_targets):
     }[command])
     for flag, values in flags.items():
         if command == "bounds" and flag in ("--position", "--orientation") or draw(st.booleans()):
-            argv.append(f"{flag}={draw(values)}")
+            value = draw(values)
+            # A number may also follow its flag as a token of its own.
+            numeric = flag not in ("--out", "--metric") and not isinstance(value, _Text)
+            if numeric and draw(st.booleans()):
+                argv += [flag, str(value)]
+            else:
+                argv.append(f"{flag}={value}")
     return argv
 
 
